@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qnetcode.network import parse_network, transfer_coefficients
-from qnetcode.protocol import compute_corrections, encode_node, LogEntry, MessageLog
-from qnetcode.quantum import apply_phase, fidelity, init_state
+from qnetcode.network import parse_network
+from qnetcode.protocol import finish_run, node_steps, plan_scheme
+from qnetcode.quantum import fidelity, init_state
 
 INSTANCE = Path(__file__).resolve().parent.parent / "instances" / "butterfly_f2.json"
 
@@ -47,28 +47,19 @@ def main():
     print(f"instance: {INSTANCE.name}, branch {args.branch}")
     show_state(state, "input on the source registers")
 
-    log = MessageLog(q=scheme.q, ring_bits=1, policy="broadcast")
-    cursor = 0
-    for node in net.topo_order:
-        width = len(net.node_inputs[node])
-        forced = branch[cursor : cursor + width]
-        cursor += width
-        state, outcomes = encode_node(state, node, net, scheme, forced=forced)
-        log.entries.append(LogEntry(node, outcomes, tuple(range(1, net.k + 1))))
-        got = " ".join(f"{o.register}={o.label}" for o in outcomes)
-        show_state(state, f"after {node} (outcomes {got})")
+    plan = plan_scheme(net, scheme)
+    steps = list(node_steps(plan, state, branch=branch))
+    for step in steps:
+        got = " ".join(f"{o.register}={o.label}" for o in step.entry.outcomes)
+        show_state(step.state, f"after {step.node} (outcomes {got})")
 
-    tmap = transfer_coefficients(net, scheme)
-    table = compute_corrections(log, tmap, scheme)
-    state = state.reordered(("tgt:1", "tgt:2"))
-    for i in (1, 2):
-        values = [str(table.tables[i - 1][x]) for x in range(scheme.register_dim)]
+    result = finish_run(plan, state, steps)
+    for i, table in enumerate(result.phase_table.tables, start=1):
+        values = [str(table[x]) for x in range(scheme.register_dim)]
         print(f"  correction h_{i}: {values}")
-        state = apply_phase(state, f"tgt:{i}", table.phase_fn(i), sign=-1)
-    show_state(state, "after corrections")
+    show_state(result.state, "after corrections")
 
-    reference = init_state(scheme.ring, scheme.q, net.k, amps)
-    print(f"fidelity with the input: {fidelity(reference, state):.12f}")
+    print(f"fidelity with the input: {fidelity(state, result.state):.12f}")
 
 
 if __name__ == "__main__":

@@ -14,12 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from qnetcode.network import parse_network, verify_solution
-from qnetcode.protocol import (
-    classical_cost,
-    count_branches,
-    enumerate_branches,
-    run_protocol,
-)
+from qnetcode.protocol import classical_cost, enumerate_branches, plan_scheme, run_protocol
 from qnetcode.quantum import fidelity, init_state
 
 INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
@@ -36,22 +31,20 @@ def census(path, full_enum, samples):
     amps /= np.linalg.norm(amps)
     state = init_state(scheme.ring, scheme.q, net.k, amps)
 
-    branches = count_branches(net, scheme)
-    fids = []
+    plan = plan_scheme(net, scheme)
+    branches = plan.branch_count
     if valid and branches <= full_enum:
         mode = f"all {branches}"
-        for br in enumerate_branches(net, scheme, state, max_branches=full_enum):
-            fids.append(br.fidelity)
+        branch_results = enumerate_branches(net, scheme, state, max_branches=full_enum)
+        fids = [br.fidelity for br in branch_results]
     else:
         mode = f"{samples} sampled"
-        for seed in range(samples):
-            result = run_protocol(
-                net, scheme, state, seed=seed, check_classical=False
-            )
-            fids.append(fidelity(state, result.state))
+        fids = [
+            fidelity(state, run_protocol(net, scheme, state, seed=s, check_classical=False).state)
+            for s in range(samples)
+        ]
 
-    result = run_protocol(net, scheme, state, seed=0, check_classical=False)
-    report = classical_cost(result.log, net, scheme)
+    report = classical_cost(plan)
     return {
         "name": path.name,
         "ring": str(scheme.ring),

@@ -29,11 +29,13 @@ from .protocol import (
     MessageLog,
     PhaseTable,
     RunResult,
+    SchemePlan,
     classical_cost,
     compute_corrections,
     count_branches,
     encode_node,
     enumerate_branches,
+    plan_scheme,
     run_protocol,
 )
 from .quantum import (

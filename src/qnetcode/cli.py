@@ -16,6 +16,7 @@ coordinate lists.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -37,12 +38,13 @@ from .protocol import (
     BRANCH_CAP_DEFAULT,
     InvalidSchemeError,
     classical_cost,
-    count_branches,
     enumerate_branches,
+    plan_scheme,
     run_protocol,
 )
 from .quantum import (
     MAX_STATE_ENTRIES,
+    QuantumError,
     ZeroProbabilityError,
     basis_state,
     fidelity,
@@ -82,6 +84,11 @@ def _load_input_state(arg, ring, q, k):
     if os.path.exists(arg):
         with open(arg) as fh:
             triples = json.load(fh)
+        if not isinstance(triples, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(type(x) in (int, float) for x in t[1:])
+            for t in triples
+        ):
+            raise InstanceError("input-state file must hold a list of [label, real, imag]")
         amps = np.zeros(d**k, dtype=complex)
         for label, re_part, im_part in triples:
             if not isinstance(label, list) or len(label) != k:
@@ -102,13 +109,14 @@ def _load_input_state(arg, ring, q, k):
 
 def _parse_branch(text, dim) -> tuple[int, ...]:
     text = text.strip()
-    if "," in text:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    if dim <= 10 and text.isdigit():
-        return tuple(int(ch) for ch in text)
-    raise InstanceError(
-        "branch must be comma-separated labels (or a digit string for dimensions up to 10)"
-    )
+    if "," not in text and not (dim <= 10 and text.isdigit()):
+        raise InstanceError(
+            "branch must be comma-separated labels (or a digit string for dimensions up to 10)"
+        )
+    try:
+        return tuple(int(tok) for tok in (text.split(",") if "," in text else text) if tok.strip())
+    except ValueError:
+        raise InstanceError(f"branch labels must be integers, got {text!r}") from None
 
 
 def _gamma_name(mat) -> str:
@@ -205,14 +213,14 @@ def cmd_simulate(args) -> int:
         max_entries=args.max_dim,
     )
     fid = fidelity(state, result.state)
-    report = classical_cost(result.log, net, scheme)
+    report = classical_cost(result.plan)
     payload = {
         "command": "simulate",
         "instance": str(args.instance),
         "ring": str(scheme.ring),
         "q": scheme.q,
         "node_order": list(result.node_order),
-        "branch": list(result.branch),
+        "branch": list(result.log.branch_labels()),
         "outcomes": [
             {"node": e.node, "register": o.register, "label": o.label}
             for e in result.log.entries
@@ -249,7 +257,6 @@ def cmd_simulate(args) -> int:
 def cmd_enumerate(args) -> int:
     net, scheme = _prepare_scheme(args)
     state = _load_input_state(args.input, scheme.ring, scheme.q, net.k)
-    total = count_branches(net, scheme, copy_skip=args.copy_skip)
     fids = []
     skipped = 0
     try:
@@ -268,6 +275,7 @@ def cmd_enumerate(args) -> int:
                 fids.append(branch_result.fidelity)
     except CapExceededError as exc:
         raise CapExceededError(f"{exc} (use --max-branches N)") from None
+    total = len(fids) + skipped
     lo, hi = (min(fids), max(fids)) if fids else (0.0, 0.0)
     payload = {
         "command": "enumerate",
@@ -290,20 +298,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_cost(args) -> int:
     net, scheme = parse_network(args.instance)
-    state = basis_state(scheme.ring, scheme.q, [0] * net.k)
-    zero_branch = (0,) * sum(len(net.node_inputs[v]) for v in net.nodes)
-    reports = {}
-    for policy, prune in (("broadcast", False), ("prune", True)):
-        result = run_protocol(
-            net,
-            scheme,
-            state,
-            branch=zero_branch,
-            prune=prune,
-            check_classical=False,
-        )
-        reports[policy] = classical_cost(result.log, net, scheme)
-    base = reports["broadcast"]
+    plan = plan_scheme(net, scheme)
+    base, pruned = classical_cost(plan), classical_cost(dataclasses.replace(plan, prune=True))
     payload = {
         "command": "cost",
         "instance": str(args.instance),
@@ -317,8 +313,8 @@ def cmd_cost(args) -> int:
         "quantum_registers_sent": base.quantum_registers_sent,
         "broadcast_elements": base.elements_sent,
         "broadcast_bits": base.bits_sent,
-        "prune_elements": reports["prune"].elements_sent,
-        "prune_bits": reports["prune"].bits_sent,
+        "prune_elements": pruned.elements_sent,
+        "prune_bits": pruned.bits_sent,
         "per_node_broadcast": [
             {"node": n, "measured": m, "recipients": r, "elements": el}
             for n, m, r, el in base.per_node
@@ -329,8 +325,7 @@ def cmd_cost(args) -> int:
         f"k: {base.k}  max fan-in M: {base.max_fan_in}  nodes |V|: {base.node_count}",
         f"bound k*M*|V|: {base.bound_elements} elements ({base.bound_bits} bits)",
         f"broadcast: {base.elements_sent} elements ({base.bits_sent} bits)",
-        f"prune: {reports['prune'].elements_sent} elements "
-        f"({reports['prune'].bits_sent} bits)",
+        f"prune: {pruned.elements_sent} elements ({pruned.bits_sent} bits)",
         f"quantum registers sent over edges: {base.quantum_registers_sent}",
         "per node (broadcast):",
     ]
@@ -415,7 +410,9 @@ def main(argv=None) -> int:
     except (InvalidSchemeError, ZeroProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InstanceError, RingError, CapExceededError, OSError, json.JSONDecodeError) as exc:
+    except (
+        InstanceError, RingError, QuantumError, CapExceededError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -226,6 +226,40 @@ def _topological_order(nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple
     return tuple(out)
 
 
+def _need(ok: bool, where: str, what: str, obj) -> None:
+    if not ok:
+        got = f"a {type(obj).__name__}" if isinstance(obj, (list, dict)) else repr(obj)
+        raise InstanceError(f"{where} must be {what}, got {got}")
+
+
+def _need_fields(obj, where: str, keys) -> None:
+    _need(isinstance(obj, dict), where, "an object", obj)
+    for key in keys:
+        if key not in obj:
+            raise InstanceError(f"{where}: missing field {key!r}")
+
+
+def _check_document(doc) -> None:
+    """Check the document's shape, so that parsing can index it freely."""
+    _need_fields(doc, "instance document", ("ring", "q", "nodes", "edges", "pairs", "coding"))
+    _need(isinstance(doc["ring"], str), "field 'ring'", "a string", doc["ring"])
+    _need(type(doc["q"]) is int and doc["q"] >= 1, "field 'q'", "a positive integer", doc["q"])
+    for key in ("nodes", "edges", "pairs"):
+        _need(isinstance(doc[key], list), f"field {key!r}", "a list", doc[key])
+    for i, edge in enumerate(doc["edges"]):
+        _need_fields(edge, f"edges[{i}]", ("id", "from", "to"))
+    for i, pair in enumerate(doc["pairs"]):
+        _need_fields(pair, f"pairs[{i}]", ("source", "target"))
+    _need_fields(doc["coding"], "field 'coding'", ())
+    for v, block in doc["coding"].items():
+        where = f"coding[{v!r}]"
+        _need_fields(block, where, ())
+        for key in ("inputs", "outputs"):
+            _need(isinstance(block.get(key, []), list), f"{where}.{key}", "a list", block.get(key))
+        for j, out in enumerate(block.get("outputs", [])):
+            _need_fields(out, f"{where}.outputs[{j}]", ("edge", "coeffs"))
+
+
 def parse_network(source) -> tuple[Network, CodingScheme]:
     """Load and validate an instance from a path, JSON string, or dict."""
     if isinstance(source, (str, Path)) and not (
@@ -237,17 +271,10 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
         doc = json.loads(source)
     else:
         doc = source
-    if not isinstance(doc, dict):
-        raise InstanceError("instance document must be a JSON object")
-
-    for key in ("ring", "q", "nodes", "edges", "pairs", "coding"):
-        if key not in doc:
-            raise InstanceError(f"missing field {key!r}")
+    _check_document(doc)
 
     ring = parse_ring_spec(doc["ring"])
     q = doc["q"]
-    if not isinstance(q, int) or q < 1:
-        raise InstanceError(f"q must be a positive integer, got {q!r}")
 
     nodes = tuple(str(v) for v in doc["nodes"])
     if len(set(nodes)) != len(nodes):

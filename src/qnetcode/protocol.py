@@ -19,6 +19,10 @@ measurements and messages entirely.
 Measurement order is fixed: nodes in processing order, then input edges in
 declared order. Forced branches are given as one outcome label per
 measurement in that order.
+
+What depends only on the scheme and the policy is fixed once in a
+`SchemePlan`; the message cost is read from it without simulation, and every
+run goes through the one node loop, `node_steps`.
 """
 
 from __future__ import annotations
@@ -131,14 +135,83 @@ class PhaseTable:
         return True
 
 
+@dataclass(frozen=True)
+class NodePlan:
+    """What one node does in every run; fixed by the scheme alone."""
+
+    node: str
+    in_edges: tuple[str, ...]
+    out_edges: tuple[str, ...]
+    coeffs: tuple
+    copy_only: bool  # fan-in one and every output an identity copy
+    needed_by: tuple[int, ...]  # pairs (1-based) whose correction reads its outcomes
+
+
+@dataclass(frozen=True, eq=False)
+class SchemePlan:
+    """The transfer map and one NodePlan per node in processing order, under
+    a policy that decides which nodes measure and who hears them."""
+
+    net: Network
+    scheme: CodingScheme
+    tmap: TransferMap
+    nodes: tuple[NodePlan, ...]
+    prune: bool = False
+    copy_skip: bool = False
+
+    @property
+    def policy(self) -> str:
+        return "prune" if self.prune else "broadcast"
+
+    @property
+    def ring_bits(self) -> int:
+        return max(1, math.ceil(math.log2(self.scheme.ring.cardinality)))
+
+    def measures(self, p: NodePlan) -> bool:
+        return not (self.copy_skip and p.copy_only)
+
+    def recipients(self, p: NodePlan) -> tuple[int, ...]:
+        return p.needed_by if self.prune else tuple(range(1, self.net.k + 1))
+
+    @property
+    def measurement_count(self) -> int:
+        return sum(len(p.in_edges) for p in self.nodes if self.measures(p))
+
+    @property
+    def branch_count(self) -> int:
+        return self.scheme.register_dim**self.measurement_count
+
+
+def plan_scheme(
+    net: Network, scheme: CodingScheme, prune: bool = False, copy_skip: bool = False, order=None
+) -> SchemePlan:
+    """Plan the scheme's run under a policy; `order` defaults to topological."""
+    tmap = transfer_coefficients(net, scheme)
+    nodes = []
+    for v in _check_order(net, order):
+        ins, outs, coeffs = net.node_inputs[v], net.node_outputs[v], scheme.coeffs[v]
+        copy_only = len(ins) == 1 and len(outs) >= 1 and all(r[0].is_identity() for r in coeffs)
+        needed_by = tuple(
+            j + 1
+            for j in range(net.k)
+            # a target already holds its own outcomes
+            if net.pairs[j][1] != v and any(not tmap.gammas[e][j].is_zero() for e in ins)
+        )
+        nodes.append(NodePlan(v, ins, outs, coeffs, copy_only, needed_by))
+    return SchemePlan(net, scheme, tmap, tuple(nodes), prune, copy_skip)
+
+
 @dataclass
 class RunResult:
     state: StateVector  # corrected output on tgt:1..k, pair order
     pre_correction: StateVector
     log: MessageLog
     phase_table: PhaseTable
-    node_order: tuple[str, ...]
-    branch: tuple[int, ...]
+    plan: SchemePlan
+
+    @property
+    def node_order(self) -> tuple[str, ...]:
+        return tuple(p.node for p in self.plan.nodes)
 
 
 @dataclass(frozen=True)
@@ -149,29 +222,12 @@ class BranchResult:
 
 
 @dataclass(frozen=True)
-class _NodePlan:
+class NodeStep:
+    """The state after one node, and its announcement (None if it did not measure)."""
+
     node: str
-    in_edges: tuple[str, ...]
-    out_edges: tuple[str, ...]
-    coeffs: tuple
-    copy_only: bool
-    real_out_count: int
-
-
-def _build_plans(net: Network, scheme: CodingScheme) -> dict[str, _NodePlan]:
-    plans = {}
-    for v in net.nodes:
-        ins = net.node_inputs[v]
-        outs = net.node_outputs[v]
-        coeffs = scheme.coeffs[v]
-        copy_only = (
-            len(ins) == 1
-            and len(outs) >= 1
-            and all(row[0].is_identity() for row in coeffs)
-        )
-        real_out = sum(1 for e in outs if not e.startswith("tgt:"))
-        plans[v] = _NodePlan(v, ins, outs, coeffs, copy_only, real_out)
-    return plans
+    state: StateVector
+    entry: LogEntry | None
 
 
 def encode_node(
@@ -215,25 +271,67 @@ def encode_node(
     return state, tuple(outcomes)
 
 
-def _copy_skip_node(state: StateVector, plan: _NodePlan, max_entries: int) -> StateVector:
-    # the input register survives as the first output; the rest are copies
-    keep = plan.out_edges[0]
-    state = state.renamed({plan.in_edges[0]: keep})
-    rest = plan.out_edges[1:]
-    if rest:
-        rows = tuple((plan.coeffs[i][0],) for i in range(1, len(plan.out_edges)))
-        state = apply_coding_unitary(state, (keep,), rest, rows, max_entries=max_entries)
-    return state
+def node_steps(
+    plan: SchemePlan,
+    input_state: StateVector,
+    rng: np.random.Generator | None = None,
+    branch=None,
+    max_entries: int = MAX_STATE_ENTRIES,
+):
+    """The node loop: run the plan's nodes in order, yielding a NodeStep after each.
+
+    Outcomes are sampled from `rng`, or taken in turn from `branch`, one
+    label per measurement.
+    """
+    labels = iter(() if branch is None else branch)
+    state = input_state
+    for p in plan.nodes:
+        entry = None
+        if plan.measures(p):
+            forced = None if branch is None else tuple(itertools.islice(labels, len(p.in_edges)))
+            state, outcomes = encode_node(
+                state, p.node, plan.net, plan.scheme, rng, forced, max_entries
+            )
+            entry = LogEntry(p.node, outcomes, plan.recipients(p))
+        else:
+            # the input register survives as the first output; the rest are copies
+            keep = p.out_edges[0]
+            state = state.renamed({p.in_edges[0]: keep})
+            if len(p.out_edges) > 1:
+                rows = tuple((row[0],) for row in p.coeffs[1:])
+                state = apply_coding_unitary(
+                    state, (keep,), p.out_edges[1:], rows, max_entries=max_entries
+                )
+        yield NodeStep(p.node, state, entry)
 
 
-def _prune_recipients(net: Network, tmap: TransferMap, node: str, in_edges) -> tuple[int, ...]:
-    recipients = []
-    for j in range(net.k):
-        if net.pairs[j][1] == node:
-            continue  # a target already holds its own outcomes
-        if any(not tmap.gammas[e][j].is_zero() for e in in_edges):
-            recipients.append(j + 1)
-    return tuple(recipients)
+def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
+    """Take a run's node steps in turn, log the announcements, and let the
+    targets cancel their phases."""
+    state, entries = input_state, []
+    for step in steps:
+        state = step.state
+        if step.entry is not None:
+            entries.append(step.entry)
+    log = MessageLog(plan.scheme.q, plan.ring_bits, plan.policy, entries, len(plan.net.edges))
+    targets = tuple(target_edge(i + 1) for i in range(plan.net.k))
+    if sorted(state.reg_ids) != sorted(targets):
+        raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {targets}")
+    state = state.reordered(targets)
+    pre_correction = state
+
+    phase_table = compute_corrections(log, plan.tmap, plan.scheme)
+    for i in range(1, plan.net.k + 1):
+        state = apply_phase(state, target_edge(i), phase_table.phase_fn(i), sign=-1)
+    return RunResult(state, pre_correction, log, phase_table, plan)
+
+
+def _check_input(net: Network, scheme: CodingScheme, state: StateVector) -> None:
+    if state.ring != scheme.ring or state.q != scheme.q:
+        raise InstanceError("input state ring or width does not match the scheme")
+    expected_regs = tuple(source_edge(i + 1) for i in range(net.k))
+    if state.reg_ids != expected_regs:
+        raise InstanceError(f"input state must live on registers {expected_regs}")
 
 
 def run_protocol(
@@ -247,9 +345,7 @@ def run_protocol(
     copy_skip: bool = False,
     check_classical: bool = True,
     order=None,
-    tmap: TransferMap | None = None,
     max_entries: int = MAX_STATE_ENTRIES,
-    _plans: dict[str, _NodePlan] | None = None,
 ) -> RunResult:
     """Simulate the scheme node by node and correct the target phases.
 
@@ -257,92 +353,30 @@ def run_protocol(
     per measurement in node-then-input order). On a verified scheme the
     returned state equals the input state on the target registers.
     """
-    ring, q, k = scheme.ring, scheme.q, net.k
-    if input_state.ring != ring or input_state.q != q:
-        raise InstanceError("input state ring or width does not match the scheme")
-    expected_regs = tuple(source_edge(i + 1) for i in range(k))
-    if input_state.reg_ids != expected_regs:
-        raise InstanceError(f"input state must live on registers {expected_regs}")
-
+    _check_input(net, scheme, input_state)
     if check_classical and not verify_solution(net, scheme):
         raise InvalidSchemeError(
             "the classical scheme does not solve the instance; "
             "fix it or skip the check to inspect the imperfect run"
         )
 
-    node_order = _check_order(net, order)
-    plans = _plans if _plans is not None else _build_plans(net, scheme)
-    if tmap is None:
-        tmap = transfer_coefficients(net, scheme)
-
-    measured_nodes = [
-        v for v in node_order if not (copy_skip and plans[v].copy_only)
-    ]
-    total_measurements = sum(len(plans[v].in_edges) for v in measured_nodes)
+    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip, order=order)
     if branch is not None:
         branch = tuple(int(b) for b in branch)
-        if len(branch) != total_measurements:
+        if len(branch) != plan.measurement_count:
             raise InstanceError(
-                f"branch must list {total_measurements} outcome labels, got {len(branch)}"
+                f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}"
             )
         if any(not 0 <= b < scheme.register_dim for b in branch):
             raise InstanceError("branch labels out of range")
         if rng is not None or seed is not None:
             raise InstanceError("give either a branch or a seed, not both")
-    else:
-        if rng is None:
-            if seed is None:
-                raise InstanceError("sampled mode needs a seed or rng")
-            rng = np.random.default_rng(seed)
-
-    log = MessageLog(
-        q=q,
-        ring_bits=max(1, math.ceil(math.log2(ring.cardinality))),
-        policy="prune" if prune else "broadcast",
-    )
-    state = input_state
-    cursor = 0
-    for v in node_order:
-        plan = plans[v]
-        if copy_skip and plan.copy_only:
-            state = _copy_skip_node(state, plan, max_entries)
-            log.quantum_registers_sent += plan.real_out_count
-            continue
-        forced = None
-        if branch is not None:
-            forced = branch[cursor : cursor + len(plan.in_edges)]
-            cursor += len(plan.in_edges)
-        state, outcomes = encode_node(
-            state, v, net, scheme, rng=rng, forced=forced, max_entries=max_entries
-        )
-        recipients = (
-            _prune_recipients(net, tmap, v, plan.in_edges)
-            if prune
-            else tuple(range(1, k + 1))
-        )
-        log.entries.append(LogEntry(v, outcomes, recipients))
-        log.quantum_registers_sent += plan.real_out_count
-
-    targets = tuple(target_edge(i + 1) for i in range(k))
-    if sorted(state.reg_ids) != sorted(targets):
-        raise InstanceError(
-            f"run left registers {state.reg_ids}, expected exactly {targets}"
-        )
-    state = state.reordered(targets)
-    pre_correction = state
-
-    phase_table = compute_corrections(log, tmap, scheme)
-    for i in range(1, k + 1):
-        state = apply_phase(state, target_edge(i), phase_table.phase_fn(i), sign=-1)
-
-    return RunResult(
-        state=state,
-        pre_correction=pre_correction,
-        log=log,
-        phase_table=phase_table,
-        node_order=node_order,
-        branch=log.branch_labels(),
-    )
+    elif rng is None:
+        if seed is None:
+            raise InstanceError("sampled mode needs a seed or rng")
+        rng = np.random.default_rng(seed)
+    steps = node_steps(plan, input_state, rng, branch, max_entries)
+    return finish_run(plan, input_state, steps)
 
 
 @lru_cache(maxsize=None)
@@ -403,51 +437,28 @@ class CostReport:
     per_node: tuple[tuple[str, int, int, int], ...]  # node, measured, recipients, elements
 
 
-def classical_cost(log: MessageLog, net: Network, scheme: CodingScheme) -> CostReport:
-    """Compare the classical traffic of a completed run against k * M * |V|."""
-    k, M, V = net.k, net.max_fan_in, len(net.nodes)
-    bound_elements = k * M * V * scheme.q
-    bound_bits = bound_elements * log.ring_bits
-    per_node = tuple(
-        (
-            e.node,
-            len(e.outcomes),
-            len(e.recipients),
-            len(e.outcomes) * len(e.recipients) * scheme.q,
-        )
-        for e in log.entries
-    )
-    report = CostReport(
-        k=k,
-        max_fan_in=M,
-        node_count=V,
-        edge_count=len(net.edges),
-        q=scheme.q,
-        bound_elements=bound_elements,
-        bound_bits=bound_bits,
-        elements_sent=log.elements_sent,
-        bits_sent=log.bits_sent,
-        quantum_registers_sent=log.quantum_registers_sent,
-        policy=log.policy,
-        per_node=per_node,
-    )
-    if log.policy == "broadcast" and report.elements_sent > bound_elements:
-        raise RuntimeError(
-            f"broadcast run sent {report.elements_sent} elements, above the "
-            f"bound {bound_elements}; the simulation is inconsistent"
-        )
-    return report
+def classical_cost(plan: SchemePlan) -> CostReport:
+    """The classical traffic the plan announces, next to the bound k * M * |V|.
 
-
-def _measurement_count(plans: dict[str, _NodePlan], copy_skip: bool) -> int:
-    return sum(
-        len(p.in_edges) for p in plans.values() if not (copy_skip and p.copy_only)
+    Broadcast traffic is k * q times the total fan-in of the measuring nodes,
+    and M is the largest fan-in, so it never exceeds the bound.
+    """
+    net, q, bits = plan.net, plan.scheme.q, plan.ring_bits
+    bound = net.k * net.max_fan_in * len(net.nodes) * q
+    per_node = []
+    for p in plan.nodes:
+        if plan.measures(p):
+            told = len(plan.recipients(p))
+            per_node.append((p.node, len(p.in_edges), told, len(p.in_edges) * told * q))
+    sent = sum(row[3] for row in per_node)
+    return CostReport(
+        net.k, net.max_fan_in, len(net.nodes), len(net.edges), q, bound, bound * bits,
+        sent, sent * bits, len(net.edges), plan.policy, tuple(per_node)
     )
 
 
 def count_branches(net: Network, scheme: CodingScheme, copy_skip: bool = False) -> int:
-    plans = _build_plans(net, scheme)
-    return scheme.register_dim ** _measurement_count(plans, copy_skip)
+    return plan_scheme(net, scheme, copy_skip=copy_skip).branch_count
 
 
 def enumerate_branches(
@@ -466,30 +477,18 @@ def enumerate_branches(
     None result. The classical solution check is not run here; combine with
     `verify_solution` when a verdict is needed.
     """
-    plans = _build_plans(net, scheme)
-    tmap = transfer_coefficients(net, scheme)
-    d = scheme.register_dim
-    n_meas = _measurement_count(plans, copy_skip)
-    total = d**n_meas
+    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
+    total = plan.branch_count
     if total > max_branches:
         raise CapExceededError(
             f"{total} branches exceed the cap of {max_branches}; "
             f"raise max_branches to force full enumeration"
         )
-    for labels in itertools.product(range(d), repeat=n_meas):
+    _check_input(net, scheme, input_state)
+    for labels in itertools.product(range(scheme.register_dim), repeat=plan.measurement_count):
         try:
-            result = run_protocol(
-                net,
-                scheme,
-                input_state,
-                branch=labels,
-                prune=prune,
-                copy_skip=copy_skip,
-                check_classical=False,
-                tmap=tmap,
-                max_entries=max_entries,
-                _plans=plans,
-            )
+            steps = node_steps(plan, input_state, branch=labels, max_entries=max_entries)
+            result = finish_run(plan, input_state, steps)
         except ZeroProbabilityError:
             yield BranchResult(branch=labels, result=None, fidelity=None)
             continue

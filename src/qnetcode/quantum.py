@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .network import CapExceededError
 from .rings import (
     RingSpec,
     RingVector,
@@ -42,7 +43,7 @@ class RegisterError(QuantumError):
     """Unknown, duplicate, or mismatched register id."""
 
 
-class DimensionCapError(RuntimeError):
+class DimensionCapError(CapExceededError):
     """The amplitude tensor would exceed the configured entry cap."""
 
 

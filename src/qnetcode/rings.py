@@ -359,18 +359,6 @@ class RingElem:
         return f"RingElem{self.coords}"
 
 
-def ring_add(a: RingElem, b: RingElem) -> RingElem:
-    return a + b
-
-
-def ring_neg(a: RingElem) -> RingElem:
-    return -a
-
-
-def ring_mul(a: RingElem, b: RingElem) -> RingElem:
-    return a * b
-
-
 def character(y: RingElem, z: RingElem) -> Fraction:
     """Additive-group pairing of y and z, an exact rational mod 1.
 

@@ -103,7 +103,7 @@ def test_criterion_04_cost_accounting():
     result = run_protocol(net, scheme, state, branch=(0,) * 9)
     from qnetcode.protocol import classical_cost
 
-    report = classical_cost(result.log, net, scheme)
+    report = classical_cost(result.plan)
     assert report.bound_elements == 24
     assert report.bound_bits == 24
     assert report.elements_sent == 18

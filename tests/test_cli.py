@@ -1,8 +1,11 @@
 import json
+import re
 
+import pytest
 
 from conftest import INSTANCES
 from qnetcode.cli import main
+from qnetcode.network import InstanceError, parse_network
 
 BUTTERFLY = str(INSTANCES / "butterfly_f2.json")
 BROKEN = str(INSTANCES / "butterfly_f2_broken.json")
@@ -195,3 +198,63 @@ class TestCost:
         code, out, _ = run_cli(capsys, "cost", BROKEN)
         assert code == 0
         assert "broadcast: 18 elements" in out
+
+
+def _assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, state_doc",
+        [
+            pytest.param(["simulate", SINGLE, "--seed", "1", "--max-dim", "2"], None, id="cap"),
+            pytest.param(["simulate", BUTTERFLY, "--seed", "1"], [[[0, 0], 0, 0]], id="zero"),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1"], [[[0, 0], "x", 0]], id="text-amplitude"
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--branch", "0,0,0,0,0,0,0,0,x"], None, id="text-label"
+            ),
+        ],
+    )
+    def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, state_doc):
+        if state_doc is not None:
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(state_doc))
+            argv = argv + ["--input", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        _assert_one_line_error(err)
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            pytest.param(lambda d: d["edges"][0].pop("to"), "'to'", id="edge-without-to"),
+            pytest.param(
+                lambda d: d["coding"]["s1"]["outputs"][0].pop("coeffs"),
+                "'coeffs'",
+                id="output-without-coeffs",
+            ),
+            pytest.param(lambda d: d["pairs"][0].pop("target"), "'target'", id="pair-no-target"),
+            pytest.param(lambda d: d["coding"].update(s1=[]), "coding['s1']", id="coding-list"),
+            pytest.param(
+                lambda d: d["edges"].__setitem__(0, ["R1", "s1", "t2"]), "edges[0]", id="edge-list"
+            ),
+            pytest.param(lambda d: d.update(ring=2), "'ring'", id="ring-not-string"),
+            pytest.param(lambda d: d.update(q=True), "'q'", id="q-bool"),
+            pytest.param(lambda d: d.update(nodes="s1"), "'nodes'", id="nodes-string"),
+        ],
+    )
+    def test_malformed_document_exit_2(self, capsys, tmp_path, mutate, field):
+        doc = json.loads(open(BUTTERFLY).read())
+        mutate(doc)
+        with pytest.raises(InstanceError, match=re.escape(field)):
+            parse_network(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert field in err
+        _assert_one_line_error(err)

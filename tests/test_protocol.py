@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import load_instance, random_input_state
+from conftest import INSTANCES, load_instance, random_input_state
 from qnetcode.network import (
     CapExceededError,
     scheme_with_alternate_phi,
@@ -17,6 +17,7 @@ from qnetcode.protocol import (
     count_branches,
     encode_node,
     enumerate_branches,
+    plan_scheme,
     run_protocol,
 )
 from qnetcode.quantum import basis_state, fidelity, init_state
@@ -122,7 +123,7 @@ class TestRunProtocol:
         state = random_input_state(scheme, net.k, 7)
         r1 = run_protocol(net, scheme, state, seed=123)
         r2 = run_protocol(net, scheme, state, seed=123)
-        assert r1.branch == r2.branch
+        assert r1.log.branch_labels() == r2.log.branch_labels()
         assert np.array_equal(r1.state.amps, r2.state.amps)
 
     def test_order_independence(self):
@@ -227,7 +228,7 @@ class TestCost:
         net, scheme = load_instance("butterfly_f2.json")
         state = basis_state(scheme.ring, 1, (0, 0))
         result = run_protocol(net, scheme, state, branch=(0,) * 9)
-        report = classical_cost(result.log, net, scheme)
+        report = classical_cost(result.plan)
         assert report.bound_elements == 2 * 2 * 6 == 24
         assert report.bound_bits == 24
         assert report.elements_sent == 18  # k times total fan-in
@@ -238,7 +239,7 @@ class TestCost:
         net, scheme = load_instance("butterfly_f2.json")
         state = basis_state(scheme.ring, 1, (0, 0))
         result = run_protocol(net, scheme, state, branch=(0,) * 9, prune=True)
-        report = classical_cost(result.log, net, scheme)
+        report = classical_cost(result.plan)
         # sources inform one target each, n1/n2 both, targets only each other
         assert report.elements_sent == 12
         assert report.elements_sent <= 18
@@ -255,7 +256,7 @@ class TestCost:
         net, scheme = load_instance("butterfly_z2_q2.json")
         state = basis_state(scheme.ring, 2, (0, 0))
         result = run_protocol(net, scheme, state, branch=(0,) * 9)
-        report = classical_cost(result.log, net, scheme)
+        report = classical_cost(result.plan)
         assert report.bound_elements == 24 * 2
         assert report.elements_sent == 18 * 2
 
@@ -267,10 +268,36 @@ class TestCost:
         )
         state = init_state(scheme.ring, 1, 0, [1.0])
         result = run_protocol(net, scheme, state, branch=())
-        report = classical_cost(result.log, net, scheme)
+        report = classical_cost(result.plan)
         assert report.bound_elements == 0
         assert report.elements_sent == 0
         assert report.quantum_registers_sent == 0
+
+    @pytest.mark.parametrize(
+        "name",
+        [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")],
+    )
+    def test_plan_matches_seeded_run(self, name):
+        net, scheme = load_instance(name)
+        state = random_input_state(scheme, net.k, 31)
+        bound = net.k * scheme.q * net.max_fan_in * len(net.nodes)
+        for prune, copy_skip in itertools.product((False, True), repeat=2):
+            plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
+            report = classical_cost(plan)
+            log = run_protocol(
+                net, scheme, state, seed=5, prune=prune, copy_skip=copy_skip, check_classical=False
+            ).log
+            assert log.elements_sent == report.elements_sent
+            assert log.bits_sent == report.bits_sent
+            assert log.quantum_registers_sent == report.quantum_registers_sent
+            assert [(e.node, len(e.outcomes), len(e.recipients)) for e in log.entries] == [
+                row[:3] for row in report.per_node
+            ]
+            planned = {p.node: plan.recipients(p) for p in plan.nodes}
+            assert all(e.recipients == planned[e.node] for e in log.entries)
+            assert report.bound_elements == bound
+            if not prune:
+                assert report.elements_sent <= bound
 
 
 class TestCopySkip:
@@ -280,7 +307,7 @@ class TestCopySkip:
         assert count_branches(net, scheme, copy_skip=True) == 64  # only n1, t1, t2 measure
         state = random_input_state(scheme, net.k, 6)
         result = run_protocol(net, scheme, state, seed=9, copy_skip=True)
-        assert len(result.branch) == 6
+        assert len(result.log.branch_labels()) == 6
         assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-9)
         # copy nodes appear nowhere in the log, still 7 registers on edges
         assert {e.node for e in result.log.entries} == {"n1", "t1", "t2"}
