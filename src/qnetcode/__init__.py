@@ -54,13 +54,10 @@ from .quantum import (
 from .rings import (
     RingElem,
     RingError,
-    RingMatrix,
     RingSpec,
-    RingVector,
     character,
-    mat_vec,
+    coefficient_matrix,
     parse_ring_spec,
-    vector_character,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,9 @@ import numpy as np
 from .network import (
     CapExceededError,
     InstanceError,
+    _is_coords,
     find_counterexample,
+    load_json,
     parse_network,
     scheme_with_alternate_phi,
     target_edge,
@@ -44,46 +46,58 @@ from .protocol import (
 )
 from .quantum import (
     MAX_STATE_ENTRIES,
+    DimensionCapError,
     QuantumError,
     ZeroProbabilityError,
     basis_state,
     fidelity,
     init_state,
 )
-from .rings import RingError, vector_from_labels
+from .rings import (
+    RingError,
+    is_identity,
+    is_zero,
+    matrix_entries,
+    register_entries,
+    register_label,
+)
 
 FIDELITY_TOL = 1e-9
 
 
 def _register_index(obj, ring, q) -> int:
     d = ring.cardinality**q
-    if isinstance(obj, int):
+    if type(obj) is int:
         if not 0 <= obj < d:
             raise InstanceError(f"basis label {obj} out of range (dimension {d})")
         return obj
     if isinstance(obj, list) and len(obj) == q:
         entries = []
         for item in obj:
-            if isinstance(item, int):
+            if type(item) is int:
                 entries.append(ring.from_int(item))
-            elif isinstance(item, list):
+            elif _is_coords(item):
                 entries.append(ring.element(item))
             else:
                 raise InstanceError(f"bad basis label entry {item!r}")
-        return vector_from_labels(ring, [e.to_int() for e in entries]).to_index()
-    if isinstance(obj, list) and q == 1 and len(obj) == len(ring.moduli):
+        return register_label(entries)
+    if _is_coords(obj) and q == 1 and len(obj) == len(ring.moduli):
         return ring.element(obj).to_int()
     raise InstanceError(f"bad basis label {obj!r}")
 
 
-def _load_input_state(arg, ring, q, k):
+def _load_input_state(arg, ring, q, k, max_entries):
     d = ring.cardinality**q
+    if d**k > max_entries:
+        raise DimensionCapError(
+            f"the input state needs {d ** k} amplitudes, above the cap {max_entries} "
+            "(use --max-dim N)"
+        )
     if arg is None:
         amps = np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex)
-        return init_state(ring, q, k, amps)
+        return init_state(ring, q, k, amps, max_entries=max_entries)
     if os.path.exists(arg):
-        with open(arg) as fh:
-            triples = json.load(fh)
+        triples = load_json(arg)
         if not isinstance(triples, list) or not all(
             isinstance(t, list) and len(t) == 3 and all(type(x) in (int, float) for x in t[1:])
             for t in triples
@@ -97,13 +111,14 @@ def _load_input_state(arg, ring, q, k):
             for item in label:
                 flat = flat * d + _register_index(item, ring, q)
             amps[flat] = complex(float(re_part), float(im_part))
-        return init_state(ring, q, k, amps)
+        return init_state(ring, q, k, amps, max_entries=max_entries)
     text = arg.strip()
     if all(ch.isdigit() or ch in ", " for ch in text) and any(ch.isdigit() for ch in text):
         labels = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
         if len(labels) != k:
             raise InstanceError(f"input literal must give {k} labels, got {len(labels)}")
-        return basis_state(ring, q, [_register_index(v, ring, q) for v in labels])
+        labels = [_register_index(v, ring, q) for v in labels]
+        return basis_state(ring, q, labels, max_entries=max_entries)
     raise InstanceError(f"input state file not found: {arg}")
 
 
@@ -119,12 +134,12 @@ def _parse_branch(text, dim) -> tuple[int, ...]:
         raise InstanceError(f"branch labels must be integers, got {text!r}") from None
 
 
-def _gamma_name(mat) -> str:
-    if mat.is_identity():
+def _gamma_name(ring, mat) -> str:
+    if is_identity(mat):
         return "I"
-    if mat.is_zero():
+    if is_zero(mat):
         return "0"
-    return str([[e.to_int() for e in row] for row in mat.rows])
+    return str(matrix_entries(ring, mat))
 
 
 def _emit(payload: dict, lines: list[str], fmt: str) -> None:
@@ -135,8 +150,7 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
 
 
 def _phase_table_strings(table) -> list[list[str]]:
-    dim = table.ring.cardinality**table.q
-    return [[str(t[i]) for i in range(dim)] for t in table.tables]
+    return [[str(v) for v in t] for t in table.tables]
 
 
 def _cost_payload(report) -> dict:
@@ -163,7 +177,7 @@ def cmd_verify(args) -> int:
         raise CapExceededError(f"{exc} (use --max-check N)") from None
     tmap = transfer_coefficients(net, scheme)
     rows = {
-        target_edge(i + 1): [_gamma_name(g) for g in tmap.gammas[target_edge(i + 1)]]
+        target_edge(i + 1): [_gamma_name(scheme.ring, g) for g in tmap.gammas[target_edge(i + 1)]]
         for i in range(net.k)
     }
     valid = counterexample is None
@@ -177,7 +191,7 @@ def cmd_verify(args) -> int:
     if valid:
         lines.append("solution: VALID")
     else:
-        bad = tuple(v.labels() for v in counterexample)
+        bad = tuple(register_entries(scheme.ring, scheme.q, x) for x in counterexample)
         payload["counterexample"] = [list(v) for v in bad]
         lines.append(f"solution: INVALID (counterexample input {bad})")
     for edge, row in rows.items():
@@ -195,7 +209,7 @@ def _prepare_scheme(args):
 
 def cmd_simulate(args) -> int:
     net, scheme = _prepare_scheme(args)
-    state = _load_input_state(args.input, scheme.ring, scheme.q, net.k)
+    state = _load_input_state(args.input, scheme.ring, scheme.q, net.k, args.max_dim)
     branch = None
     if args.branch is not None:
         branch = _parse_branch(args.branch, scheme.register_dim)
@@ -256,7 +270,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_enumerate(args) -> int:
     net, scheme = _prepare_scheme(args)
-    state = _load_input_state(args.input, scheme.ring, scheme.q, net.k)
+    state = _load_input_state(args.input, scheme.ring, scheme.q, net.k, args.max_dim)
     fids = []
     skipped = 0
     try:

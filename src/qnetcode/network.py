@@ -31,26 +31,13 @@ node map and, downstream, the order in which registers are measured.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .rings import (
-    RingElem,
-    RingMatrix,
-    RingSpec,
-    RingVector,
-    basis_vectors,
-    identity_matrix,
-    mat_add,
-    mat_mul,
-    mat_vec,
-    matrix_from_rows,
-    parse_ring_spec,
-    vector_zero,
-    zero_matrix,
-)
+import numpy as np
+
+from .rings import RingSpec, coefficient_matrix, combine, linear_map, parse_ring_spec
 
 VERIFY_CAP_DEFAULT = 65536
 
@@ -114,30 +101,16 @@ class Network:
 
 @dataclass(frozen=True, eq=False)
 class CodingScheme:
-    """Per-node coefficient arrays: coeffs[node][output_idx][input_idx]."""
+    """Per-node coefficient matrices (see `rings.coefficient_matrix`):
+    coeffs[node][output_idx][input_idx]."""
 
     ring: RingSpec
     q: int
-    coeffs: dict[str, tuple[tuple[RingMatrix, ...], ...]] = field(repr=False)
+    coeffs: dict[str, tuple[tuple[np.ndarray, ...], ...]] = field(repr=False)
 
     @property
     def register_dim(self) -> int:
         return self.ring.cardinality**self.q
-
-    def node_map(self, node: str):
-        """The node's function on input tuples, one output value per out edge."""
-        rows = self.coeffs[node]
-
-        def apply(inputs: tuple[RingVector, ...]) -> tuple[RingVector, ...]:
-            out = []
-            for row in rows:
-                acc = vector_zero(self.ring, self.q)
-                for B, y in zip(row, inputs):
-                    acc = acc + mat_vec(B, y)
-                out.append(acc)
-            return tuple(out)
-
-        return apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,27 +122,27 @@ class TransferMap:
 
     ring: RingSpec
     q: int
-    gammas: dict[str, tuple[RingMatrix, ...]] = field(repr=False)
+    gammas: dict[str, np.ndarray] = field(repr=False)
 
-    def evaluate(self, edge: str, inputs: tuple[RingVector, ...]) -> RingVector:
-        acc = vector_zero(self.ring, self.q)
-        for B, x in zip(self.gammas[edge], inputs):
-            acc = acc + mat_vec(B, x)
-        return acc
+    def evaluate(self, edge: str, inputs) -> np.ndarray:
+        """The edge's label for the pair input labels (broadcast together)."""
+        return linear_map(self.ring, self.q, [self.gammas[edge]], inputs)[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # parsing and validation
 
 
+def _is_coords(obj) -> bool:
+    return isinstance(obj, list) and all(type(c) is int for c in obj)
+
+
 def _parse_entry(obj, spec: RingSpec):
-    if isinstance(obj, bool):
-        raise InstanceError(f"bad ring entry {obj!r}")
-    if isinstance(obj, int):
+    if type(obj) is int:
         if not 0 <= obj < spec.cardinality:
             raise InstanceError(f"entry label {obj} out of range for {spec}")
         return spec.from_int(obj)
-    if isinstance(obj, list) and all(isinstance(c, int) for c in obj):
+    if _is_coords(obj):
         if len(obj) != len(spec.moduli):
             raise InstanceError(
                 f"entry {obj} has {len(obj)} coordinates, expected {len(spec.moduli)}"
@@ -178,17 +151,12 @@ def _parse_entry(obj, spec: RingSpec):
     raise InstanceError(f"bad ring entry {obj!r}")
 
 
-def _parse_matrix(obj, spec: RingSpec, q: int) -> RingMatrix:
-    def looks_like_entry(o):
-        return isinstance(o, int) or (
-            isinstance(o, list) and all(isinstance(c, int) for c in o)
-        )
-
+def _parse_matrix(obj, spec: RingSpec, q: int) -> np.ndarray:
     if q == 1:
         if isinstance(obj, list) and len(obj) == 1 and isinstance(obj[0], list) and len(obj[0]) == 1:
             obj = obj[0][0]  # accept the explicit 1x1 nesting
-        if looks_like_entry(obj):
-            return matrix_from_rows(spec, [[_parse_entry(obj, spec)]])
+        if type(obj) is int or _is_coords(obj):
+            return coefficient_matrix(spec, [[_parse_entry(obj, spec)]])
         raise InstanceError(f"bad 1x1 coefficient {obj!r}")
 
     if not (isinstance(obj, list) and len(obj) == q):
@@ -198,7 +166,7 @@ def _parse_matrix(obj, spec: RingSpec, q: int) -> RingMatrix:
         if not (isinstance(row, list) and len(row) == q):
             raise InstanceError(f"coefficient must be a {q}x{q} matrix, got {obj!r}")
         rows.append([_parse_entry(e, spec) for e in row])
-    return matrix_from_rows(spec, rows)
+    return coefficient_matrix(spec, rows)
 
 
 def _topological_order(nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple[str, ...]:
@@ -260,13 +228,21 @@ def _check_document(doc) -> None:
             _need_fields(out, f"{where}.outputs[{j}]", ("edge", "coeffs"))
 
 
+def load_json(path):
+    """Read a JSON file; text that is not UTF-8 is an InstanceError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_network(source) -> tuple[Network, CodingScheme]:
     """Load and validate an instance from a path, JSON string, or dict."""
     if isinstance(source, (str, Path)) and not (
         isinstance(source, str) and source.lstrip().startswith("{")
     ):
-        with open(source) as fh:
-            doc = json.load(fh)
+        doc = load_json(source)
     elif isinstance(source, str):
         doc = json.loads(source)
     else:
@@ -322,7 +298,7 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
 
     node_inputs: dict[str, tuple[str, ...]] = {}
     node_outputs: dict[str, tuple[str, ...]] = {}
-    coeffs: dict[str, tuple[tuple[RingMatrix, ...], ...]] = {}
+    coeffs: dict[str, tuple[tuple[np.ndarray, ...], ...]] = {}
     for v in nodes:
         if v not in coding_doc:
             raise InstanceError(f"node {v!r} has no coding block")
@@ -391,47 +367,46 @@ def evaluate_classical(
     order=None,
     collect_edges: bool = False,
 ):
-    """Propagate concrete inputs through the scheme in topological order.
+    """Propagate input labels through the scheme in topological order.
 
-    Returns the k virtual-output values in pair order; with
-    `collect_edges=True` returns (outputs, values-by-edge) instead.
+    `inputs` holds one register label, or one array of labels, per pair;
+    arrays are broadcast together and pushed through each node at once.
+    Returns the k virtual-output labels in pair order; with
+    `collect_edges=True` returns (outputs, labels-by-edge) instead.
     """
     inputs = tuple(inputs)
     if len(inputs) != net.k:
         raise InstanceError(f"expected {net.k} inputs, got {len(inputs)}")
-    values: dict[str, RingVector] = {}
-    for i, x in enumerate(inputs):
-        values[source_edge(i + 1)] = x
+    values = {source_edge(i + 1): np.asarray(x) for i, x in enumerate(inputs)}
     for v in _check_order(net, order):
-        node_fn = scheme.node_map(v)
-        ins = tuple(values[e] for e in net.node_inputs[v])
-        for eid, val in zip(net.node_outputs[v], node_fn(ins)):
-            values[eid] = val
+        if net.node_outputs[v]:
+            ins = [values[e] for e in net.node_inputs[v]]
+            outs = linear_map(scheme.ring, scheme.q, scheme.coeffs[v], ins)
+            for n, eid in enumerate(net.node_outputs[v]):
+                values[eid] = outs[..., n]
     outputs = tuple(values[target_edge(i + 1)] for i in range(net.k))
     if collect_edges:
         return outputs, values
     return outputs
 
 
-def _input_tuples(scheme: CodingScheme, k: int):
-    vectors = basis_vectors(scheme.ring, scheme.q)
-    return itertools.product(vectors, repeat=k)
-
-
 def find_counterexample(
     net: Network, scheme: CodingScheme, cap: int = VERIFY_CAP_DEFAULT
 ):
-    """First input tuple the scheme fails to deliver, or None if it is a solution."""
+    """First input label tuple the scheme fails to deliver, or None if it is a solution.
+
+    Input tuples are ordered with the first pair's label most significant.
+    """
     total = scheme.register_dim**net.k
     if total > cap:
         raise CapExceededError(
             f"exhaustive check needs {total} input tuples, above the cap of {cap}; "
             f"raise the cap to force it"
         )
-    for inputs in _input_tuples(scheme, net.k):
-        if evaluate_classical(net, scheme, inputs) != inputs:
-            return inputs
-    return None
+    inputs = np.indices((scheme.register_dim,) * net.k).reshape(net.k, total)
+    outputs = np.array(evaluate_classical(net, scheme, inputs)).reshape(net.k, total)
+    wrong = np.flatnonzero(np.any(outputs != inputs, axis=0))
+    return tuple(int(x) for x in inputs[:, wrong[0]]) if wrong.size else None
 
 
 def verify_solution(net: Network, scheme: CodingScheme, cap: int = VERIFY_CAP_DEFAULT) -> bool:
@@ -442,34 +417,19 @@ def verify_solution(net: Network, scheme: CodingScheme, cap: int = VERIFY_CAP_DE
 def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:
     """The same scheme over the ring with its twisted coordinate map.
 
-    Element coordinates are untouched; only the character pairing changes.
+    The coefficient matrices are untouched; only the character pairing changes.
     """
-    ring = scheme.ring.with_alternate_phi()
-
-    def rebuild(mat: RingMatrix) -> RingMatrix:
-        rows = tuple(tuple(RingElem(ring, e.coords) for e in row) for row in mat.rows)
-        return RingMatrix(ring, rows)
-
-    coeffs = {
-        v: tuple(tuple(rebuild(B) for B in row) for row in rows)
-        for v, rows in scheme.coeffs.items()
-    }
-    return CodingScheme(ring=ring, q=scheme.q, coeffs=coeffs)
+    return replace(scheme, ring=scheme.ring.with_alternate_phi())
 
 
 def transfer_coefficients(net: Network, scheme: CodingScheme) -> TransferMap:
     """Express every edge value as a left-linear combination of the pair inputs."""
     ring, q, k = scheme.ring, scheme.q, net.k
-    eye, zero = identity_matrix(ring, q), zero_matrix(ring, q)
-    gammas: dict[str, tuple[RingMatrix, ...]] = {}
-    for j in range(k):
-        gammas[source_edge(j + 1)] = tuple(eye if i == j else zero for i in range(k))
+    width = q * len(ring.moduli)
+    eye = np.eye(width, dtype=np.int64)
+    gammas = {source_edge(j + 1): np.eye(k, dtype=np.int64)[j, :, None, None] * eye for j in range(k)}
     for v in net.topo_order:
         in_rows = [gammas[e] for e in net.node_inputs[v]]
-        for out_idx, eid in enumerate(net.node_outputs[v]):
-            acc = [zero] * k
-            for B, row in zip(scheme.coeffs[v][out_idx], in_rows):
-                for j in range(k):
-                    acc[j] = mat_add(acc[j], mat_mul(B, row[j]))
-            gammas[eid] = tuple(acc)
+        for eid, row in zip(net.node_outputs[v], scheme.coeffs[v]):
+            gammas[eid] = combine(ring, q, row, in_rows)
     return TransferMap(ring=ring, q=q, gammas=gammas)

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +55,19 @@ from .quantum import (
     apply_coding_unitary,
     apply_fourier,
     apply_phase,
+    check_growth,
     fidelity,
     measure,
+    output_labels,
 )
-from .rings import RingSpec, basis_vectors, frac_mod1, mat_vec, vector_character
+from .rings import (
+    RingSpec,
+    add_labels,
+    character_form,
+    is_identity,
+    is_zero,
+    label_digits,
+)
 
 BRANCH_CAP_DEFAULT = 65536
 
@@ -76,22 +85,15 @@ class LogEntry:
 
 @dataclass
 class MessageLog:
-    """Every measurement of a run, with who was told, plus channel counters."""
+    """Every measurement of a run, with who was told."""
 
     q: int
-    ring_bits: int
-    policy: str
     entries: list[LogEntry] = field(default_factory=list)
-    quantum_registers_sent: int = 0
 
     @property
     def elements_sent(self) -> int:
         """Ring elements announced (a width-q outcome counts q elements)."""
         return sum(len(e.outcomes) * len(e.recipients) for e in self.entries) * self.q
-
-    @property
-    def bits_sent(self) -> int:
-        return self.elements_sent * self.ring_bits
 
     def all_outcomes(self) -> tuple[MeasurementOutcome, ...]:
         return tuple(o for e in self.entries for o in e.outcomes)
@@ -100,39 +102,38 @@ class MessageLog:
         return tuple(o.label for o in self.all_outcomes())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseTable:
-    """Per-pair additive phase corrections, tabulated over basis labels."""
+    """Per-pair additive phase corrections over basis labels, exact in turns:
+    pair j's correction at label x is numerators[j, x] / ring.exponent."""
 
     ring: RingSpec
     q: int
-    tables: tuple[dict[int, Fraction], ...]
+    numerators: np.ndarray  # shape (k, register dim), values in [0, ring.exponent)
 
     @property
     def k(self) -> int:
-        return len(self.tables)
+        return len(self.numerators)
+
+    @cached_property
+    def tables(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The corrections as exact fractions, tables[pair - 1][label]."""
+        return tuple(tuple(Fraction(int(n), self.ring.exponent) for n in row) for row in self.numerators)
 
     def value(self, pair_index: int, label: int) -> Fraction:
         """Correction for pair `pair_index` (1-based) at a basis label."""
         return self.tables[pair_index - 1][label]
 
-    def phase_fn(self, pair_index: int):
-        table = self.tables[pair_index - 1]
-        return lambda vec: table[vec.to_index()]
+    def turns(self, pair_index: int) -> np.ndarray:
+        return self.numerators[pair_index - 1] / self.ring.exponent
 
     def is_homomorphism(self) -> bool:
         """Exhaustive additivity check of every table."""
-        vectors = basis_vectors(self.ring, self.q)
-        for table in self.tables:
-            if table[0] != 0:
-                return False
-            for x in vectors:
-                for y in vectors:
-                    lhs = table[(x + y).to_index()]
-                    rhs = frac_mod1(table[x.to_index()] + table[y.to_index()])
-                    if lhs != rhs:
-                        return False
-        return True
+        labels = np.arange(self.numerators.shape[1])
+        sums = add_labels(self.ring, self.q, labels[:, None], labels)
+        table = self.numerators
+        expected = (table[:, :, None] + table[:, None, :]) % self.ring.exponent
+        return bool(np.all(table[:, 0] == 0) and np.array_equal(table[:, sums], expected))
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ class NodePlan:
     node: str
     in_edges: tuple[str, ...]
     out_edges: tuple[str, ...]
-    coeffs: tuple
+    coeffs: tuple  # coeffs[output][input], integer matrices
     copy_only: bool  # fan-in one and every output an identity copy
     needed_by: tuple[int, ...]  # pairs (1-based) whose correction reads its outcomes
 
@@ -150,7 +151,12 @@ class NodePlan:
 @dataclass(frozen=True, eq=False)
 class SchemePlan:
     """The transfer map and one NodePlan per node in processing order, under
-    a policy that decides which nodes measure and who hears them."""
+    a policy that decides which nodes measure and who hears them.
+
+    The tables of size |R|^q and more (coding tables, label digits,
+    correction rows) are built on first use, so planning and cost stay cheap
+    on any ring.
+    """
 
     net: Network
     scheme: CodingScheme
@@ -158,6 +164,29 @@ class SchemePlan:
     nodes: tuple[NodePlan, ...]
     prune: bool = False
     copy_skip: bool = False
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def coding_table(self, p: NodePlan) -> np.ndarray:
+        """Output labels of the node's coding step (`quantum.output_labels`);
+        a copy-skip node codes its kept register into the remaining copies."""
+        if p.node not in self._tables:
+            rows = p.coeffs if self.measures(p) else tuple((row[0],) for row in p.coeffs[1:])
+            self._tables[p.node] = output_labels(self.scheme.ring, self.scheme.q, rows)
+        return self._tables[p.node]
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Digits of every basis label of a register."""
+        return label_digits(self.scheme.ring, self.scheme.q, np.arange(self.scheme.register_dim))
+
+    @cached_property
+    def correction_rows(self) -> dict[str, np.ndarray]:
+        """Per register e, matrices P[j] with exponent * character(a, gamma_ej x)
+        = digits(x) @ P[j] @ digits(a) mod exponent: outcome a on e adds the
+        row digits @ P[j] @ digits(a) to pair j's correction."""
+        ring, q = self.scheme.ring, self.scheme.q
+        form = character_form(ring, q)
+        return {e: g @ form % ring.exponent for e, g in self.tmap.gammas.items()}
 
     @property
     def policy(self) -> str:
@@ -190,12 +219,12 @@ def plan_scheme(
     nodes = []
     for v in _check_order(net, order):
         ins, outs, coeffs = net.node_inputs[v], net.node_outputs[v], scheme.coeffs[v]
-        copy_only = len(ins) == 1 and len(outs) >= 1 and all(r[0].is_identity() for r in coeffs)
+        copy_only = len(ins) == 1 and len(outs) >= 1 and all(is_identity(r[0]) for r in coeffs)
         needed_by = tuple(
             j + 1
             for j in range(net.k)
             # a target already holds its own outcomes
-            if net.pairs[j][1] != v and any(not tmap.gammas[e][j].is_zero() for e in ins)
+            if net.pairs[j][1] != v and any(not is_zero(tmap.gammas[e][j]) for e in ins)
         )
         nodes.append(NodePlan(v, ins, outs, coeffs, copy_only, needed_by))
     return SchemePlan(net, scheme, tmap, tuple(nodes), prune, copy_skip)
@@ -230,11 +259,18 @@ class NodeStep:
     entry: LogEntry | None
 
 
+def _code(plan, p, state, in_regs, out_regs, max_entries):
+    if not out_regs:
+        return state
+    # the cap trips before the plan builds the node's coding table
+    check_growth(state.amps.size * state.dim ** len(out_regs), max_entries)
+    return apply_coding_unitary(state, in_regs, out_regs, plan.coding_table(p), max_entries)
+
+
 def encode_node(
+    plan: SchemePlan,
+    p: NodePlan,
     state: StateVector,
-    node: str,
-    net: Network,
-    scheme: CodingScheme,
     rng: np.random.Generator | None = None,
     forced=None,
     max_entries: int = MAX_STATE_ENTRIES,
@@ -245,27 +281,23 @@ def encode_node(
     `forced` gives one outcome label per input edge; otherwise outcomes are
     sampled from `rng`.
     """
-    in_edges = net.node_inputs[node]
-    out_edges = net.node_outputs[node]
     if forced is not None:
         forced = tuple(forced)
-        if len(forced) != len(in_edges):
+        if len(forced) != len(p.in_edges):
             raise InstanceError(
-                f"node {node!r} measures {len(in_edges)} registers, "
+                f"node {p.node!r} measures {len(p.in_edges)} registers, "
                 f"got {len(forced)} forced outcomes"
             )
-    state = apply_coding_unitary(
-        state, in_edges, out_edges, scheme.coeffs[node], max_entries=max_entries
-    )
+    state = _code(plan, p, state, p.in_edges, p.out_edges, max_entries)
     outcomes = []
-    for j, reg in enumerate(in_edges):
+    for j, reg in enumerate(p.in_edges):
         state = apply_fourier(state, reg)
         outcome, state = measure(
             state,
             reg,
             rng=rng if forced is None else None,
             forced=None if forced is None else forced[j],
-            node=node,
+            node=p.node,
         )
         outcomes.append(outcome)
     return state, tuple(outcomes)
@@ -289,19 +321,13 @@ def node_steps(
         entry = None
         if plan.measures(p):
             forced = None if branch is None else tuple(itertools.islice(labels, len(p.in_edges)))
-            state, outcomes = encode_node(
-                state, p.node, plan.net, plan.scheme, rng, forced, max_entries
-            )
+            state, outcomes = encode_node(plan, p, state, rng, forced, max_entries)
             entry = LogEntry(p.node, outcomes, plan.recipients(p))
         else:
             # the input register survives as the first output; the rest are copies
             keep = p.out_edges[0]
             state = state.renamed({p.in_edges[0]: keep})
-            if len(p.out_edges) > 1:
-                rows = tuple((row[0],) for row in p.coeffs[1:])
-                state = apply_coding_unitary(
-                    state, (keep,), p.out_edges[1:], rows, max_entries=max_entries
-                )
+            state = _code(plan, p, state, (keep,), p.out_edges[1:], max_entries)
         yield NodeStep(p.node, state, entry)
 
 
@@ -313,16 +339,16 @@ def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
         state = step.state
         if step.entry is not None:
             entries.append(step.entry)
-    log = MessageLog(plan.scheme.q, plan.ring_bits, plan.policy, entries, len(plan.net.edges))
+    log = MessageLog(plan.scheme.q, entries)
     targets = tuple(target_edge(i + 1) for i in range(plan.net.k))
     if sorted(state.reg_ids) != sorted(targets):
         raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {targets}")
     state = state.reordered(targets)
     pre_correction = state
 
-    phase_table = compute_corrections(log, plan.tmap, plan.scheme)
+    phase_table = compute_corrections(log, plan)
     for i in range(1, plan.net.k + 1):
-        state = apply_phase(state, target_edge(i), phase_table.phase_fn(i), sign=-1)
+        state = apply_phase(state, target_edge(i), phase_table.turns(i), sign=-1)
     return RunResult(state, pre_correction, log, phase_table, plan)
 
 
@@ -379,46 +405,27 @@ def run_protocol(
     return finish_run(plan, input_state, steps)
 
 
-@lru_cache(maxsize=None)
-def _gamma_char_table(gamma) -> tuple[tuple[Fraction, ...], ...]:
-    """Pairing of outcome a with gamma @ x for all basis labels: table[a][x]."""
-    vectors = basis_vectors(gamma.spec, gamma.q)
-    return tuple(
-        tuple(vector_character(a, mat_vec(gamma, x)) for x in vectors) for a in vectors
-    )
-
-
-def compute_corrections(
-    log: MessageLog, tmap: TransferMap, scheme: CodingScheme
-) -> PhaseTable:
+def compute_corrections(log: MessageLog, plan: SchemePlan) -> PhaseTable:
     """Tabulate the per-pair phase corrections from the logged outcomes.
 
     Measuring outcome a on a register whose content is sum_j gamma_j x_j
     contributes the pairing of a with gamma_j x_j to pair j's phase; the
-    table for pair j is the exact mod-1 sum of those contributions over
-    every measurement, evaluated at each basis label.
+    table for pair j is the sum of those integer rows mod the ring's
+    exponent, evaluated at each basis label.
     """
-    ring, q = scheme.ring, scheme.q
-    k = len(tmap.gammas[target_edge(1)]) if tmap.gammas else 0
-    for outcome in log.all_outcomes():
-        if outcome.register not in tmap.gammas:
+    ring, q = plan.scheme.ring, plan.scheme.q
+    outcomes = log.all_outcomes()
+    for outcome in outcomes:
+        if outcome.register not in plan.tmap.gammas:
             raise InstanceError(
                 f"measured register {outcome.register!r} has no transfer coefficients"
             )
-    dim = ring.cardinality**q
-    tables = []
-    for j in range(k):
-        rows = [
-            _gamma_char_table(tmap.gammas[o.register][j])[o.label]
-            for o in log.all_outcomes()
-            if not tmap.gammas[o.register][j].is_zero()
-        ]
-        table = {
-            x: frac_mod1(sum((row[x] for row in rows), Fraction(0)))
-            for x in range(dim)
-        }
-        tables.append(table)
-    return PhaseTable(ring=ring, q=q, tables=tuple(tables))
+    digits = plan.digits
+    weights = np.zeros((plan.net.k, digits.shape[1]), dtype=np.int64)
+    if outcomes:
+        rows = np.stack([plan.correction_rows[o.register] for o in outcomes])
+        weights = np.einsum("njab,nb->ja", rows, digits[[o.label for o in outcomes]])
+    return PhaseTable(ring, q, weights % ring.exponent @ digits.T % ring.exponent)
 
 
 @dataclass(frozen=True)

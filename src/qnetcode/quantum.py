@@ -2,8 +2,8 @@
 
 A state holds an ordered roster of live register ids and a complex amplitude
 tensor with one axis per register. Axis order follows the roster; each axis
-is indexed by the basis label of a width-q ring vector (see
-`rings.RingVector.to_index`). Global phase is kept, never quotiented out.
+is indexed by the basis label of a width-q register (see `rings`). Global
+phase is kept, never quotiented out.
 
 Operations return new states. Registers are created by the coding unitary
 and destroyed by measurement, so the tensor always has exactly one axis per
@@ -16,20 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .network import CapExceededError
-from .rings import (
-    RingSpec,
-    RingVector,
-    basis_vectors,
-    mat_vec,
-    vector_character,
-    vector_zero,
-)
+from .rings import RingSpec, linear_map, pairing
 
 MAX_STATE_ENTRIES = 2**24
 _NORM_TOL = 1e-9
@@ -54,12 +46,8 @@ class ZeroProbabilityError(QuantumError):
 @dataclass(frozen=True)
 class MeasurementOutcome:
     register: str
-    outcome: RingVector
+    label: int
     node: str | None = None
-
-    @property
-    def label(self) -> int:
-        return self.outcome.to_index()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,89 +129,80 @@ def init_state(
     return StateVector(ring, q, reg_ids, amps.reshape((dim,) * k))
 
 
-def basis_state(ring: RingSpec, q: int, labels, reg_ids=None) -> StateVector:
+def basis_state(
+    ring: RingSpec, q: int, labels, reg_ids=None, max_entries: int = MAX_STATE_ENTRIES
+) -> StateVector:
     """Computational basis state |labels[0], labels[1], ...>."""
     labels = tuple(int(v) for v in labels)
     dim = ring.cardinality**q
+    check_growth(dim ** len(labels), max_entries)
     amps = np.zeros((dim,) * len(labels), dtype=complex)
     amps[labels] = 1.0
-    return init_state(ring, q, len(labels), amps, reg_ids=reg_ids)
+    return init_state(ring, q, len(labels), amps, reg_ids=reg_ids, max_entries=max_entries)
 
 
-@lru_cache(maxsize=None)
-def _coding_label_map(ring: RingSpec, q: int, coeffs) -> tuple[tuple[int, ...], ...]:
-    """Output basis labels for every input label combination, in ndindex order."""
-    vectors = basis_vectors(ring, q)
-    dim = len(vectors)
-    m = len(coeffs[0]) if coeffs else 0
-    table = []
-    for combo in np.ndindex(*(dim,) * m):
-        ys = [vectors[c] for c in combo]
-        out_labels = []
-        for row in coeffs:
-            acc = vector_zero(ring, q)
-            for B, y in zip(row, ys):
-                acc = acc + mat_vec(B, y)
-            out_labels.append(acc.to_index())
-        table.append(tuple(out_labels))
-    return tuple(table)
+def check_growth(entries: int, max_entries: int) -> None:
+    """Raise DimensionCapError unless a state of `entries` amplitudes fits under the cap."""
+    if entries > max_entries:
+        raise DimensionCapError(
+            f"state would grow to {entries} amplitudes, above the cap {max_entries}"
+        )
+
+
+def output_labels(ring: RingSpec, q: int, coeffs) -> np.ndarray:
+    """The coding table of `apply_coding_unitary`: for every input label
+    combination y (one axis per input), the joint label of the n outputs
+    f_i(y) = sum_j coeffs[i][j] @ y_j, first output most significant."""
+    d, m, n = ring.cardinality**q, len(coeffs[0]), len(coeffs)
+    labels = linear_map(ring, q, coeffs, np.indices((d,) * m, sparse=True))
+    return labels @ d ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 def apply_coding_unitary(
     state: StateVector,
     in_regs,
     out_regs,
-    coeffs,
+    table,
     max_entries: int = MAX_STATE_ENTRIES,
 ) -> StateVector:
     """Adjoin fresh output registers holding the coded combination of inputs.
 
-    `coeffs[i][j]` is the matrix applied to input j for output i, so basis
-    states map as |y_1..y_m>|0..0> -> |y_1..y_m>|f_1(y)..f_n(y)> with
-    f_i(y) = sum_j coeffs[i][j] @ y_j. A pure relabeling of basis states:
-    the nonzero amplitudes are moved, never mixed.
+    `table` comes from `output_labels`: basis states map as
+    |y_1..y_m>|0..0> -> |y_1..y_m>|table[y_1..y_m]>, the right side being
+    the joint label of the outputs. A pure relabeling of basis states: the
+    nonzero amplitudes are moved, never mixed, in one scatter into the new
+    tensor.
     """
     in_regs = tuple(in_regs)
     out_regs = tuple(out_regs)
-    coeffs = tuple(tuple(row) for row in coeffs)
     m, n = len(in_regs), len(out_regs)
-    if len(coeffs) != n or any(len(row) != m for row in coeffs):
-        raise QuantumError(f"coefficient array must be {n}x{m}")
+    dim = state.dim
+    if np.shape(table) != (dim,) * m:
+        raise QuantumError(f"coding table must have shape {(dim,) * m}")
     if set(out_regs) & set(state.reg_ids) or len(set(out_regs)) != n:
         raise RegisterError("output registers collide with live registers")
     in_axes = [state.axis(r) for r in in_regs]
     if len(set(in_axes)) != m:
         raise RegisterError("duplicate input register")
+    check_growth(state.amps.size * dim**n, max_entries)
 
-    dim = state.dim
-    new_size = state.amps.size * dim**n
-    if new_size > max_entries:
-        raise DimensionCapError(
-            f"state would grow to {new_size} amplitudes, above the cap {max_entries}"
-        )
-
-    label_map = _coding_label_map(state.ring, state.q, coeffs)
-    old_rank = state.amps.ndim
-    new = np.zeros(state.amps.shape + (dim,) * n, dtype=complex)
-    base = [slice(None)] * old_rank
-    for combo, out_labels in zip(np.ndindex(*(dim,) * m), label_map):
-        idx = list(base)
-        for ax, c in zip(in_axes, combo):
-            idx[ax] = c
-        new[tuple(idx) + out_labels] = state.amps[tuple(idx)]
-    return StateVector(state.ring, state.q, state.reg_ids + out_regs, new)
+    # with the input axes moved to the front, input combination y sends the
+    # amplitudes at y to joint output label table[y] on one last axis
+    order = in_axes + [ax for ax in range(state.amps.ndim) if ax not in in_axes]
+    new = np.zeros(state.amps.shape + (dim**n,), dtype=complex)
+    combos = np.indices((dim,) * m, sparse=True)
+    new.transpose(order + [len(order)])[(*combos, ..., table)] = state.amps.transpose(order)
+    shape = state.amps.shape + (dim,) * n
+    return StateVector(state.ring, state.q, state.reg_ids + out_regs, new.reshape(shape))
 
 
 @lru_cache(maxsize=None)
 def fourier_matrix(ring: RingSpec, q: int) -> np.ndarray:
-    """The group Fourier transform on one register: F[z, y] = chi(y, z) / sqrt(d)."""
-    vectors = basis_vectors(ring, q)
-    d = len(vectors)
-    mat = np.empty((d, d), dtype=complex)
-    for a, y in enumerate(vectors):
-        for b, z in enumerate(vectors):
-            mat[b, a] = np.exp(2j * np.pi * float(vector_character(y, z)))
-    return mat / math.sqrt(d)
+    """The group Fourier transform on one register: F[z, y] = chi(y, z) / sqrt(d)
+    (the character is symmetric)."""
+    labels = np.arange(ring.cardinality**q)
+    turns = pairing(ring, q, labels, labels) / ring.exponent
+    return np.exp(2j * np.pi * turns) / math.sqrt(len(labels))
 
 
 def apply_fourier(state: StateVector, reg: str, adjoint: bool = False) -> StateVector:
@@ -246,7 +225,7 @@ def measure(
     state: StateVector,
     reg: str,
     rng: np.random.Generator | None = None,
-    forced: int | RingVector | None = None,
+    forced: int | None = None,
     node: str | None = None,
 ) -> tuple[MeasurementOutcome, StateVector]:
     """Computational-basis measurement; the register is dropped afterwards.
@@ -259,7 +238,7 @@ def measure(
     ax = state.axis(reg)
     marginal = marginal_distribution(state, reg)
     if forced is not None:
-        label = forced.to_index() if isinstance(forced, RingVector) else int(forced)
+        label = int(forced)
         if not 0 <= label < state.dim:
             raise QuantumError(f"outcome label {label} out of range")
         p = float(marginal[label])
@@ -272,27 +251,22 @@ def measure(
         label = int(rng.choice(state.dim, p=marginal / total))
         p = float(marginal[label])
     collapsed = np.take(state.amps, label, axis=ax) / math.sqrt(p)
-    outcome = MeasurementOutcome(
-        register=reg,
-        outcome=basis_vectors(state.ring, state.q)[label],
-        node=node,
-    )
+    outcome = MeasurementOutcome(register=reg, label=label, node=node)
     rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
     return outcome, StateVector(state.ring, state.q, rest, collapsed)
 
 
-def apply_phase(state: StateVector, reg: str, phase_fn, sign: int = 1) -> StateVector:
-    """Multiply each basis amplitude by exp(sign * 2 pi i * phase_fn(label)).
+def apply_phase(state: StateVector, reg: str, turns, sign: int = 1) -> StateVector:
+    """Multiply the amplitude at basis label x by exp(sign * 2 pi i * turns[x]).
 
-    `phase_fn` maps the register's basis RingVector to an exact rational.
+    `turns` lists one phase per basis label of the register, in turns.
     """
     if sign not in (1, -1):
         raise QuantumError("sign must be +1 or -1")
     ax = state.axis(reg)
-    vectors = basis_vectors(state.ring, state.q)
-    diag = np.array(
-        [np.exp(sign * 2j * np.pi * float(Fraction(phase_fn(v)))) for v in vectors]
-    )
+    diag = np.exp(sign * 2j * np.pi * np.asarray(turns, dtype=float))
+    if diag.shape != (state.dim,):
+        raise QuantumError(f"need {state.dim} phases, got {diag.size}")
     shape = [1] * state.amps.ndim
     shape[ax] = state.dim
     return StateVector(state.ring, state.q, state.reg_ids, state.amps * diag.reshape(shape))

@@ -38,6 +38,21 @@ matrix that is block diagonal over equal-modulus positions.
 `with_alternate_phi` builds one (a shift-and-shear on multi-coordinate
 blocks, a unit scaling on singletons). The twist changes the pairing but
 never the ring arithmetic itself.
+
+`RingElem` is the scalar form, used for parsing and as the reference
+arithmetic. Past the parser every value is a plain integer array:
+
+- A width-q register value (q entries) is its basis label, the mixed-radix
+  integer over the digit moduli `moduli * q` whose digits are the entries'
+  coordinates, first entry and first coordinate most significant.
+- A q x q coefficient matrix B is the integer matrix G of its action on
+  those digits: row (j, t) holds the digits of B applied to the t-th
+  coordinate unit in slot j. Then B x has digits digits(x) @ G, composition
+  B C has matrix G_C @ G_B, and B + C has G_B + G_C, all reduced mod the
+  digit moduli.
+- The character is one bilinear form: with L = lcm(moduli) (`exponent`),
+  L * character(y, z) = digits(y) @ K @ digits(z) mod L for the integer
+  matrix K = phi^T diag(L / r_i) phi, so phases are exact integers mod L.
 """
 
 from __future__ import annotations
@@ -47,7 +62,9 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+
+import numpy as np
 
 
 class RingError(ValueError):
@@ -227,6 +244,11 @@ class RingSpec:
         return n
 
     @cached_property
+    def exponent(self) -> int:
+        """lcm of the moduli: every character value is a multiple of 1 / exponent."""
+        return math.lcm(*self.moduli)
+
+    @cached_property
     def _factor_slices(self) -> tuple[slice, ...]:
         out = []
         start = 0
@@ -376,170 +398,130 @@ def character(y: RingElem, z: RingElem) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices over a ring
+# registers as integer labels, coefficient matrices as integer matrices
 
 
-@dataclass(frozen=True)
-class RingVector:
-    """A fixed-length tuple of ring elements (a message of width q)."""
-
-    spec: RingSpec
-    entries: tuple[RingElem, ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.entries)
-
-    def __add__(self, other: "RingVector") -> "RingVector":
-        if other.spec != self.spec or other.q != self.q:
-            raise RingError("vector mismatch")
-        return RingVector(
-            self.spec, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __neg__(self) -> "RingVector":
-        return RingVector(self.spec, tuple(-a for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def to_index(self) -> int:
-        """Basis index: entry labels combined big-endian (first entry highest)."""
-        idx = 0
-        n = self.spec.cardinality
-        for e in self.entries:
-            idx = idx * n + e.to_int()
-        return idx
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(e.to_int() for e in self.entries)
-
-    def __repr__(self) -> str:
-        return f"RingVector{self.labels()}"
+def _dtype(spec: RingSpec):
+    # int64 is exact while products of two digits, summed a few thousand
+    # times, stay below 2^63; larger moduli get Python integers
+    return np.int64 if max(spec.moduli) < 2**24 else object
 
 
-def vector_zero(spec: RingSpec, q: int) -> RingVector:
-    return RingVector(spec, (spec.zero(),) * q)
+def _radix(spec: RingSpec, q: int) -> np.ndarray:
+    return np.array(spec.moduli * q, dtype=_dtype(spec))
 
 
-def vector_from_labels(spec: RingSpec, labels) -> RingVector:
-    return RingVector(spec, tuple(spec.from_int(int(v)) for v in labels))
+def _places(radix) -> np.ndarray:
+    """Place values of mixed-radix digits, first digit most significant."""
+    places = [1]
+    for r in reversed(radix[1:]):
+        places.append(places[-1] * r)
+    return np.array(places[::-1], dtype=np.int64)
 
 
-def vector_from_index(spec: RingSpec, q: int, index: int) -> RingVector:
-    n = spec.cardinality
-    if not 0 <= index < n**q:
-        raise RingError(f"basis index {index} out of range")
-    labels = []
-    for _ in range(q):
-        labels.append(index % n)
-        index //= n
-    return vector_from_labels(spec, reversed(labels))
+def label_digits(spec: RingSpec, q: int, labels) -> np.ndarray:
+    """The q * l digits of every register label: shape labels.shape + (q * l,)."""
+    rest = np.asarray(labels, dtype=np.int64)
+    if rest.size and not 0 <= rest.min() <= rest.max() < spec.cardinality**q:
+        raise RingError(f"register label out of range for width {q} over {spec}")
+    radix = spec.moduli * q
+    out = np.empty(rest.shape + (len(radix),), dtype=np.int64)
+    for i in range(len(radix) - 1, -1, -1):
+        rest, out[..., i] = np.divmod(rest, radix[i])
+    return out
 
 
-@lru_cache(maxsize=None)
-def basis_vectors(spec: RingSpec, q: int) -> tuple[RingVector, ...]:
-    """All RingVectors of width q in basis-index order."""
-    return tuple(vector_from_index(spec, q, i) for i in range(spec.cardinality**q))
+def register_label(entries) -> int:
+    """Label of the register holding these RingElems, first entry most significant."""
+    label = 0
+    for e in entries:
+        label = label * e.spec.cardinality + e.to_int()
+    return label
 
 
-def vector_character(y: RingVector, z: RingVector) -> Fraction:
-    """Pairing of vectors: the coordinate-wise pairings summed mod 1."""
-    if y.spec != z.spec:
-        raise RingError("operands belong to different rings")
-    if y.q != z.q:
-        raise RingError("vector length mismatch")
-    total = Fraction(0)
-    for a, b in zip(y.entries, z.entries):
-        total += character(a, b)
-    return frac_mod1(total)
-
-
-@dataclass(frozen=True)
-class RingMatrix:
-    """A q x q coefficient matrix acting on RingVectors from the left."""
-
-    spec: RingSpec
-    rows: tuple[tuple[RingElem, ...], ...]
-
-    @property
-    def q(self) -> int:
-        return len(self.rows)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
-
-    def is_identity(self) -> bool:
-        one, zero = self.spec.one(), self.spec.zero()
-        return all(
-            e == (one if i == j else zero)
-            for i, row in enumerate(self.rows)
-            for j, e in enumerate(row)
-        )
-
-    def __repr__(self) -> str:
-        return f"RingMatrix({[[e.to_int() for e in row] for row in self.rows]})"
-
-
-def matrix_from_rows(spec: RingSpec, rows) -> RingMatrix:
-    rows = tuple(tuple(e for e in row) for row in rows)
-    q = len(rows)
-    if any(len(row) != q for row in rows):
-        raise RingError("matrix is not square")
-    return RingMatrix(spec, rows)
-
-
-def identity_matrix(spec: RingSpec, q: int) -> RingMatrix:
-    one, zero = spec.one(), spec.zero()
-    return RingMatrix(
-        spec, tuple(tuple(one if i == j else zero for j in range(q)) for i in range(q))
-    )
-
-
-def zero_matrix(spec: RingSpec, q: int) -> RingMatrix:
-    zero = spec.zero()
-    return RingMatrix(spec, ((zero,) * q,) * q)
-
-
-def mat_vec(B: RingMatrix, v: RingVector) -> RingVector:
-    """Left action B @ v over the ring."""
-    if B.spec != v.spec:
-        raise RingError("operands belong to different rings")
-    if B.q != v.q:
-        raise RingError(f"matrix is {B.q}x{B.q} but vector has length {v.q}")
+def register_entries(spec: RingSpec, q: int, label: int) -> tuple[int, ...]:
+    """Element labels of the q entries of a register label."""
     out = []
-    for row in B.rows:
-        acc = B.spec.zero()
-        for coef, entry in zip(row, v.entries):
-            acc = acc + coef * entry
-        out.append(acc)
-    return RingVector(v.spec, tuple(out))
+    for _ in range(q):
+        label, entry = divmod(int(label), spec.cardinality)
+        out.append(entry)
+    return tuple(reversed(out))
 
 
-def mat_mul(A: RingMatrix, B: RingMatrix) -> RingMatrix:
-    if A.spec != B.spec or A.q != B.q:
-        raise RingError("matrix mismatch")
-    q = A.q
-    zero = A.spec.zero()
-    rows = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            acc = zero
-            for t in range(q):
-                acc = acc + A.rows[i][t] * B.rows[t][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return RingMatrix(A.spec, tuple(rows))
+def add_labels(spec: RingSpec, q: int, a, b) -> np.ndarray:
+    """Label of the register sum a + b, for broadcastable label arrays."""
+    digits = label_digits(spec, q, a) + label_digits(spec, q, b)
+    return digits % _radix(spec, q) @ _places(spec.moduli * q)
 
 
-def mat_add(A: RingMatrix, B: RingMatrix) -> RingMatrix:
-    if A.spec != B.spec or A.q != B.q:
-        raise RingError("matrix mismatch")
-    rows = tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A.rows, B.rows)
+def coefficient_matrix(spec: RingSpec, rows) -> np.ndarray:
+    """Integer matrix G of a q x q matrix B of RingElems, acting on register digits.
+
+    Row (j, t) holds the digits of B applied to the t-th coordinate unit in
+    slot j, so B x has the digits of digits(x) @ G reduced mod the radix.
+    """
+    width = len(spec.moduli)
+    units = [spec.element([int(s == t) for s in range(width)]) for t in range(width)]
+    return np.array(
+        [[c for row in rows for c in (row[j] * u).coords] for j in range(len(rows)) for u in units],
+        dtype=_dtype(spec),
     )
-    return RingMatrix(A.spec, rows)
+
+
+def matrix_entries(spec: RingSpec, g: np.ndarray) -> list[list[int]]:
+    """Element labels of B's entries: B[i][j] is slot i of B applied to one in slot j."""
+    width, q = len(spec.moduli), len(g) // len(spec.moduli)
+    one = np.array(spec.one().coords)
+    block = lambda j, i: g[j * width : (j + 1) * width, i * width : (i + 1) * width]
+    return [[spec.element(one @ block(j, i)).to_int() for j in range(q)] for i in range(q)]
+
+
+def is_zero(g: np.ndarray) -> bool:
+    return not g.any()
+
+
+def is_identity(g: np.ndarray) -> bool:
+    return bool((g == np.eye(len(g), dtype=np.int64)).all())
+
+
+def combine(spec: RingSpec, q: int, coeffs, gammas) -> np.ndarray:
+    """Matrix of x -> sum_j coeffs[j] @ (gammas[j] @ x).
+
+    B after C has the matrix G_C @ G_B and sums add, reduced mod the radix;
+    each gammas[j] may be a stack of matrices.
+    """
+    radix = _radix(spec, q)
+    return sum((c @ b) % radix for b, c in zip(coeffs, gammas)) % radix
+
+
+def linear_map(spec: RingSpec, q: int, coeffs, inputs) -> np.ndarray:
+    """Labels of out_i = sum_j coeffs[i][j] @ inputs[j], for label arrays
+    `inputs` broadcast together; the output axis is last."""
+    radix = spec.moduli * q
+    n, m, width = len(coeffs), len(inputs), len(radix)
+    g = np.asarray(coeffs)
+    if g.shape != (n, m, width, width):
+        raise RingError(f"need {n}x{m} coefficient matrices acting on width {q} over {spec}")
+    # input j's digits times the blocks that map input j into every output
+    y = sum(
+        label_digits(spec, q, v) @ g[:, j].transpose(1, 0, 2).reshape(width, n * width)
+        for j, v in enumerate(inputs)
+    )
+    return y.reshape(y.shape[:-1] + (n, width)) % _radix(spec, q) @ _places(radix)
+
+
+def character_form(spec: RingSpec, q: int) -> np.ndarray:
+    """Integer matrix K with L * character(y, z) = digits(y) @ K @ digits(z) mod L,
+    where L = spec.exponent; K is phi^T diag(L / r_i) phi over the q slots."""
+    phi = np.kron(np.eye(q, dtype=np.int64), np.array(spec.phi_rows, dtype=np.int64))
+    weights = np.array([spec.exponent // m for m in spec.moduli * q])
+    return (phi.T * weights) @ phi % spec.exponent
+
+
+def pairing(spec: RingSpec, q: int, y, z) -> np.ndarray:
+    """L * character(y, z) mod L for y and z in two 1-d label arrays: shape (len(y), len(z))."""
+    left = label_digits(spec, q, y) @ character_form(spec, q) % spec.exponent
+    return left @ label_digits(spec, q, z).T % spec.exponent
 
 
 # ---------------------------------------------------------------------------

@@ -204,28 +204,80 @@ def _assert_one_line_error(err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _huge_ring_copy(tmp_path, path):
+    """A copy of an instance over Z(2^40), too large for any amplitude table."""
+    doc = json.loads(open(path).read())
+    doc["ring"] = f"Z({2**40})"
+    out = tmp_path / "huge.json"
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
 class TestErrorContract:
+    # a given file document is written out and its path appended to argv
     @pytest.mark.parametrize(
-        "argv, state_doc",
+        "argv, file_doc",
         [
             pytest.param(["simulate", SINGLE, "--seed", "1", "--max-dim", "2"], None, id="cap"),
-            pytest.param(["simulate", BUTTERFLY, "--seed", "1"], [[[0, 0], 0, 0]], id="zero"),
+            pytest.param(["simulate", BUTTERFLY, "--seed", "1", "--input"], [[[0, 0], 0, 0]], id="zero"),
             pytest.param(
-                ["simulate", BUTTERFLY, "--seed", "1"], [[[0, 0], "x", 0]], id="text-amplitude"
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[0, 0], "x", 0]],
+                id="text-amplitude",
             ),
             pytest.param(
                 ["simulate", BUTTERFLY, "--branch", "0,0,0,0,0,0,0,0,x"], None, id="text-label"
             ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[True, 0], 1.0, 0.0]],
+                id="bool-label",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"], b"\xff\xfe[]", id="state-not-utf8"
+            ),
+            pytest.param(["verify"], b"\xff\xfe{}", id="instance-not-utf8"),
         ],
     )
-    def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, state_doc):
-        if state_doc is not None:
-            path = tmp_path / "state.json"
-            path.write_text(json.dumps(state_doc))
-            argv = argv + ["--input", str(path)]
+    def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, file_doc):
+        if file_doc is not None:
+            path = tmp_path / "doc.json"
+            if isinstance(file_doc, bytes):
+                path.write_bytes(file_doc)
+            else:
+                path.write_text(json.dumps(file_doc))
+            argv = argv + [str(path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+        _assert_one_line_error(err)
+
+    def test_input_state_checked_against_max_dim(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", SINGLE, "--seed", "1", "--max-dim", "1")
+        assert (code, out) == (2, "")
+        assert "input state needs 2 amplitudes" in err
+        _assert_one_line_error(err)
+
+    def test_huge_ring_input_state_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", _huge_ring_copy(tmp_path, SINGLE), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert f"input state needs {2**40} amplitudes" in err
+        _assert_one_line_error(err)
+
+    def test_huge_ring_cost_and_verify(self, capsys, tmp_path):
+        # cost needs no table of size |R|^q; verify trips its cap
+        huge = _huge_ring_copy(tmp_path, BUTTERFLY)
+        counts = {}
+        for path in (BUTTERFLY, huge):
+            code, out, _ = run_cli(capsys, "cost", path, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            counts[path] = [doc[key] for key in ("bound_elements", "broadcast_elements", "prune_elements")]
+            counts[path].append(doc["per_node_broadcast"])
+        assert counts[huge] == counts[BUTTERFLY]
+        code, out, err = run_cli(capsys, "verify", huge)
+        assert (code, out) == (2, "")
+        assert "above the cap of 65536" in err
         _assert_one_line_error(err)
 
     @pytest.mark.parametrize(
@@ -245,6 +297,11 @@ class TestErrorContract:
             pytest.param(lambda d: d.update(ring=2), "'ring'", id="ring-not-string"),
             pytest.param(lambda d: d.update(q=True), "'q'", id="q-bool"),
             pytest.param(lambda d: d.update(nodes="s1"), "'nodes'", id="nodes-string"),
+            pytest.param(
+                lambda d: d["coding"]["s1"]["outputs"][0].update(coeffs=[[True]]),
+                "[True]",
+                id="coefficient-bool",
+            ),
         ],
     )
     def test_malformed_document_exit_2(self, capsys, tmp_path, mutate, field):

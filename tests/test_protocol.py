@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qnetcode.network import (
 )
 from qnetcode.protocol import (
     InvalidSchemeError,
+    PhaseTable,
     classical_cost,
     compute_corrections,
     count_branches,
@@ -21,7 +23,7 @@ from qnetcode.protocol import (
     run_protocol,
 )
 from qnetcode.quantum import basis_state, fidelity, init_state
-from qnetcode.rings import frac_mod1
+from qnetcode.rings import frac_mod1, parse_ring_spec
 
 # forced-branch order for the bundled butterfly:
 # s1 -> a, s2 -> b, n1 -> (c1, c2), n2 -> d, t1 -> (e1, e2), t2 -> (f1, f2)
@@ -44,12 +46,19 @@ def butterfly_phase_exponent(branch, x1, x2):
     ) % 2
 
 
+def encode(state, node, net, scheme, forced):
+    """Run one node of the scheme's plan on a state, with forced outcomes."""
+    plan = plan_scheme(net, scheme)
+    p = next(p for p in plan.nodes if p.node == node)
+    return encode_node(plan, p, state, forced=forced)
+
+
 class TestEncodeNode:
     def test_n1_phase_kickback(self):
         net, scheme = load_instance("butterfly_f2.json")
         for y1, y2, c1, c2 in itertools.product((0, 1), repeat=4):
             state = basis_state(scheme.ring, 1, (y1, y2), reg_ids=("R2", "R4"))
-            state, outcomes = encode_node(state, "n1", net, scheme, forced=(c1, c2))
+            state, outcomes = encode(state, "n1", net, scheme, forced=(c1, c2))
             assert [o.label for o in outcomes] == [c1, c2]
             assert state.reg_ids == ("R5",)
             expected = (-1) ** (c1 * y1 + c2 * y2)
@@ -59,7 +68,7 @@ class TestEncodeNode:
         net, scheme = load_instance("butterfly_f2.json")
         for y, a in itertools.product((0, 1), repeat=2):
             state = basis_state(scheme.ring, 1, (y, 0))
-            state, outcomes = encode_node(state, "s1", net, scheme, forced=(a,))
+            state, outcomes = encode(state, "s1", net, scheme, forced=(a,))
             assert state.reg_ids == ("src:2", "R1", "R2")
             assert state.amplitude((0, y, y)) == pytest.approx((-1) ** (a * y), abs=1e-12)
 
@@ -67,7 +76,7 @@ class TestEncodeNode:
         net, scheme = load_instance("butterfly_z4.json")
         for y1, y2 in itertools.product(range(4), repeat=2):
             state = basis_state(scheme.ring, 1, (y1, y2), reg_ids=("R2", "R4"))
-            state, _ = encode_node(state, "n1", net, scheme, forced=(0, 0))
+            state, _ = encode(state, "n1", net, scheme, forced=(0, 0))
             assert state.amplitude(((y1 + y2) % 4,)) == pytest.approx(1.0, abs=1e-12)
 
     def test_intermediate_state_after_sources(self):
@@ -77,8 +86,8 @@ class TestEncodeNode:
         amps = np.array([0.5, 0.5, 0.5, 0.5])
         for a, b in itertools.product((0, 1), repeat=2):
             state = init_state(scheme.ring, 1, 2, amps)
-            state, _ = encode_node(state, "s1", net, scheme, forced=(a,))
-            state, _ = encode_node(state, "s2", net, scheme, forced=(b,))
+            state, _ = encode(state, "s1", net, scheme, forced=(a,))
+            state, _ = encode(state, "s2", net, scheme, forced=(b,))
             assert state.reg_ids == ("R1", "R2", "R3", "R4")
             for x1, x2 in itertools.product((0, 1), repeat=2):
                 got = state.amplitude((x1, x1, x2, x2))
@@ -93,9 +102,7 @@ class TestRunProtocol:
             result = run_protocol(net, scheme, state, branch=(0,) * 9)
             assert result.state.reg_ids == ("tgt:1", "tgt:2")
             assert result.state.amplitude(labels) == pytest.approx(1.0, abs=1e-9)
-            assert all(
-                v == 0 for table in result.phase_table.tables for v in table.values()
-            )
+            assert all(v == 0 for table in result.phase_table.tables for v in table)
 
     def test_superposition_any_seed(self):
         net, scheme = load_instance("butterfly_f2.json")
@@ -203,7 +210,13 @@ class TestCorrections:
         net, scheme = load_instance("butterfly_gf4.json")
         state = basis_state(scheme.ring, 1, (0, 0))
         result = run_protocol(net, scheme, state, branch=(0,) * 9)
-        assert all(v == 0 for t in result.phase_table.tables for v in t.values())
+        assert all(v == 0 for t in result.phase_table.tables for v in t)
+
+    def test_homomorphism_check_rejects_non_additive_tables(self):
+        ring = parse_ring_spec("Z(4)")
+        assert PhaseTable(ring, 1, np.array([[0, 1, 2, 3]])).is_homomorphism()
+        assert not PhaseTable(ring, 1, np.array([[0, 1, 3, 3]])).is_homomorphism()
+        assert not PhaseTable(ring, 1, np.array([[1, 1, 1, 1]])).is_homomorphism()
 
     def test_pre_correction_matches_table_phase(self):
         # on basis input the only surviving amplitude carries exactly the
@@ -288,8 +301,6 @@ class TestCost:
                 net, scheme, state, seed=5, prune=prune, copy_skip=copy_skip, check_classical=False
             ).log
             assert log.elements_sent == report.elements_sent
-            assert log.bits_sent == report.bits_sent
-            assert log.quantum_registers_sent == report.quantum_registers_sent
             assert [(e.node, len(e.outcomes), len(e.recipients)) for e in log.entries] == [
                 row[:3] for row in report.per_node
             ]
@@ -311,7 +322,7 @@ class TestCopySkip:
         assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-9)
         # copy nodes appear nowhere in the log, still 7 registers on edges
         assert {e.node for e in result.log.entries} == {"n1", "t1", "t2"}
-        assert result.log.quantum_registers_sent == 7
+        assert classical_cost(result.plan).quantum_registers_sent == 7
 
     def test_single_edge_no_measurements(self):
         net, scheme = load_instance("single_edge_f2.json")
@@ -445,4 +456,4 @@ class TestTransferInteraction:
         tmap = transfer_coefficients(net, scheme)
         del tmap.gammas["src:1"]
         with pytest.raises(Exception, match="transfer"):
-            compute_corrections(result.log, tmap, scheme)
+            compute_corrections(result.log, dataclasses.replace(result.plan, tmap=tmap))

@@ -20,14 +20,23 @@ from qnetcode.quantum import (
     init_state,
     marginal_distribution,
     measure,
+    output_labels,
 )
-from qnetcode.rings import identity_matrix, parse_ring_spec, zero_matrix
+from qnetcode.rings import coefficient_matrix, parse_ring_spec
 
 Z2 = parse_ring_spec("Z(2)")
 Z3 = parse_ring_spec("Z(3)")
 GF4 = parse_ring_spec("GF(4)")
 
 RING_POOL = ["Z(2)", "Z(3)", "Z(4)", "GF(4)", "GF(8)", "Z(2)xZ(4)", "Z(3)", "Z(2)xZ(2)"]
+
+
+def code(state, ins, outs, rows, max_entries=2**24):
+    """The coding unitary for scalar coefficients rows[i][j], each the ring's 1 or 0."""
+    ring = state.ring
+    coeffs = [[coefficient_matrix(ring, [[ring.one() if c else ring.zero()]]) for c in row] for row in rows]
+    table = output_labels(ring, state.q, coeffs)
+    return apply_coding_unitary(state, ins, outs, table, max_entries=max_entries)
 
 
 def random_state(spec_text, q, n_regs, seed):
@@ -77,47 +86,41 @@ class TestInit:
 
 class TestCodingUnitary:
     def test_fan_out_copy(self):
-        eye = identity_matrix(Z2, 1)
         for y in (0, 1):
             state = basis_state(Z2, 1, (y,), reg_ids=("S1",))
-            state = apply_coding_unitary(state, ("S1",), ("R1", "R2"), [[eye], [eye]])
+            state = code(state, ("S1",), ("R1", "R2"), [[1], [1]])
             assert state.reg_ids == ("S1", "R1", "R2")
             assert state.amplitude((y, y, y)) == 1
 
     def test_xor(self):
-        eye = identity_matrix(Z2, 1)
         for y1 in (0, 1):
             for y2 in (0, 1):
                 state = basis_state(Z2, 1, (y1, y2), reg_ids=("a", "b"))
-                state = apply_coding_unitary(state, ("a", "b"), ("c",), [[eye, eye]])
+                state = code(state, ("a", "b"), ("c",), [[1, 1]])
                 assert state.amplitude((y1, y2, (y1 + y2) % 2)) == 1
 
     def test_zero_coeffs(self):
-        z = zero_matrix(Z2, 1)
         state = basis_state(Z2, 1, (1,), reg_ids=("a",))
-        state = apply_coding_unitary(state, ("a",), ("b",), [[z]])
+        state = code(state, ("a",), ("b",), [[0]])
         assert state.amplitude((1, 0)) == 1
 
     def test_amplitude_multiset_preserved(self):
         state = random_state("Z(3)", 1, 2, seed=5)
-        eye = identity_matrix(Z3, 1)
-        out = apply_coding_unitary(state, ("r0", "r1"), ("r2",), [[eye, eye]])
+        out = code(state, ("r0", "r1"), ("r2",), [[1, 1]])
         before = np.sort(np.abs(state.amps.ravel()))
         after = np.sort(np.abs(out.amps.ravel()))[-before.size :]
         assert np.allclose(before, after, atol=1e-12)
         assert out.norm() == pytest.approx(1.0, abs=1e-9)
 
     def test_register_collision(self):
-        eye = identity_matrix(Z2, 1)
         state = basis_state(Z2, 1, (0,), reg_ids=("a",))
         with pytest.raises(RegisterError):
-            apply_coding_unitary(state, ("a",), ("a",), [[eye]])
+            code(state, ("a",), ("a",), [[1]])
 
     def test_growth_cap(self):
-        eye = identity_matrix(Z2, 1)
         state = basis_state(Z2, 1, (0,), reg_ids=("a",))
         with pytest.raises(DimensionCapError):
-            apply_coding_unitary(state, ("a",), ("b", "c"), [[eye], [eye]], max_entries=4)
+            code(state, ("a",), ("b", "c"), [[1], [1]], max_entries=4)
 
 
 class TestFourier:
@@ -212,8 +215,7 @@ class TestMeasure:
 
     def test_register_count_bookkeeping(self):
         state = basis_state(Z2, 1, (0, 1), reg_ids=("a", "b"))
-        eye = identity_matrix(Z2, 1)
-        grown = apply_coding_unitary(state, ("a",), ("c", "d"), [[eye], [eye]])
+        grown = code(state, ("a",), ("c", "d"), [[1], [1]])
         assert len(grown.reg_ids) == 4
         _, shrunk = measure(grown, "a", forced=0)
         assert len(shrunk.reg_ids) == 3
@@ -222,17 +224,17 @@ class TestMeasure:
 class TestPhase:
     def test_zero_phase_is_identity(self):
         state = random_state("Z(3)", 1, 1, seed=3)
-        out = apply_phase(state, "r0", lambda v: Fraction(0))
+        out = apply_phase(state, "r0", [Fraction(0)] * 3)
         assert np.array_equal(out.amps, state.amps)
 
     def test_z_gate(self):
         state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-        out = apply_phase(state, "src:1", lambda v: Fraction(v.to_index(), 2), sign=-1)
+        out = apply_phase(state, "src:1", [Fraction(x, 2) for x in range(2)], sign=-1)
         assert np.allclose(out.amps, [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-12)
 
     def test_sign_pair_inverts(self):
         state = random_state("GF(4)", 1, 2, seed=9)
-        fn = lambda v: Fraction(v.to_index(), 7)
+        fn = [Fraction(x, 7) for x in range(4)]
         out = apply_phase(apply_phase(state, "r1", fn, sign=1), "r1", fn, sign=-1)
         assert np.allclose(out.amps, state.amps, atol=1e-12)
 
@@ -269,12 +271,11 @@ class TestFidelity:
 def test_norm_preserved_through_pipeline(text, seed):
     spec = parse_ring_spec(text)
     state = random_state(text, 1, 2, seed)
-    eye = identity_matrix(spec, 1)
-    state = apply_coding_unitary(state, ("r0", "r1"), ("r2",), [[eye, eye]])
+    state = code(state, ("r0", "r1"), ("r2",), [[1, 1]])
     assert state.norm() == pytest.approx(1.0, abs=1e-9)
     state = apply_fourier(state, "r0")
     assert state.norm() == pytest.approx(1.0, abs=1e-9)
     _, state = measure(state, "r0", rng=np.random.default_rng(seed))
     assert state.norm() == pytest.approx(1.0, abs=1e-9)
-    state = apply_phase(state, "r1", lambda v: Fraction(v.to_index(), 5))
+    state = apply_phase(state, "r1", [Fraction(x, 5) for x in range(spec.cardinality)])
     assert state.norm() == pytest.approx(1.0, abs=1e-9)

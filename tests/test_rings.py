@@ -2,23 +2,24 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import numpy as np
 
 from qnetcode.rings import (
     RingError,
-    basis_vectors,
+    add_labels,
     character,
+    coefficient_matrix,
+    combine,
     frac_mod1,
-    identity_matrix,
-    mat_vec,
-    matrix_from_rows,
+    linear_map,
+    matrix_entries,
+    pairing,
     parse_ring_spec,
-    vector_character,
-    vector_from_index,
-    vector_from_labels,
-    vector_zero,
-    zero_matrix,
+    register_entries,
+    register_label,
 )
 
 SMALL_DESCRIPTORS = ["Z(2)", "Z(3)", "Z(4)", "Z(6)", "GF(4)", "GF(8)", "Z(2)xZ(4)", "Z(2)xGF(4)"]
@@ -222,47 +223,58 @@ class TestCharacter:
         assert character(t_plain, one_plain) != character(t_alt, one_alt)
 
 
+def pair(spec, q, y, z):
+    """The character of two register labels as an exact fraction."""
+    return Fraction(int(pairing(spec, q, [y], [z])[0, 0]), spec.exponent)
+
+
+def label(spec, *entries):
+    return register_label([spec.from_int(e) for e in entries])
+
+
+def act(spec, q, g, x):
+    return linear_map(spec, q, [[g]], [x])[..., 0]
+
+
+def matrix(spec, rows):
+    return coefficient_matrix(spec, [[spec.from_int(e) for e in row] for row in rows])
+
+
 class TestVectors:
     def test_vector_character_reduces_to_scalar(self):
         for text in ["Z(3)", "GF(4)"]:
             spec = parse_ring_spec(text)
             for y in spec.elements():
                 for z in spec.elements():
-                    vy = vector_from_labels(spec, [y.to_int()])
-                    vz = vector_from_labels(spec, [z.to_int()])
-                    assert vector_character(vy, vz) == character(y, z)
+                    assert pair(spec, 1, y.to_int(), z.to_int()) == character(y, z)
 
     def test_vector_character_z2_q2(self):
         spec = parse_ring_spec("Z(2)")
-        v = lambda *labels: vector_from_labels(spec, labels)
-        assert vector_character(v(1, 0), v(1, 1)) == Fraction(1, 2)
-        assert vector_character(v(1, 1), v(1, 1)) == 0
+        assert pair(spec, 2, label(spec, 1, 0), label(spec, 1, 1)) == Fraction(1, 2)
+        assert pair(spec, 2, label(spec, 1, 1), label(spec, 1, 1)) == 0
 
     def test_index_round_trip(self):
         spec = parse_ring_spec("GF(4)")
         for idx in range(16):
-            assert vector_from_index(spec, 2, idx).to_index() == idx
-        assert [v.to_index() for v in basis_vectors(spec, 2)] == list(range(16))
+            assert label(spec, *register_entries(spec, 2, idx)) == idx
+        assert list(add_labels(spec, 2, np.arange(16), 0)) == list(range(16))
 
     def test_length_mismatch(self):
         spec = parse_ring_spec("Z(2)")
         with pytest.raises(RingError):
-            vector_character(vector_zero(spec, 1), vector_zero(spec, 2))
+            pair(spec, 1, 0, label(spec, 1, 1))
 
 
 class TestMatVec:
     def test_identity_action(self):
         spec = parse_ring_spec("Z(3)")
-        eye = identity_matrix(spec, 2)
-        for idx in range(9):
-            v = vector_from_index(spec, 2, idx)
-            assert mat_vec(eye, v) == v
+        eye = matrix(spec, [[1, 0], [0, 1]])
+        assert list(act(spec, 2, eye, np.arange(9))) == list(range(9))
 
     def test_zero_annihilates(self):
         spec = parse_ring_spec("Z(3)")
-        z = zero_matrix(spec, 2)
-        for idx in range(9):
-            assert mat_vec(z, vector_from_index(spec, 2, idx)).is_zero()
+        z = matrix(spec, [[0, 0], [0, 0]])
+        assert not act(spec, 2, z, np.arange(9)).any()
 
     def test_z2_q2_example(self):
         # oracle: plain mod-2 matrix product of [[1,1],[0,1]] with (1,1)
@@ -272,28 +284,55 @@ class TestMatVec:
         )
         assert expected == (0, 1)
         spec = parse_ring_spec("Z(2)")
-        e = spec.from_int
-        B = matrix_from_rows(spec, [[e(1), e(1)], [e(0), e(1)]])
-        v = vector_from_labels(spec, (1, 1))
-        assert mat_vec(B, v) == vector_from_labels(spec, expected)
+        B = matrix(spec, [[1, 1], [0, 1]])
+        assert act(spec, 2, B, label(spec, 1, 1)) == label(spec, *expected)
 
     def test_dimension_mismatch(self):
         spec = parse_ring_spec("Z(2)")
         with pytest.raises(RingError):
-            mat_vec(identity_matrix(spec, 2), vector_zero(spec, 3))
+            act(spec, 3, matrix(spec, [[1, 0], [0, 1]]), 0)
 
     @given(st.data())
     def test_additivity_random(self, data):
         spec = parse_ring_spec(data.draw(st.sampled_from(["Z(4)", "GF(4)", "Z(6)"])))
         q = data.draw(st.integers(min_value=1, max_value=3))
         n = spec.cardinality
-        draw_vec = lambda: vector_from_labels(
-            spec, data.draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))
+        draw_vec = lambda: label(
+            spec, *data.draw(st.lists(st.integers(0, n - 1), min_size=q, max_size=q))
         )
-        rows = [
-            [spec.from_int(data.draw(st.integers(0, n - 1))) for _ in range(q)]
-            for _ in range(q)
-        ]
-        B = matrix_from_rows(spec, rows)
+        rows = [[data.draw(st.integers(0, n - 1)) for _ in range(q)] for _ in range(q)]
+        B = matrix(spec, rows)
         u, v = draw_vec(), draw_vec()
-        assert mat_vec(B, u + v) == mat_vec(B, u) + mat_vec(B, v)
+        lhs = act(spec, q, B, add_labels(spec, q, u, v))
+        assert lhs == add_labels(spec, q, act(spec, q, B, u), act(spec, q, B, v))
+
+
+class TestIntegerForm:
+    """The integer labels, matrices and character form against RingElem arithmetic."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_ring_elem_arithmetic(self, data):
+        spec = parse_ring_spec(data.draw(st.sampled_from(SMALL_DESCRIPTORS)))
+        if data.draw(st.booleans(), label="twisted"):
+            spec = spec.with_alternate_phi()
+        q = data.draw(st.integers(1, 3), label="q")
+        elem = lambda: spec.from_int(data.draw(st.integers(0, spec.cardinality - 1)))
+        vec = lambda: [elem() for _ in range(q)]
+        mat = lambda: [vec() for _ in range(q)]
+
+        def mul(B, C):
+            return [[sum((B[i][t] * C[t][j] for t in range(q)), spec.zero()) for j in range(q)] for i in range(q)]
+
+        B, C, B2, C2, v, y = mat(), mat(), mat(), mat(), vec(), vec()
+        g = coefficient_matrix(spec, B)
+        assert matrix_entries(spec, g) == [[e.to_int() for e in row] for row in B]
+        Bv = [sum((B[i][j] * v[j] for j in range(q)), spec.zero()) for i in range(q)]
+        assert act(spec, q, g, register_label(v)) == register_label(Bv)
+        sum_of_products = [
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(mul(B, C), mul(B2, C2))
+        ]
+        got = combine(spec, q, [g, coefficient_matrix(spec, B2)], [coefficient_matrix(spec, C), coefficient_matrix(spec, C2)])
+        assert np.array_equal(got, coefficient_matrix(spec, sum_of_products))
+        expected = frac_mod1(sum((character(a, b) for a, b in zip(y, v)), Fraction(0)))
+        assert pair(spec, q, register_label(y), register_label(v)) == expected
