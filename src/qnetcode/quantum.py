@@ -9,6 +9,11 @@ Operations return new states. Registers are created by the coding unitary
 and destroyed by measurement, so the tensor always has exactly one axis per
 live register. A configurable cap bounds the amplitude count so a malformed
 instance fails fast instead of exhausting memory.
+
+The coding unitary puts the node's input registers on the leading axes of a
+fresh C-contiguous tensor, so the Fourier transform and the measurement that
+follow act on a leading-axis reshape of the amplitudes (one matrix product,
+one reduction) and build no transposed copy and no |amps|^2 tensor.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ class ZeroProbabilityError(QuantumError):
 class MeasurementOutcome:
     register: str
     label: int
+    probability: float  # the marginal of the outcome before the collapse
     node: str | None = None
 
 
@@ -120,7 +126,10 @@ def init_state(
         )
     if amps.size > max_entries:
         raise DimensionCapError(f"state of {amps.size} amplitudes exceeds cap {max_entries}")
-    norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
+    if not (np.isfinite(amps).all() and math.isfinite(norm)):
+        raise QuantumError("state amplitudes and their norm must be finite")
     if norm == 0.0:
         raise QuantumError("state vector must not be all zero")
     if abs(norm - 1.0) > _NORM_TOL:
@@ -171,7 +180,8 @@ def apply_coding_unitary(
     |y_1..y_m>|0..0> -> |y_1..y_m>|table[y_1..y_m]>, the right side being
     the joint label of the outputs. A pure relabeling of basis states: the
     nonzero amplitudes are moved, never mixed, in one scatter into the new
-    tensor.
+    tensor. Its axes are the inputs in `in_regs` order, the other live
+    registers in their current order, then the outputs.
     """
     in_regs = tuple(in_regs)
     out_regs = tuple(out_regs)
@@ -186,14 +196,14 @@ def apply_coding_unitary(
         raise RegisterError("duplicate input register")
     check_growth(state.amps.size * dim**n, max_entries)
 
-    # with the input axes moved to the front, input combination y sends the
-    # amplitudes at y to joint output label table[y] on one last axis
+    # input combination y sends the amplitudes at y to joint output label
+    # table[y] on one last axis
     order = in_axes + [ax for ax in range(state.amps.ndim) if ax not in in_axes]
-    new = np.zeros(state.amps.shape + (dim**n,), dtype=complex)
-    combos = np.indices((dim,) * m, sparse=True)
-    new.transpose(order + [len(order)])[(*combos, ..., table)] = state.amps.transpose(order)
-    shape = state.amps.shape + (dim,) * n
-    return StateVector(state.ring, state.q, state.reg_ids + out_regs, new.reshape(shape))
+    moved = state.amps.transpose(order)
+    new = np.zeros(moved.shape + (dim**n,), dtype=complex)
+    new[(*np.indices((dim,) * m, sparse=True), ..., table)] = moved
+    reg_ids = tuple(state.reg_ids[ax] for ax in order) + out_regs
+    return StateVector(state.ring, state.q, reg_ids, new.reshape(moved.shape + (dim,) * n))
 
 
 @lru_cache(maxsize=None)
@@ -206,19 +216,24 @@ def fourier_matrix(ring: RingSpec, q: int) -> np.ndarray:
 
 
 def apply_fourier(state: StateVector, reg: str, adjoint: bool = False) -> StateVector:
+    """One matrix product on the amplitudes viewed as (A, d, B) around the
+    register's axis: a single zgemm when the register leads (A = 1)."""
     ax = state.axis(reg)
     mat = fourier_matrix(state.ring, state.q)
     if adjoint:
         mat = mat.conj().T
-    moved = np.tensordot(mat, state.amps, axes=([1], [ax]))
-    return StateVector(state.ring, state.q, state.reg_ids, np.moveaxis(moved, 0, ax))
+    shape = state.amps.shape
+    out = mat @ state.amps.reshape(math.prod(shape[:ax]), shape[ax], -1)
+    return StateVector(state.ring, state.q, state.reg_ids, out.reshape(shape))
 
 
 def marginal_distribution(state: StateVector, reg: str) -> np.ndarray:
+    """Sum of |amplitude|^2 over the other axes, as one reduction over the
+    real and imaginary parts, with no |amps|^2 tensor."""
     ax = state.axis(reg)
-    probs = np.abs(state.amps) ** 2
-    other = tuple(i for i in range(probs.ndim) if i != ax)
-    return probs.sum(axis=other) if other else probs
+    amps = np.ascontiguousarray(state.amps)
+    parts = amps.reshape(math.prod(amps.shape[:ax]), amps.shape[ax], -1).view(np.float64)
+    return np.einsum("ajb,ajb->j", parts, parts)
 
 
 def measure(
@@ -250,8 +265,8 @@ def measure(
         total = float(marginal.sum())
         label = int(rng.choice(state.dim, p=marginal / total))
         p = float(marginal[label])
-    collapsed = np.take(state.amps, label, axis=ax) / math.sqrt(p)
-    outcome = MeasurementOutcome(register=reg, label=label, node=node)
+    collapsed = state.amps[(slice(None),) * ax + (label,)] / math.sqrt(p)
+    outcome = MeasurementOutcome(register=reg, label=label, probability=p, node=node)
     rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
     return outcome, StateVector(state.ring, state.q, rest, collapsed)
 

@@ -237,6 +237,26 @@ class TestErrorContract:
                 ["simulate", BUTTERFLY, "--seed", "1", "--input"], b"\xff\xfe[]", id="state-not-utf8"
             ),
             pytest.param(["verify"], b"\xff\xfe{}", id="instance-not-utf8"),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                b"[[[0,0], NaN, 0.0], [[1,1], 1.0, 0.0]]",
+                id="nan-amplitude",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--branch", "000000000", "--input"],
+                b"[[[0,0], NaN, 0.0], [[1,1], 1.0, 0.0]]",
+                id="nan-amplitude-forced",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                b"[[[0,0], Infinity, 0.0]]",
+                id="infinite-amplitude",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                b"[[[0,0],1e308,0],[[0,1],1e308,0],[[1,0],1e308,0],[[1,1],1e308,0]]",
+                id="norm-overflows",
+            ),
         ],
     )
     def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, file_doc):

@@ -374,6 +374,36 @@ class TestEnumerate:
         fids = [r.fidelity for r in results if r.fidelity is not None]
         assert min(fids) <= 0.9
 
+    @staticmethod
+    def outcome_deviations(name, alt_phi):
+        """|p - 1/d| of every outcome in the first 512 copy-skip branches."""
+        net, scheme = load_instance(name)
+        if alt_phi:
+            scheme = scheme_with_alternate_phi(scheme)
+        state = random_input_state(scheme, net.k, 7)
+        branches = enumerate_branches(net, scheme, state, max_branches=4**9, copy_skip=True)
+        return [
+            abs(o.probability - 1 / scheme.register_dim)
+            for b in itertools.islice(branches, 512)
+            if b.result is not None
+            for o in b.result.log.all_outcomes()
+        ]
+
+    @pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            p.name
+            for p in sorted(INSTANCES.glob("*.json"))
+            if not p.name.startswith("superpos") and p.name != "butterfly_f2_broken.json"
+        ],
+    )
+    def test_outcomes_uniform_on_solutions(self, name, alt_phi):
+        assert max(self.outcome_deviations(name, alt_phi), default=0.0) <= 1e-12
+
+    def test_broken_scheme_outcomes_not_uniform(self):
+        assert max(self.outcome_deviations("butterfly_f2_broken.json", False)) >= 0.1
+
     def test_broken_scheme_pre_correction_differs(self):
         net, scheme = load_instance("butterfly_f2_broken.json")
         state = basis_state(scheme.ring, 1, (0, 1))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -121,6 +122,14 @@ class TestCodingUnitary:
         state = basis_state(Z2, 1, (0,), reg_ids=("a",))
         with pytest.raises(DimensionCapError):
             code(state, ("a",), ("b", "c"), [[1], [1]], max_entries=4)
+
+    def test_inputs_lead_the_new_layout(self):
+        state = random_state("Z(3)", 1, 4, seed=2)
+        out = code(state, ("r2", "r0"), ("o",), [[1, 1]])
+        assert out.reg_ids == ("r2", "r0", "r1", "r3", "o")
+        assert out.amps.flags.c_contiguous
+        for y in itertools.product(range(3), repeat=4):
+            assert out.amplitude((y[2], y[0], y[1], y[3], (y[0] + y[2]) % 3)) == state.amplitude(y)
 
 
 class TestFourier:
@@ -264,6 +273,56 @@ class TestFidelity:
         b = basis_state(Z2, 1, (0, 0))
         with pytest.raises(RegisterError):
             fidelity(a, b)
+
+
+def fourier_reference(state, reg, adjoint):
+    mat = fourier_matrix(state.ring, state.q)
+    if adjoint:
+        mat = mat.conj().T
+    ax = state.axis(reg)
+    return np.moveaxis(np.tensordot(mat, state.amps, axes=([1], [ax])), 0, ax)
+
+
+def measure_reference(state, reg, rng=None, forced=None):
+    """Label, probability and collapsed amplitudes of a measurement."""
+    ax = state.axis(reg)
+    probs = np.abs(state.amps) ** 2
+    marginal = probs.sum(axis=tuple(i for i in range(probs.ndim) if i != ax))
+    label = forced if rng is None else int(rng.choice(state.dim, p=marginal / marginal.sum()))
+    return label, marginal[label], np.take(state.amps, label, axis=ax) / math.sqrt(marginal[label])
+
+
+@st.composite
+def kernel_states(draw):
+    """Random states of 1-4 registers, half of them with transposed amplitudes."""
+    text, q = draw(st.sampled_from([("Z(2)", 1), ("Z(3)", 1), ("Z(4)", 1), ("GF(4)", 1), ("Z(2)", 2)]))
+    state = random_state(text, q, draw(st.integers(1, 4)), draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        state = state.reordered(draw(st.permutations(state.reg_ids)))
+    return state
+
+
+@given(kernel_states(), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernels_match_reference_on_every_axis(state, seed):
+    for reg in state.reg_ids:
+        ax = state.axis(reg)
+        for adjoint in (False, True):
+            got = apply_fourier(state, reg, adjoint=adjoint)
+            assert got.reg_ids == state.reg_ids
+            assert np.allclose(got.amps, fourier_reference(state, reg, adjoint), atol=1e-12)
+        other = tuple(i for i in range(state.amps.ndim) if i != ax)
+        expected = (np.abs(state.amps) ** 2).sum(axis=other)
+        assert np.allclose(marginal_distribution(state, reg), expected, atol=1e-12)
+        rest_ids = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
+        for forced in (None, seed % state.dim):
+            rngs = [None if forced is not None else np.random.default_rng(seed) for _ in range(2)]
+            label, p, amps = measure_reference(state, reg, rngs[0], forced)
+            outcome, rest = measure(state, reg, rng=rngs[1], forced=forced)
+            assert (outcome.register, outcome.label) == (reg, label)
+            assert outcome.probability == pytest.approx(p, abs=1e-12)
+            assert rest.reg_ids == rest_ids
+            assert np.allclose(rest.amps, amps, atol=1e-12)
 
 
 @given(st.sampled_from(RING_POOL), st.integers(0, 2**31 - 1))
