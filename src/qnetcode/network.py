@@ -92,12 +92,6 @@ class Network:
             return 0
         return max(len(self.node_inputs[v]) for v in self.nodes)
 
-    def all_edge_ids(self) -> tuple[str, ...]:
-        real = tuple(e.id for e in self.edges)
-        virtual_in = tuple(source_edge(i + 1) for i in range(self.k))
-        virtual_out = tuple(target_edge(i + 1) for i in range(self.k))
-        return real + virtual_in + virtual_out
-
 
 @dataclass(frozen=True, eq=False)
 class CodingScheme:

@@ -56,7 +56,9 @@ from .quantum import (
     apply_fourier,
     apply_phase,
     check_growth,
+    code_and_measure_first,
     fidelity,
+    injective_in_first_input,
     measure,
     output_labels,
 )
@@ -165,6 +167,7 @@ class SchemePlan:
     prune: bool = False
     copy_skip: bool = False
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _recoverable: dict = field(default_factory=dict, init=False, repr=False)
 
     def coding_table(self, p: NodePlan) -> np.ndarray:
         """Output labels of the node's coding step (`quantum.output_labels`);
@@ -173,6 +176,14 @@ class SchemePlan:
             rows = p.coeffs if self.measures(p) else tuple((row[0],) for row in p.coeffs[1:])
             self._tables[p.node] = output_labels(self.scheme.ring, self.scheme.q, rows)
         return self._tables[p.node]
+
+    def first_input_recoverable(self, p: NodePlan) -> bool:
+        """Whether the node measures and its outputs and other inputs determine
+        its first input, which is then measured inside the coding scatter."""
+        if p.node not in self._recoverable:
+            ok = bool(self.measures(p) and p.in_edges and p.out_edges)
+            self._recoverable[p.node] = ok and injective_in_first_input(self.coding_table(p))
+        return self._recoverable[p.node]
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -259,12 +270,17 @@ class NodeStep:
     entry: LogEntry | None
 
 
-def _code(plan, p, state, in_regs, out_regs, max_entries):
+def _code(plan, p, state, in_regs, out_regs, max_entries, rng=None, forced=None):
+    """Code the inputs into the outputs, measuring a recoverable first input in
+    the same scatter; returns its outcome (None if not measured) and the state."""
     if not out_regs:
-        return state
+        return None, state
     # the cap trips before the plan builds the node's coding table
     check_growth(state.amps.size * state.dim ** len(out_regs), max_entries)
-    return apply_coding_unitary(state, in_regs, out_regs, plan.coding_table(p), max_entries)
+    table = plan.coding_table(p)
+    if plan.first_input_recoverable(p):
+        return code_and_measure_first(state, in_regs, out_regs, table, rng, forced, p.node, max_entries)
+    return None, apply_coding_unitary(state, in_regs, out_regs, table, max_entries)
 
 
 def encode_node(
@@ -278,27 +294,25 @@ def encode_node(
     """Run the per-node routine: code into fresh registers, transform and
     measure every input register, and return the outcomes in input order.
 
+    When the plan marks the first input recoverable, it is measured inside
+    the coding scatter (`quantum.code_and_measure_first`).
+
     `forced` gives one outcome label per input edge; otherwise outcomes are
     sampled from `rng`.
     """
-    if forced is not None:
-        forced = tuple(forced)
-        if len(forced) != len(p.in_edges):
-            raise InstanceError(
-                f"node {p.node!r} measures {len(p.in_edges)} registers, "
-                f"got {len(forced)} forced outcomes"
-            )
-    state = _code(plan, p, state, p.in_edges, p.out_edges, max_entries)
-    outcomes = []
-    for j, reg in enumerate(p.in_edges):
-        state = apply_fourier(state, reg)
-        outcome, state = measure(
-            state,
-            reg,
-            rng=rng if forced is None else None,
-            forced=None if forced is None else forced[j],
-            node=p.node,
+    labels = (None,) * len(p.in_edges) if forced is None else tuple(forced)
+    if len(labels) != len(p.in_edges):
+        raise InstanceError(
+            f"node {p.node!r} measures {len(p.in_edges)} registers, "
+            f"got {len(labels)} forced outcomes"
         )
+    rng = rng if forced is None else None
+    first = labels[0] if labels else None
+    outcome, state = _code(plan, p, state, p.in_edges, p.out_edges, max_entries, rng, first)
+    outcomes = [] if outcome is None else [outcome]
+    for reg, label in zip(p.in_edges[len(outcomes) :], labels[len(outcomes) :]):
+        state = apply_fourier(state, reg)
+        outcome, state = measure(state, reg, rng=rng, forced=label, node=p.node)
         outcomes.append(outcome)
     return state, tuple(outcomes)
 
@@ -327,7 +341,7 @@ def node_steps(
             # the input register survives as the first output; the rest are copies
             keep = p.out_edges[0]
             state = state.renamed({p.in_edges[0]: keep})
-            state = _code(plan, p, state, (keep,), p.out_edges[1:], max_entries)
+            _, state = _code(plan, p, state, (keep,), p.out_edges[1:], max_entries)
         yield NodeStep(p.node, state, entry)
 
 

@@ -14,6 +14,12 @@ The coding unitary puts the node's input registers on the leading axes of a
 fresh C-contiguous tensor, so the Fourier transform and the measurement that
 follow act on a leading-axis reshape of the amplitudes (one matrix product,
 one reduction) and build no transposed copy and no |amps|^2 tensor.
+
+When the outputs and the other inputs determine the first input, measuring
+it in the Fourier basis leaves only a phase: `code_and_measure_first` draws
+the outcome before coding and scatters each amplitude, times its phase,
+straight to its output label, never building the coded tensor (d^n times
+the state). The cap still counts that full coded tensor.
 """
 
 from __future__ import annotations
@@ -72,9 +78,6 @@ class StateVector:
             return self.reg_ids.index(reg)
         except ValueError:
             raise RegisterError(f"unknown register {reg!r}") from None
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
 
     def amplitude(self, labels) -> complex:
         """Amplitude of the basis state given by one label per register."""
@@ -167,12 +170,19 @@ def output_labels(ring: RingSpec, q: int, coeffs) -> np.ndarray:
     return labels @ d ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+def injective_in_first_input(table) -> bool:
+    """Whether the outputs and the other inputs determine the first input."""
+    table = np.sort(table, axis=0)
+    return bool(np.all(table[1:] != table[:-1]))
+
+
 def apply_coding_unitary(
     state: StateVector,
     in_regs,
     out_regs,
     table,
     max_entries: int = MAX_STATE_ENTRIES,
+    first_row=None,
 ) -> StateVector:
     """Adjoin fresh output registers holding the coded combination of inputs.
 
@@ -182,6 +192,9 @@ def apply_coding_unitary(
     nonzero amplitudes are moved, never mixed, in one scatter into the new
     tensor. Its axes are the inputs in `in_regs` order, the other live
     registers in their current order, then the outputs.
+
+    With `first_row` (a table injective in y_1; see `code_and_measure_first`)
+    each amplitude takes the factor first_row[y_1] and y_1's axis is dropped.
     """
     in_regs = tuple(in_regs)
     out_regs = tuple(out_regs)
@@ -200,10 +213,38 @@ def apply_coding_unitary(
     # table[y] on one last axis
     order = in_axes + [ax for ax in range(state.amps.ndim) if ax not in in_axes]
     moved = state.amps.transpose(order)
-    new = np.zeros(moved.shape + (dim**n,), dtype=complex)
-    new[(*np.indices((dim,) * m, sparse=True), ..., table)] = moved
+    index = np.indices((dim,) * m, sparse=True)
+    shape = moved.shape
+    if first_row is not None:
+        # y_1 goes to 0 on a length-one axis, dropped below; injectivity keeps writes apart
+        moved = moved * first_row.reshape((dim,) + (1,) * (moved.ndim - 1))
+        index = (0,) + index[1:]
+        shape = (1,) + shape[1:]
+    new = np.zeros(shape + (dim**n,), dtype=complex)
+    new[(*index, ..., table)] = moved
+    if first_row is not None:
+        new, order = new[0], order[1:]
     reg_ids = tuple(state.reg_ids[ax] for ax in order) + out_regs
-    return StateVector(state.ring, state.q, reg_ids, new.reshape(moved.shape + (dim,) * n))
+    return StateVector(state.ring, state.q, reg_ids, new.reshape(new.shape[:-1] + (dim,) * n))
+
+
+def code_and_measure_first(
+    state, in_regs, out_regs, table, rng=None, forced=None, node=None, max_entries=MAX_STATE_ENTRIES
+) -> tuple[MeasurementOutcome, StateVector]:
+    """`apply_coding_unitary`, `apply_fourier` and `measure` of the first input
+    in one scatter, for a table injective in the first input.
+
+    The outputs and the other inputs then fix y_1, so outcome z has
+    probability p = sum_y |F[z, y]|^2 w_y (w: the marginal of y_1 before
+    coding) and each amplitude just takes the factor F[z, y_1] / sqrt(p).
+    """
+    reg = tuple(in_regs)[0]
+    fmat = fourier_matrix(state.ring, state.q)
+    marginal = np.abs(fmat) ** 2 @ marginal_distribution(state, reg)
+    label, p = _draw(marginal, reg, rng, forced)
+    row = fmat[label] / math.sqrt(p)
+    coded = apply_coding_unitary(state, in_regs, out_regs, table, max_entries, first_row=row)
+    return MeasurementOutcome(register=reg, label=label, probability=p, node=node), coded
 
 
 @lru_cache(maxsize=None)
@@ -236,6 +277,22 @@ def marginal_distribution(state: StateVector, reg: str) -> np.ndarray:
     return np.einsum("ajb,ajb->j", parts, parts)
 
 
+def _draw(marginal: np.ndarray, reg: str, rng, forced) -> tuple[int, float]:
+    """An outcome label and its probability: sampled from `rng`, or `forced`."""
+    if (rng is None) == (forced is None):
+        raise QuantumError("provide exactly one of rng= and forced=")
+    if forced is None:
+        label = int(rng.choice(len(marginal), p=marginal / float(marginal.sum())))
+        return label, float(marginal[label])
+    label = int(forced)
+    if not 0 <= label < len(marginal):
+        raise QuantumError(f"outcome label {label} out of range")
+    p = float(marginal[label])
+    if p <= 1e-12:
+        raise ZeroProbabilityError(f"forced outcome {label} on register {reg!r} has probability 0")
+    return label, p
+
+
 def measure(
     state: StateVector,
     reg: str,
@@ -248,23 +305,8 @@ def measure(
     Exactly one of `rng` (sample from the exact marginal) and `forced`
     (condition on a given outcome label) must be provided.
     """
-    if (rng is None) == (forced is None):
-        raise QuantumError("provide exactly one of rng= and forced=")
     ax = state.axis(reg)
-    marginal = marginal_distribution(state, reg)
-    if forced is not None:
-        label = int(forced)
-        if not 0 <= label < state.dim:
-            raise QuantumError(f"outcome label {label} out of range")
-        p = float(marginal[label])
-        if p <= 1e-12:
-            raise ZeroProbabilityError(
-                f"forced outcome {label} on register {reg!r} has probability 0"
-            )
-    else:
-        total = float(marginal.sum())
-        label = int(rng.choice(state.dim, p=marginal / total))
-        p = float(marginal[label])
+    label, p = _draw(marginal_distribution(state, reg), reg, rng, forced)
     collapsed = state.amps[(slice(None),) * ax + (label,)] / math.sqrt(p)
     outcome = MeasurementOutcome(register=reg, label=label, probability=p, node=node)
     rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]

@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import INSTANCES
 from qnetcode.cli import main
@@ -335,3 +340,72 @@ class TestErrorContract:
         assert code == 2
         assert field in err
         _assert_one_line_error(err)
+
+
+FUZZ_DOCUMENTS = [
+    json.loads(p.read_text()) for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")
+]
+ODD_VALUES = [None, True, 0, -1, 7, 2**40, 2.5, "", "x", "tgt:1", [], [0], [[1]], {}]
+OUT_OF_RANGE = [-1, 2, 4, 255, 2**40]
+# huge rings only as Z(...): parsing a huge GF(p^k) descriptor does not finish in seconds
+RING_DESCRIPTORS = [
+    "Z(0)", "Z(1)", "GF(6)", "GF(2^0)", "GF(4)[1,0,1]", "Z(2)xZ(", "Z(2)x", "R", "",
+    "Z(3)", "GF(8)", "GF(2^20)", f"Z({2**40})", f"Z(2)xZ({2**40})", f"Z({2**70})",
+]
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled instance with 1-2 keys dropped, retyped or duplicated, labels
+    out of range, or a bad or huge ring descriptor."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 2))):
+        action = draw(st.sampled_from(["drop", "retype", "duplicate", "label", "ring"]))
+        if action == "ring":
+            doc["ring"] = draw(st.sampled_from(RING_DESCRIPTORS))
+            continue
+        path = draw(st.sampled_from([p for p in _paths(doc) if p]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "drop":
+            del parent[key]
+        elif action == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif action == "duplicate":
+            # a repeated key reads as its last value: some sibling's
+            parent[key] = copy.deepcopy(parent[draw(st.sampled_from(sorted(parent)))])
+        elif action == "label" and type(parent[key]) is int:
+            parent[key] = draw(st.sampled_from(OUT_OF_RANGE))
+        else:
+            parent[key] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+@given(
+    mutated_documents(),
+    st.lists(st.sampled_from(["--prune", "--copy-skip", "--alt-phi"]), unique=True),
+    st.sampled_from([[], ["--input", "0,0"], ["--input", "1,5"], ["--input", "0"]]),
+    st.sampled_from(["text", "json"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, flags, state, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    runs = [["simulate", "--seed", "1"] + state, ["enumerate", "--max-branches", "64"] + state]
+    commands = [["verify"], ["cost"]] + [argv + flags + ["--max-dim", "512"] for argv in runs]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), "--format", fmt] + argv[1:])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            _assert_one_line_error(err.getvalue())

@@ -8,8 +8,10 @@ import pytest
 from conftest import INSTANCES, load_instance, random_input_state
 from qnetcode.network import (
     CapExceededError,
+    parse_network,
     scheme_with_alternate_phi,
     transfer_coefficients,
+    verify_solution,
 )
 from qnetcode.protocol import (
     InvalidSchemeError,
@@ -24,6 +26,12 @@ from qnetcode.protocol import (
 )
 from qnetcode.quantum import basis_state, fidelity, init_state
 from qnetcode.rings import frac_mod1, parse_ring_spec
+
+VALID_INSTANCES = [
+    p.name
+    for p in sorted(INSTANCES.glob("*.json"))
+    if not p.name.startswith("superpos") and p.name != "butterfly_f2_broken.json"
+]
 
 # forced-branch order for the bundled butterfly:
 # s1 -> a, s2 -> b, n1 -> (c1, c2), n2 -> d, t1 -> (e1, e2), t2 -> (f1, f2)
@@ -390,14 +398,7 @@ class TestEnumerate:
         ]
 
     @pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
-    @pytest.mark.parametrize(
-        "name",
-        [
-            p.name
-            for p in sorted(INSTANCES.glob("*.json"))
-            if not p.name.startswith("superpos") and p.name != "butterfly_f2_broken.json"
-        ],
-    )
+    @pytest.mark.parametrize("name", VALID_INSTANCES)
     def test_outcomes_uniform_on_solutions(self, name, alt_phi):
         assert max(self.outcome_deviations(name, alt_phi), default=0.0) <= 1e-12
 
@@ -409,6 +410,46 @@ class TestEnumerate:
         state = basis_state(scheme.ring, 1, (0, 1))
         result = run_protocol(net, scheme, state, branch=(0,) * 9, check_classical=False)
         assert abs(result.pre_correction.amplitude((0, 1))) < 1e-9
+
+
+# two parallel edges s -> t, and t outputs 0 * e1 + 1 * e2: the outputs and
+# e2 do not determine e1
+PARALLEL_EDGES = {
+    "ring": "Z(2)",
+    "q": 1,
+    "nodes": ["s", "t"],
+    "edges": [{"id": "e1", "from": "s", "to": "t"}, {"id": "e2", "from": "s", "to": "t"}],
+    "pairs": [{"source": "s", "target": "t"}],
+    "coding": {
+        "s": {"inputs": ["src:1"], "outputs": [{"edge": "e1", "coeffs": [1]}, {"edge": "e2", "coeffs": [1]}]},
+        "t": {"inputs": ["e1", "e2"], "outputs": [{"edge": "tgt:1", "coeffs": [0, 1]}]},
+    },
+}
+
+
+class TestFirstInputRecoverable:
+    @pytest.mark.parametrize("copy_skip", [False, True], ids=["measure-all", "copy-skip"])
+    @pytest.mark.parametrize("name", VALID_INSTANCES)
+    def test_every_bundled_measuring_node_fuses(self, name, copy_skip):
+        net, scheme = load_instance(name)
+        plan = plan_scheme(net, scheme, copy_skip=copy_skip)
+        assert {p.node: plan.first_input_recoverable(p) for p in plan.nodes} == {
+            p.node: plan.measures(p) for p in plan.nodes
+        }
+
+    def test_unrecoverable_first_input_falls_back(self):
+        net, scheme = parse_network(PARALLEL_EDGES)
+        assert verify_solution(net, scheme)
+        plan = plan_scheme(net, scheme)
+        assert {p.node: plan.first_input_recoverable(p) for p in plan.nodes} == {"s": True, "t": False}
+        state = random_input_state(scheme, net.k, 3)
+        results = [b.result for b in enumerate_branches(net, scheme, state)]
+        results += [run_protocol(net, scheme, state, seed=seed) for seed in range(4)]
+        assert len(results) == 2**3 + 4
+        for result in results:
+            assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-12)
+            for o in result.log.all_outcomes():
+                assert abs(o.probability - 1 / 2) <= 1e-12
 
 
 class TestAlternatePhi:

@@ -11,14 +11,17 @@ from qnetcode.quantum import (
     DimensionCapError,
     QuantumError,
     RegisterError,
+    StateVector,
     ZeroProbabilityError,
     apply_coding_unitary,
     apply_fourier,
     apply_phase,
     basis_state,
+    code_and_measure_first,
     fidelity,
     fourier_matrix,
     init_state,
+    injective_in_first_input,
     marginal_distribution,
     measure,
     output_labels,
@@ -40,6 +43,10 @@ def code(state, ins, outs, rows, max_entries=2**24):
     return apply_coding_unitary(state, ins, outs, table, max_entries=max_entries)
 
 
+def norm(state):
+    return float(np.linalg.norm(state.amps))
+
+
 def random_state(spec_text, q, n_regs, seed):
     spec = parse_ring_spec(spec_text)
     rng = np.random.default_rng(seed)
@@ -58,13 +65,13 @@ class TestInit:
 
     def test_uniform(self):
         state = init_state(Z2, 1, 2, [0.5, 0.5, 0.5, 0.5])
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_gf4_superposition_norm(self):
         # equal weight on |t> and |t+1>, labels 1 and 3
         amps = [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)]
         state = init_state(GF4, 1, 1, amps)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert norm(state) == pytest.approx(1.0, abs=1e-12)
         assert GF4.element((0, 1)).to_int() == 1
         assert GF4.element((1, 1)).to_int() == 3
         assert abs(state.amplitude((1,))) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -111,7 +118,7 @@ class TestCodingUnitary:
         before = np.sort(np.abs(state.amps.ravel()))
         after = np.sort(np.abs(out.amps.ravel()))[-before.size :]
         assert np.allclose(before, after, atol=1e-12)
-        assert out.norm() == pytest.approx(1.0, abs=1e-9)
+        assert norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_register_collision(self):
         state = basis_state(Z2, 1, (0,), reg_ids=("a",))
@@ -325,16 +332,74 @@ def test_kernels_match_reference_on_every_axis(state, seed):
             assert np.allclose(rest.amps, amps, atol=1e-12)
 
 
+@st.composite
+def fused_cases(draw):
+    """A random state, 1-3 of its registers as inputs (the rest stay live), and
+    a random table over 1-3 outputs that is injective in the first input."""
+    text, q = draw(st.sampled_from([("Z(2)", 1), ("Z(3)", 1), ("Z(4)", 1), ("GF(4)", 1), ("Z(2)", 2)]))
+    m, n, extra = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    seed = draw(st.integers(0, 2**31 - 1))
+    state = random_state(text, q, m + extra, seed)
+    if draw(st.booleans()):
+        state = state.reordered(draw(st.permutations(state.reg_ids)))
+    ins = tuple(draw(st.permutations(state.reg_ids)))[:m]
+    d = state.dim
+    rng = np.random.default_rng(seed)
+    # column c holds the outputs of the d first inputs with the others fixed at c
+    columns = [rng.permutation(d**n)[:d] for _ in range(d ** (m - 1))]
+    table = np.stack(columns, axis=-1).reshape((d,) * m)
+    return state, ins, tuple(f"o{i}" for i in range(n)), table
+
+
+def code_fourier_measure(state, ins, outs, table, rng=None, forced=None):
+    coded = apply_coding_unitary(state, ins, outs, table)
+    return measure(apply_fourier(coded, ins[0]), ins[0], rng=rng, forced=forced)
+
+
+@given(fused_cases(), st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fused_first_input_matches_code_fourier_measure(case, seed):
+    state, ins, outs, table = case
+    assert injective_in_first_input(table)
+    for forced in (None, seed % state.dim):
+        runs = []
+        for step in (code_fourier_measure, code_and_measure_first):
+            rng = None if forced is not None else np.random.default_rng(seed)
+            runs.append(step(state, ins, outs, table, rng=rng, forced=forced))
+        (want, want_state), (got, got_state) = runs
+        assert (got.register, got.label) == (want.register, want.label)
+        assert got.probability == pytest.approx(want.probability, abs=1e-12)
+        assert got_state.reg_ids == want_state.reg_ids
+        assert got_state.amps.shape == want_state.amps.shape
+        assert np.allclose(got_state.amps, want_state.amps, atol=1e-12)
+    # a state too faint for any forced label raises the same error on both paths
+    faint = StateVector(state.ring, state.q, state.reg_ids, state.amps * 1e-7)
+    errors = []
+    for step in (code_fourier_measure, code_and_measure_first):
+        with pytest.raises(ZeroProbabilityError) as info:
+            step(faint, ins, outs, table, forced=seed % state.dim)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def test_injectivity_in_first_input():
+    assert injective_in_first_input(np.array([[0, 1], [1, 0]]))
+    # outputs 0 * y1 + y2 do not see y1
+    assert not injective_in_first_input(np.array([[0, 1], [0, 1]]))
+    # distinct on one column only
+    assert not injective_in_first_input(np.array([[0, 1], [2, 1]]))
+
+
 @given(st.sampled_from(RING_POOL), st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_norm_preserved_through_pipeline(text, seed):
     spec = parse_ring_spec(text)
     state = random_state(text, 1, 2, seed)
     state = code(state, ("r0", "r1"), ("r2",), [[1, 1]])
-    assert state.norm() == pytest.approx(1.0, abs=1e-9)
+    assert norm(state) == pytest.approx(1.0, abs=1e-9)
     state = apply_fourier(state, "r0")
-    assert state.norm() == pytest.approx(1.0, abs=1e-9)
+    assert norm(state) == pytest.approx(1.0, abs=1e-9)
     _, state = measure(state, "r0", rng=np.random.default_rng(seed))
-    assert state.norm() == pytest.approx(1.0, abs=1e-9)
+    assert norm(state) == pytest.approx(1.0, abs=1e-9)
     state = apply_phase(state, "r1", [Fraction(x, 5) for x in range(spec.cardinality)])
-    assert state.norm() == pytest.approx(1.0, abs=1e-9)
+    assert norm(state) == pytest.approx(1.0, abs=1e-9)
