@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qnetcode.network import parse_network, verify_solution
+from qnetcode.network import parse_network
 from qnetcode.protocol import classical_cost, enumerate_branches, plan_scheme, run_protocol
 from qnetcode.quantum import fidelity, init_state
 
@@ -24,14 +24,14 @@ def census(path, full_enum, samples):
     if path.name.startswith("superpos"):
         return None  # input-state fixture, not an instance
     net, scheme = parse_network(path)
-    valid = verify_solution(net, scheme)
+    plan = plan_scheme(net, scheme)
+    valid = plan.tmap.counterexample(net.k) is None
     rng = np.random.default_rng(2718)
     d = scheme.register_dim
     amps = rng.normal(size=d**net.k) + 1j * rng.normal(size=d**net.k)
     amps /= np.linalg.norm(amps)
     state = init_state(scheme.ring, scheme.q, net.k, amps)
 
-    plan = plan_scheme(net, scheme)
     branches = plan.branch_count
     if valid and branches <= full_enum:
         mode = f"all {branches}"

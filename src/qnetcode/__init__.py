@@ -32,7 +32,6 @@ from .protocol import (
     SchemePlan,
     classical_cost,
     compute_corrections,
-    count_branches,
     encode_node,
     enumerate_branches,
     plan_scheme,

@@ -4,6 +4,9 @@ Exit statuses: 0 on success, 1 when a property fails (the scheme is not a
 solution, or a run falls short of fidelity one), 2 on input or configuration
 errors.
 
+`verify` reads its verdict from the transfer map it prints, so it enumerates
+no inputs and needs no cap.
+
 Forced branches list one outcome label per measurement, nodes in processing
 order and input edges in declared order; a plain digit string works for
 register dimensions up to 10, comma-separated labels always. Input states
@@ -28,13 +31,11 @@ from .network import (
     CapExceededError,
     InstanceError,
     _is_coords,
-    find_counterexample,
     load_json,
     parse_network,
     scheme_with_alternate_phi,
     target_edge,
     transfer_coefficients,
-    VERIFY_CAP_DEFAULT,
 )
 from .protocol import (
     BRANCH_CAP_DEFAULT,
@@ -171,11 +172,8 @@ def _cost_payload(report) -> dict:
 
 def cmd_verify(args) -> int:
     net, scheme = parse_network(args.instance)
-    try:
-        counterexample = find_counterexample(net, scheme, cap=args.max_check)
-    except CapExceededError as exc:
-        raise CapExceededError(f"{exc} (use --max-check N)") from None
     tmap = transfer_coefficients(net, scheme)
+    counterexample = tmap.counterexample(net.k)
     rows = {
         target_edge(i + 1): [_gamma_name(scheme.ring, g) for g in tmap.gammas[target_edge(i + 1)]]
         for i in range(net.k)
@@ -362,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the classical scheme is a solution")
     add_common(p_verify)
-    p_verify.add_argument(
-        "--max-check",
-        type=int,
-        default=VERIFY_CAP_DEFAULT,
-        help="cap on exhaustively checked input tuples",
-    )
     p_verify.set_defaults(fn=cmd_verify)
 
     def add_run_flags(p):

@@ -27,11 +27,16 @@ coordinate list. For q = 1 a bare entry may stand for the whole matrix.
 
 The declared input order is significant: it fixes the argument order of the
 node map and, downstream, the order in which registers are measured.
+
+Verification reads the transfer map (`transfer_coefficients`): a scheme is a
+solution iff target i's row is the identity at pair i and zero elsewhere.
+`evaluate_classical`, which pushes inputs through the nodes, is the reference.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,15 +44,13 @@ import numpy as np
 
 from .rings import RingSpec, coefficient_matrix, combine, linear_map, parse_ring_spec
 
-VERIFY_CAP_DEFAULT = 65536
-
 
 class InstanceError(ValueError):
     """The instance document is malformed or inconsistent."""
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive check would exceed its configured cap."""
+    """A run or enumeration would exceed a configured resource cap."""
 
 
 def source_edge(pair_index: int) -> str:
@@ -121,6 +124,24 @@ class TransferMap:
     def evaluate(self, edge: str, inputs) -> np.ndarray:
         """The edge's label for the pair input labels (broadcast together)."""
         return linear_map(self.ring, self.q, [self.gammas[edge]], inputs)[..., 0]
+
+    def counterexample(self, k: int):
+        """First input label tuple (first pair most significant) the k targets
+        do not receive, or None. Tuples below the unit digit vector u_t, for t
+        the least significant digit whose row of gamma - I is nonzero at some
+        target, use only digits with zero rows, so u_t is the first failure."""
+        radix = self.ring.moduli * self.q
+        eye = np.eye(len(radix), dtype=np.int64)
+        bad = np.zeros((k, len(radix)), dtype=bool)
+        for i in range(k):
+            for j, g in enumerate(self.gammas[target_edge(i + 1)]):
+                bad[j] |= (g != eye * (i == j)).any(axis=1)
+        failing = np.flatnonzero(bad)
+        if not failing.size:
+            return None
+        pair, t = divmod(int(failing[-1]), len(radix))
+        place = math.prod(radix[t + 1 :])
+        return tuple(place if j == pair else 0 for j in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +405,15 @@ def evaluate_classical(
     return outputs
 
 
-def find_counterexample(
-    net: Network, scheme: CodingScheme, cap: int = VERIFY_CAP_DEFAULT
-):
-    """First input label tuple the scheme fails to deliver, or None if it is a solution.
-
-    Input tuples are ordered with the first pair's label most significant.
-    """
-    total = scheme.register_dim**net.k
-    if total > cap:
-        raise CapExceededError(
-            f"exhaustive check needs {total} input tuples, above the cap of {cap}; "
-            f"raise the cap to force it"
-        )
-    inputs = np.indices((scheme.register_dim,) * net.k).reshape(net.k, total)
-    outputs = np.array(evaluate_classical(net, scheme, inputs)).reshape(net.k, total)
-    wrong = np.flatnonzero(np.any(outputs != inputs, axis=0))
-    return tuple(int(x) for x in inputs[:, wrong[0]]) if wrong.size else None
+def find_counterexample(net: Network, scheme: CodingScheme):
+    """First input label tuple the scheme fails to deliver, or None if it is a
+    solution; read from the transfer map (`TransferMap.counterexample`)."""
+    return transfer_coefficients(net, scheme).counterexample(net.k)
 
 
-def verify_solution(net: Network, scheme: CodingScheme, cap: int = VERIFY_CAP_DEFAULT) -> bool:
-    """Exhaustively check that every input tuple is delivered in pair order."""
-    return find_counterexample(net, scheme, cap) is None
+def verify_solution(net: Network, scheme: CodingScheme) -> bool:
+    """Whether every input tuple is delivered in pair order."""
+    return find_counterexample(net, scheme) is None
 
 
 def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:

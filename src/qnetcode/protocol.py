@@ -45,7 +45,6 @@ from .network import (
     source_edge,
     target_edge,
     transfer_coefficients,
-    verify_solution,
 )
 from .quantum import (
     MAX_STATE_ENTRIES,
@@ -113,18 +112,10 @@ class PhaseTable:
     q: int
     numerators: np.ndarray  # shape (k, register dim), values in [0, ring.exponent)
 
-    @property
-    def k(self) -> int:
-        return len(self.numerators)
-
     @cached_property
     def tables(self) -> tuple[tuple[Fraction, ...], ...]:
         """The corrections as exact fractions, tables[pair - 1][label]."""
         return tuple(tuple(Fraction(int(n), self.ring.exponent) for n in row) for row in self.numerators)
-
-    def value(self, pair_index: int, label: int) -> Fraction:
-        """Correction for pair `pair_index` (1-based) at a basis label."""
-        return self.tables[pair_index - 1][label]
 
     def turns(self, pair_index: int) -> np.ndarray:
         return self.numerators[pair_index - 1] / self.ring.exponent
@@ -379,7 +370,6 @@ def run_protocol(
     scheme: CodingScheme,
     input_state: StateVector,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
     branch=None,
     prune: bool = False,
     copy_skip: bool = False,
@@ -389,18 +379,17 @@ def run_protocol(
 ) -> RunResult:
     """Simulate the scheme node by node and correct the target phases.
 
-    Outcomes are either sampled (`seed`/`rng`) or forced (`branch`, one label
-    per measurement in node-then-input order). On a verified scheme the
-    returned state equals the input state on the target registers.
+    Outcomes are either sampled (`seed`) or forced (`branch`, one label per
+    measurement in node-then-input order). On a verified scheme the returned
+    state equals the input state on the target registers.
     """
     _check_input(net, scheme, input_state)
-    if check_classical and not verify_solution(net, scheme):
+    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip, order=order)
+    if check_classical and plan.tmap.counterexample(net.k) is not None:
         raise InvalidSchemeError(
             "the classical scheme does not solve the instance; "
             "fix it or skip the check to inspect the imperfect run"
         )
-
-    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip, order=order)
     if branch is not None:
         branch = tuple(int(b) for b in branch)
         if len(branch) != plan.measurement_count:
@@ -409,12 +398,11 @@ def run_protocol(
             )
         if any(not 0 <= b < scheme.register_dim for b in branch):
             raise InstanceError("branch labels out of range")
-        if rng is not None or seed is not None:
+        if seed is not None:
             raise InstanceError("give either a branch or a seed, not both")
-    elif rng is None:
-        if seed is None:
-            raise InstanceError("sampled mode needs a seed or rng")
-        rng = np.random.default_rng(seed)
+    elif seed is None:
+        raise InstanceError("sampled mode needs a seed")
+    rng = None if seed is None else np.random.default_rng(seed)
     steps = node_steps(plan, input_state, rng, branch, max_entries)
     return finish_run(plan, input_state, steps)
 
@@ -476,10 +464,6 @@ def classical_cost(plan: SchemePlan) -> CostReport:
         net.k, net.max_fan_in, len(net.nodes), len(net.edges), q, bound, bound * bits,
         sent, sent * bits, len(net.edges), plan.policy, tuple(per_node)
     )
-
-
-def count_branches(net: Network, scheme: CodingScheme, copy_skip: bool = False) -> int:
-    return plan_scheme(net, scheme, copy_skip=copy_skip).branch_count
 
 
 def enumerate_branches(

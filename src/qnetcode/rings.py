@@ -19,7 +19,9 @@ Descriptor grammar (whitespace ignored):
 
 When no polynomial is supplied for GF(p^k), the monic irreducible polynomial
 of degree k whose coefficient tuple is smallest as a base-p integer is used
-(for GF(4) that is t^2 + t + 1, written [1, 1, 1]).
+(for GF(4) that is t^2 + t + 1, written [1, 1, 1]). Orders p^k up to 2^64
+are supported: p is tested by Miller-Rabin, irreducibility by Ben-Or's test,
+and the search stops after GF_SEARCH_LIMIT candidates.
 
 Elements also carry a small-integer label: the mixed-radix value of the
 coordinate tuple with the first coordinate most significant. For GF(4) the
@@ -67,6 +69,10 @@ from functools import cached_property
 import numpy as np
 
 
+GF_ORDER_LIMIT = 2**64
+GF_SEARCH_LIMIT = 4096
+
+
 class RingError(ValueError):
     """Bad ring descriptor, or operands from different rings."""
 
@@ -98,12 +104,14 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]
             out[i + j] = (out[i + j] + ai * bj) % p
     return _poly_trim(tuple(out))
 
+
 def _poly_mod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # mod must be monic
+    # mod must be nonzero and trimmed; p prime
     a = list(a)
     deg_m = len(mod) - 1
+    inv = pow(mod[-1], -1, p)
     for i in range(len(a) - 1, deg_m - 1, -1):
-        coef = a[i] % p
+        coef = a[i] * inv % p
         if coef == 0:
             continue
         shift = i - deg_m
@@ -113,53 +121,58 @@ def _poly_mod(a: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ..
 
 
 def _poly_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
+    """Ben-Or's test: a degree-k polynomial over Z(p) is irreducible iff it
+    shares no factor with x^(p^i) - x for i = 1 .. k // 2."""
     k = len(poly) - 1
     if k < 1:
         return False
-    if k == 1:
-        return True
-    # trial division by every monic polynomial of degree 1 .. k//2
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = tail + (1,)
-            if not _poly_mod(poly, divisor, p):
-                return False
+    power = (0, 1)
+    for _ in range(k // 2):
+        # power <- power^p mod poly, by squaring and multiplying
+        base, power, e = power, (1,), p
+        while e:
+            if e & 1:
+                power = _poly_mod(_poly_mul(power, base, p), poly, p)
+            base, e = _poly_mod(_poly_mul(base, base, p), poly, p), e >> 1
+        # Euclid on poly and power - x
+        a, b = poly, _poly_trim(tuple((c - (i == 1)) % p for i, c in enumerate(power + (0, 0))))
+        while b:
+            a, b = b, _poly_mod(a, b, p)
+        if len(a) > 1:
+            return False
     return True
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on the first twelve prime bases, exact for n < 3 * 10^23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n % 2 == 0 or n in bases:
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in (pow(a, d << i, n) for i in range(s)) for a in bases)
 
 
 def _prime_power(n: int) -> tuple[int, int]:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise RingError(f"{n} is not a prime power")
+    # the largest k with a prime k-th root; below 2^64 rounding the float root finds any exact one
+    for k in range(n.bit_length(), 0, -1):
+        p = round(n ** (1 / k)) if k > 1 else n
+        if p**k == n and _is_prime(p):
             return p, k
     raise RingError(f"{n} is not a prime power")
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     # smallest monic degree-k polynomial, coefficient tuple read as a base-p
-    # integer (low coordinate = low digit)
-    for tail in itertools.product(range(p), repeat=k):
-        poly = tuple(reversed(tail)) + (1,)
+    # integer (low coordinate = low digit), among the first candidates
+    for n in range(min(p**k, GF_SEARCH_LIMIT)):
+        poly = tuple(n // p**i % p for i in range(k)) + (1,)
         if _poly_is_irreducible(poly, p):
             return poly
-    raise RingError(f"no irreducible polynomial of degree {k} over Z({p})")
+    raise RingError(
+        f"no irreducible polynomial of degree {k} over Z({p}) among the first "
+        f"{GF_SEARCH_LIMIT} candidates; give one as GF({p}^{k})[c0,...,c{k}]"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +572,16 @@ def _parse_factor(token: str) -> ZFactor | GFFactor:
 
     m = _GF_RE.match(token)
     if m:
-        base = int(m.group(1))
-        if m.group(2) is not None:
-            p, k = base, int(m.group(2))
-            if not _is_prime(p):
-                raise RingError(f"GF base {p} is not prime")
-            if k < 1:
-                raise RingError("GF exponent must be positive")
-        else:
-            p, k = _prime_power(base)
+        p = int(m.group(1))
+        k = 1 if m.group(2) is None else int(m.group(2))
+        if p ** min(k, 65) > GF_ORDER_LIMIT:  # any k > 64 is above it
+            raise RingError(f"{token} has more than 2^64 elements, the largest supported order")
+        if m.group(2) is None:
+            p, k = _prime_power(p)
+        elif not _is_prime(p):
+            raise RingError(f"GF base {p} is not prime")
+        elif k < 1:
+            raise RingError("GF exponent must be positive")
         if m.group(3) is not None:
             coeffs = tuple(int(c) for c in m.group(3).split(","))
             if len(coeffs) != k + 1 or coeffs[-1] != 1:

@@ -58,6 +58,42 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_many_pairs_read_from_the_transfer_map(self, capsys, tmp_path):
+        # 10 pairs over Z(4) joined by single edges: 4^10 input tuples
+        k = 10
+        doc = {
+            "ring": "Z(4)",
+            "q": 1,
+            "nodes": [f"{end}{i}" for i in range(1, k + 1) for end in "st"],
+            "edges": [{"id": f"R{i}", "from": f"s{i}", "to": f"t{i}"} for i in range(1, k + 1)],
+            "pairs": [{"source": f"s{i}", "target": f"t{i}"} for i in range(1, k + 1)],
+            "coding": {},
+        }
+        for i in range(1, k + 1):
+            doc["coding"][f"s{i}"] = {"inputs": [f"src:{i}"], "outputs": [{"edge": f"R{i}", "coeffs": [1]}]}
+            doc["coding"][f"t{i}"] = {"inputs": [f"R{i}"], "outputs": [{"edge": f"tgt:{i}", "coeffs": [1]}]}
+        path = tmp_path / "parallel.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        assert "solution: VALID" in out
+        # doubling pair 7 loses every odd input of it; the first is 1 with all else 0
+        doc["coding"]["s7"]["outputs"][0]["coeffs"] = [2]
+        path.write_text(json.dumps(doc))
+        bad = tuple((1,) if i == 7 else (0,) for i in range(1, k + 1))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert f"solution: INVALID (counterexample input {bad})" in out
+        code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == [list(x) for x in bad]
+
+    def test_no_max_check_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", BUTTERFLY, "--max-check", "10"])
+        assert exc.value.code == 2
+        assert "--max-check" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_basis_input_seeded(self, capsys):
@@ -290,7 +326,7 @@ class TestErrorContract:
         _assert_one_line_error(err)
 
     def test_huge_ring_cost_and_verify(self, capsys, tmp_path):
-        # cost needs no table of size |R|^q; verify trips its cap
+        # neither command needs a table of size |R|^q or a pass over the inputs
         huge = _huge_ring_copy(tmp_path, BUTTERFLY)
         counts = {}
         for path in (BUTTERFLY, huge):
@@ -300,10 +336,23 @@ class TestErrorContract:
             counts[path] = [doc[key] for key in ("bound_elements", "broadcast_elements", "prune_elements")]
             counts[path].append(doc["per_node_broadcast"])
         assert counts[huge] == counts[BUTTERFLY]
-        code, out, err = run_cli(capsys, "verify", huge)
-        assert (code, out) == (2, "")
-        assert "above the cap of 65536" in err
-        _assert_one_line_error(err)
+        # all-ones coefficients solve the butterfly only in characteristic 2
+        code, out, _ = run_cli(capsys, "verify", huge)
+        assert code == 1
+        assert "solution: INVALID (counterexample input ((0,), (1,)))" in out
+        # the Z(4) butterfly with its -1 relabelled for Z(2^40) is a solution there
+        doc = json.loads(open(INSTANCES / "butterfly_z4.json").read())
+        doc["ring"] = f"Z({2**40})"
+        for block in doc["coding"].values():
+            for output in block["outputs"]:
+                output["coeffs"] = [2**40 - 1 if c == 3 else c for c in output["coeffs"]]
+        (tmp_path / "huge_z4.json").write_text(json.dumps(doc))
+        rows = {}
+        for path in (BUTTERFLY, str(tmp_path / "huge_z4.json")):
+            code, out, _ = run_cli(capsys, "verify", path)
+            assert code == 0
+            rows[path] = [line for line in out.splitlines() if line.startswith("  tgt:")]
+        assert list(rows.values()) == [["  tgt:1: [I, 0]", "  tgt:2: [0, I]"]] * 2
 
     @pytest.mark.parametrize(
         "mutate, field",
@@ -347,10 +396,10 @@ FUZZ_DOCUMENTS = [
 ]
 ODD_VALUES = [None, True, 0, -1, 7, 2**40, 2.5, "", "x", "tgt:1", [], [0], [[1]], {}]
 OUT_OF_RANGE = [-1, 2, 4, 255, 2**40]
-# huge rings only as Z(...): parsing a huge GF(p^k) descriptor does not finish in seconds
 RING_DESCRIPTORS = [
     "Z(0)", "Z(1)", "GF(6)", "GF(2^0)", "GF(4)[1,0,1]", "Z(2)xZ(", "Z(2)x", "R", "",
     "Z(3)", "GF(8)", "GF(2^20)", f"Z({2**40})", f"Z(2)xZ({2**40})", f"Z({2**70})",
+    "GF(2^40)", "GF(3^30)", f"GF({2**40})", f"GF({2**61 - 1})", "GF(2^65)", f"GF({2**70})",
 ]
 
 

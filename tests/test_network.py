@@ -1,11 +1,13 @@
+import copy
 import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnetcode.network import (
-    CapExceededError,
     InstanceError,
     evaluate_classical,
     find_counterexample,
@@ -15,7 +17,7 @@ from qnetcode.network import (
     transfer_coefficients,
     verify_solution,
 )
-from qnetcode.rings import is_identity, is_zero
+from qnetcode.rings import is_identity, is_zero, parse_ring_spec
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -202,11 +204,6 @@ class TestVerify:
         tuples = itertools.product(range(scheme.register_dim), repeat=net.k)
         assert bad == next(x for x in tuples if evaluate_classical(net, scheme, x) != x)
 
-    def test_cap(self):
-        net, scheme = load("butterfly_gf4.json")
-        with pytest.raises(CapExceededError, match="cap"):
-            verify_solution(net, scheme, cap=10)
-
 
 class TestTransfer:
     def test_butterfly_gammas(self):
@@ -239,3 +236,69 @@ class TestTransfer:
             for j, g in enumerate(tmap.gammas[target_edge(i + 1)])
         )
         assert rows_ok == verify_solution(net, scheme)
+
+
+def first_failing_tuple(net, scheme):
+    """Reference verdict: scan every input tuple, first pair most significant."""
+    for inputs in itertools.product(range(scheme.register_dim), repeat=net.k):
+        if evaluate_classical(net, scheme, inputs) != inputs:
+            return inputs
+    return None
+
+
+def _over_ring(name, ring, labels):
+    """A bundled q = 1 instance over another ring, its coefficient labels renamed."""
+    doc = json.loads((INSTANCES / name).read_text())
+    doc["ring"] = ring
+    for block in doc["coding"].values():
+        for output in block["outputs"]:
+            output["coeffs"] = [labels.get(c, c) for c in output["coeffs"]]
+    return doc
+
+
+ORACLE_TEMPLATES = {
+    name: json.loads((INSTANCES / f"{name}.json").read_text())
+    for name in ("butterfly_f2", "butterfly_f2_broken", "butterfly_z4", "butterfly_gf4", "butterfly_z2_q2")
+}
+# -1 is label 5 in Z(6); in Z(2)xZ(3) the one (1, 1) is label 4 and -1 = (1, 2) is label 5
+ORACLE_TEMPLATES["butterfly_z6"] = _over_ring("butterfly_z4.json", "Z(6)", {3: 5})
+ORACLE_TEMPLATES["butterfly_z2xz3"] = _over_ring("butterfly_z4.json", "Z(2)xZ(3)", {1: 4, 3: 5})
+
+
+def _coefficient_slots(doc):
+    """(container, key) of every coefficient entry: whole 1x1 coefficients for
+    q = 1, matrix entries for q > 1."""
+    for block in doc["coding"].values():
+        for output in block["outputs"]:
+            row = output["coeffs"]
+            for i in range(len(row)):
+                if doc["q"] == 1:
+                    yield row, i
+                else:
+                    yield from ((line, c) for line in row[i] for c in range(len(line)))
+
+
+@st.composite
+def perturbed_schemes(draw):
+    """A bundled butterfly scheme with 0-3 coefficient entries redrawn."""
+    doc = copy.deepcopy(ORACLE_TEMPLATES[draw(st.sampled_from(sorted(ORACLE_TEMPLATES)))])
+    size = parse_ring_spec(doc["ring"]).cardinality
+    slots = list(_coefficient_slots(doc))
+    for _ in range(draw(st.integers(0, 3))):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = draw(st.integers(0, size - 1))
+    return doc
+
+
+def test_oracle_templates_solve_their_instances():
+    verdicts = {name: verify_solution(*parse_network(doc)) for name, doc in ORACLE_TEMPLATES.items()}
+    assert verdicts == {name: name != "butterfly_f2_broken" for name in ORACLE_TEMPLATES}
+
+
+@given(perturbed_schemes())
+@settings(max_examples=150, deadline=None)
+def test_transfer_verdict_matches_exhaustive_scan(doc):
+    net, scheme = parse_network(doc)
+    expected = first_failing_tuple(net, scheme)
+    assert find_counterexample(net, scheme) == expected
+    assert verify_solution(net, scheme) == (expected is None)

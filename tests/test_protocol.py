@@ -18,7 +18,6 @@ from qnetcode.protocol import (
     PhaseTable,
     classical_cost,
     compute_corrections,
-    count_branches,
     encode_node,
     enumerate_branches,
     plan_scheme,
@@ -322,8 +321,8 @@ class TestCost:
 class TestCopySkip:
     def test_butterfly_measurement_reduction(self):
         net, scheme = load_instance("butterfly_f2.json")
-        assert count_branches(net, scheme) == 512
-        assert count_branches(net, scheme, copy_skip=True) == 64  # only n1, t1, t2 measure
+        assert plan_scheme(net, scheme).branch_count == 512
+        assert plan_scheme(net, scheme, copy_skip=True).branch_count == 64  # only n1, t1, t2 measure
         state = random_input_state(scheme, net.k, 6)
         result = run_protocol(net, scheme, state, seed=9, copy_skip=True)
         assert len(result.log.branch_labels()) == 6
@@ -334,7 +333,7 @@ class TestCopySkip:
 
     def test_single_edge_no_measurements(self):
         net, scheme = load_instance("single_edge_f2.json")
-        assert count_branches(net, scheme, copy_skip=True) == 1
+        assert plan_scheme(net, scheme, copy_skip=True).branch_count == 1
         state = init_state(scheme.ring, 1, 1, [0.6, 0.8])
         result = run_protocol(net, scheme, state, branch=(), copy_skip=True)
         assert np.allclose(result.state.amps, state.amps, atol=1e-12)
@@ -351,7 +350,7 @@ class TestEnumerate:
 
     def test_single_edge_branches(self):
         net, scheme = load_instance("single_edge_f2.json")
-        assert count_branches(net, scheme) == 4  # two fan-in-1 nodes measure
+        assert plan_scheme(net, scheme).branch_count == 4  # two fan-in-1 nodes measure
         state = init_state(scheme.ring, 1, 1, [0.6, 0.8])
         results = list(enumerate_branches(net, scheme, state))
         assert len(results) == 4
@@ -366,7 +365,7 @@ class TestEnumerate:
             ("single_edge_f2.json", 4),
         ]:
             net, scheme = load_instance(name)
-            assert count_branches(net, scheme) == expected
+            assert plan_scheme(net, scheme).branch_count == expected
 
     def test_cap(self):
         net, scheme = load_instance("butterfly_gf4.json")

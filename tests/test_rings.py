@@ -96,6 +96,76 @@ class TestParse:
         with pytest.raises(RingError):
             parse_ring_spec("Q(2)")
 
+    @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 3), (7, 2)])
+    def test_supplied_poly_accepted_iff_irreducible(self, p, k):
+        irreducible = set(brute_force_irreducibles(p, k))
+        for tail in itertools.product(range(p), repeat=k):
+            poly = tail + (1,)
+            text = f"GF({p}^{k})[{','.join(map(str, poly))}]"
+            if poly in irreducible:
+                assert parse_ring_spec(text).factors[0].poly == poly
+            else:
+                with pytest.raises(RingError, match="reducible"):
+                    parse_ring_spec(text)
+
+    def test_gf_order_parses_iff_prime_power(self):
+        def prime_power(n):
+            p = next(d for d in range(2, n + 1) if n % d == 0)
+            while n % p == 0:
+                n //= p
+            return n == 1
+
+        for n in range(2, 600):
+            if prime_power(n):
+                factor = parse_ring_spec(f"GF({n})").factors[0]
+                assert factor.p**factor.k == n
+            else:
+                with pytest.raises(RingError, match="not a prime power"):
+                    parse_ring_spec(f"GF({n})")
+        # primes near 2^64 parse; strong pseudoprimes to small bases do not
+        for p in (2**61 - 1, 2**64 - 59):
+            assert parse_ring_spec(f"GF({p})").factors[0].poly == (0, 1)
+        for n in (3215031751, 3825123056546413051):
+            with pytest.raises(RingError):
+                parse_ring_spec(f"GF({n})")
+
+    # default polynomials of fields whose exhaustive search took 0.1-1 s
+    @pytest.mark.parametrize(
+        "text, poly",
+        [
+            ("GF(2^24)", (1, 1, 0, 1, 1) + (0,) * 19 + (1,)),
+            ("GF(536870912)", (1, 0, 1) + (0,) * 26 + (1,)),
+            ("GF(3^19)", (2, 0, 1) + (0,) * 16 + (1,)),
+            ("GF(5^13)", (2, 3, 1) + (0,) * 10 + (1,)),
+            ("GF(17^9)", (3, 1) + (0,) * 7 + (1,)),
+            ("GF(23^7)", (11, 5, 0, 0, 0, 0, 0, 1)),
+            ("GF(257^5)", (4, 1, 0, 0, 0, 1)),
+            ("GF(65537^2)", (3, 0, 1)),
+            ("GF(1000003)", (0, 1)),
+        ],
+    )
+    def test_default_polynomials_kept(self, text, poly):
+        assert parse_ring_spec(text).factors[0].poly == poly
+
+    def test_huge_gf_orders(self):
+        # the polynomial search is fast up to order 2^64 and refused beyond it
+        for text, (p, k) in [
+            ("GF(2^40)", (2, 40)),
+            ("GF(1099511627776)", (2, 40)),
+            ("GF(3^30)", (3, 30)),
+            ("GF(2305843009213693951)", (2**61 - 1, 1)),
+            ("GF(2^64)", (2, 64)),
+        ]:
+            factor = parse_ring_spec(text).factors[0]
+            assert (factor.p, factor.k, len(factor.poly)) == (p, k, k + 1)
+        assert parse_ring_spec("GF(2^40)") == parse_ring_spec("GF(1099511627776)")
+        for text in ("GF(2^65)", f"GF({2**64 + 1})", "GF(3^100000000)", f"GF({2**200}^1)"):
+            with pytest.raises(RingError, match="2\\^64"):
+                parse_ring_spec(text)
+        # for p = 3 mod 4 no x^4 + c is irreducible, and those fill the candidates
+        with pytest.raises(RingError, match="give one"):
+            parse_ring_spec("GF(65519^4)")
+
     def test_round_trip_describe(self):
         for text in SMALL_DESCRIPTORS:
             spec = parse_ring_spec(text)
