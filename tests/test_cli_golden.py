@@ -13,12 +13,19 @@ from pathlib import Path
 import pytest
 
 from qnetcode.cli import main
+from qnetcode.network import parse_network
+from qnetcode.protocol import plan_scheme
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 INSTANCE_NAMES = sorted(
     p.name for p in (ROOT / "instances").glob("*.json") if not p.name.startswith("superpos")
 )
+# the all-ones branch of each instance: label 1 on every measurement
+ALL_ONES = {
+    name: "1" * plan_scheme(*parse_network(ROOT / "instances" / name)).measurement_count
+    for name in INSTANCE_NAMES
+}
 COMMANDS = [
     argv
     for name in INSTANCE_NAMES
@@ -27,6 +34,11 @@ COMMANDS = [
         ["verify", f"instances/{name}", "--format", "json"],
         ["cost", f"instances/{name}"],
         ["simulate", f"instances/{name}", "--seed", "1"],
+        ["simulate", f"instances/{name}", "--branch", ALL_ONES[name]]
+        + (["--skip-classical-check"] if "broken" in name else []),
+        ["simulate", f"instances/{name}", "--seed", "1", "--copy-skip", "--prune"],
+        ["simulate", f"instances/{name}", "--seed", "2", "--alt-phi"],
+        ["enumerate", f"instances/{name}", "--copy-skip", "--max-branches", "729"],
     )
 ]
 
