@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qnetcode.network import parse_network
+from qnetcode.network import InstanceError, parse_network
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
 from qnetcode.quantum import fidelity, init_state
 
@@ -44,11 +44,14 @@ def main():
 
     net, scheme = parse_network(INSTANCE)
     state = init_state(scheme.ring, scheme.q, net.k, amps)
+    plan = plan_scheme(net, scheme)
+    try:
+        steps = list(node_steps(plan, state, branch=branch))
+    except InstanceError as exc:
+        parser.error(str(exc))
+
     print(f"instance: {INSTANCE.name}, branch {args.branch}")
     show_state(state, "input on the source registers")
-
-    plan = plan_scheme(net, scheme)
-    steps = list(node_steps(plan, state, branch=branch))
     for step in steps:
         got = " ".join(f"{o.register}={o.label}" for o in step.entry.outcomes)
         show_state(step.state, f"after {step.node} (outcomes {got})")

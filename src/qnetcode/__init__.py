@@ -32,7 +32,6 @@ from .protocol import (
     SchemePlan,
     classical_cost,
     compute_corrections,
-    encode_node,
     enumerate_branches,
     plan_scheme,
     run_protocol,

@@ -56,6 +56,7 @@ from .quantum import (
 )
 from .rings import (
     RingError,
+    decimal,
     is_identity,
     is_zero,
     matrix_entries,
@@ -115,7 +116,7 @@ def _load_input_state(arg, ring, q, k, max_entries):
         return init_state(ring, q, k, amps, max_entries=max_entries)
     text = arg.strip()
     if all(ch.isdigit() or ch in ", " for ch in text) and any(ch.isdigit() for ch in text):
-        labels = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        labels = [decimal(tok) for tok in text.replace(" ", "").split(",") if tok]
         if len(labels) != k:
             raise InstanceError(f"input literal must give {k} labels, got {len(labels)}")
         labels = [_register_index(v, ring, q) for v in labels]

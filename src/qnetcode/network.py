@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rings import RingSpec, coefficient_matrix, combine, linear_map, parse_ring_spec
+from .rings import RingSpec, coefficient_matrix, combine, decimal, linear_map, parse_ring_spec
 
 
 class InstanceError(ValueError):
@@ -243,11 +243,16 @@ def _check_document(doc) -> None:
             _need_fields(out, f"{where}.outputs[{j}]", ("edge", "coeffs"))
 
 
+def _json_int(digits: str) -> int:
+    return decimal(digits, InstanceError)
+
+
 def load_json(path):
-    """Read a JSON file; text that is not UTF-8 is an InstanceError."""
+    """Read a JSON file; text that is not UTF-8, or an integer literal
+    longer than Python converts, is an InstanceError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -259,7 +264,7 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
     ):
         doc = load_json(source)
     elif isinstance(source, str):
-        doc = json.loads(source)
+        doc = json.loads(source, parse_int=_json_int)
     else:
         doc = source
     _check_document(doc)

@@ -21,8 +21,10 @@ declared order. Forced branches are given as one outcome label per
 measurement in that order.
 
 What depends only on the scheme and the policy is fixed once in a
-`SchemePlan`; the message cost is read from it without simulation, and every
-run goes through the one node loop, `node_steps`.
+`SchemePlan`; the message cost is read from it without simulation. Every
+run, sampled or forced, goes through the one node loop, `node_steps`, which
+is the only place a node is coded or measured and the only place a forced
+branch is checked.
 """
 
 from __future__ import annotations
@@ -157,24 +159,21 @@ class SchemePlan:
     nodes: tuple[NodePlan, ...]
     prune: bool = False
     copy_skip: bool = False
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
-    _recoverable: dict = field(default_factory=dict, init=False, repr=False)
+    _coding: dict = field(default_factory=dict, init=False, repr=False)
 
-    def coding_table(self, p: NodePlan) -> np.ndarray:
-        """Output labels of the node's coding step (`quantum.output_labels`);
-        a copy-skip node codes its kept register into the remaining copies."""
-        if p.node not in self._tables:
-            rows = p.coeffs if self.measures(p) else tuple((row[0],) for row in p.coeffs[1:])
-            self._tables[p.node] = output_labels(self.scheme.ring, self.scheme.q, rows)
-        return self._tables[p.node]
-
-    def first_input_recoverable(self, p: NodePlan) -> bool:
-        """Whether the node measures and its outputs and other inputs determine
-        its first input, which is then measured inside the coding scatter."""
-        if p.node not in self._recoverable:
-            ok = bool(self.measures(p) and p.in_edges and p.out_edges)
-            self._recoverable[p.node] = ok and injective_in_first_input(self.coding_table(p))
-        return self._recoverable[p.node]
+    def coding(self, p: NodePlan) -> tuple[np.ndarray | None, bool]:
+        """The node's coding table (`quantum.output_labels`; None if it adjoins
+        no registers) and whether its first input is measured inside the
+        coding scatter: the node measures, and its outputs and other inputs
+        determine that input. A copy-skip node codes its kept register into
+        the remaining copies."""
+        if p.node not in self._coding:
+            measures = self.measures(p)
+            rows = p.coeffs if measures else tuple((row[0],) for row in p.coeffs[1:])
+            table = output_labels(self.scheme.ring, self.scheme.q, rows) if rows else None
+            fused = bool(measures and p.in_edges and rows) and injective_in_first_input(table)
+            self._coding[p.node] = table, fused
+        return self._coding[p.node]
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -261,53 +260,6 @@ class NodeStep:
     entry: LogEntry | None
 
 
-def _code(plan, p, state, in_regs, out_regs, max_entries, rng=None, forced=None):
-    """Code the inputs into the outputs, measuring a recoverable first input in
-    the same scatter; returns its outcome (None if not measured) and the state."""
-    if not out_regs:
-        return None, state
-    # the cap trips before the plan builds the node's coding table
-    check_growth(state.amps.size * state.dim ** len(out_regs), max_entries)
-    table = plan.coding_table(p)
-    if plan.first_input_recoverable(p):
-        return code_and_measure_first(state, in_regs, out_regs, table, rng, forced, p.node, max_entries)
-    return None, apply_coding_unitary(state, in_regs, out_regs, table, max_entries)
-
-
-def encode_node(
-    plan: SchemePlan,
-    p: NodePlan,
-    state: StateVector,
-    rng: np.random.Generator | None = None,
-    forced=None,
-    max_entries: int = MAX_STATE_ENTRIES,
-) -> tuple[StateVector, tuple[MeasurementOutcome, ...]]:
-    """Run the per-node routine: code into fresh registers, transform and
-    measure every input register, and return the outcomes in input order.
-
-    When the plan marks the first input recoverable, it is measured inside
-    the coding scatter (`quantum.code_and_measure_first`).
-
-    `forced` gives one outcome label per input edge; otherwise outcomes are
-    sampled from `rng`.
-    """
-    labels = (None,) * len(p.in_edges) if forced is None else tuple(forced)
-    if len(labels) != len(p.in_edges):
-        raise InstanceError(
-            f"node {p.node!r} measures {len(p.in_edges)} registers, "
-            f"got {len(labels)} forced outcomes"
-        )
-    rng = rng if forced is None else None
-    first = labels[0] if labels else None
-    outcome, state = _code(plan, p, state, p.in_edges, p.out_edges, max_entries, rng, first)
-    outcomes = [] if outcome is None else [outcome]
-    for reg, label in zip(p.in_edges[len(outcomes) :], labels[len(outcomes) :]):
-        state = apply_fourier(state, reg)
-        outcome, state = measure(state, reg, rng=rng, forced=label, node=p.node)
-        outcomes.append(outcome)
-    return state, tuple(outcomes)
-
-
 def node_steps(
     plan: SchemePlan,
     input_state: StateVector,
@@ -317,22 +269,52 @@ def node_steps(
 ):
     """The node loop: run the plan's nodes in order, yielding a NodeStep after each.
 
+    Every node codes its inputs into fresh output registers, measuring a
+    recoverable first input inside the coding scatter
+    (`quantum.code_and_measure_first`), then Fourier-transforms and measures
+    the remaining inputs in order. A copy-skip node instead keeps its input
+    as its first output and codes it into the other copies.
+
     Outcomes are sampled from `rng`, or taken in turn from `branch`, one
-    label per measurement.
+    label per measurement; a branch of the wrong length or with a label out
+    of range raises InstanceError when the first step is taken.
     """
-    labels = iter(() if branch is None else branch)
+    if branch is not None:
+        branch = tuple(int(b) for b in branch)
+        if len(branch) != plan.measurement_count:
+            raise InstanceError(
+                f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}"
+            )
+        if any(not 0 <= b < plan.scheme.register_dim for b in branch):
+            raise InstanceError("branch labels out of range")
+        rng = None
+    labels = itertools.repeat(None) if branch is None else iter(branch)
     state = input_state
     for p in plan.nodes:
-        entry = None
-        if plan.measures(p):
-            forced = None if branch is None else tuple(itertools.islice(labels, len(p.in_edges)))
-            state, outcomes = encode_node(plan, p, state, rng, forced, max_entries)
-            entry = LogEntry(p.node, outcomes, plan.recipients(p))
-        else:
+        ins, outs, measures = p.in_edges, p.out_edges, plan.measures(p)
+        if not measures:
             # the input register survives as the first output; the rest are copies
-            keep = p.out_edges[0]
-            state = state.renamed({p.in_edges[0]: keep})
-            _, state = _code(plan, p, state, (keep,), p.out_edges[1:], max_entries)
+            state = state.renamed({ins[0]: outs[0]})
+            ins, outs = outs[:1], outs[1:]
+        outcomes = []
+        if outs:
+            # the cap trips before the plan builds the node's coding table
+            check_growth(state.amps.size * state.dim ** len(outs), max_entries)
+            table, fused = plan.coding(p)
+            if fused:
+                outcome, state = code_and_measure_first(
+                    state, ins, outs, table, rng, next(labels), p.node, max_entries
+                )
+                outcomes.append(outcome)
+            else:
+                state = apply_coding_unitary(state, ins, outs, table, max_entries)
+        entry = None
+        if measures:
+            for reg in ins[len(outcomes) :]:
+                state = apply_fourier(state, reg)
+                outcome, state = measure(state, reg, rng=rng, forced=next(labels), node=p.node)
+                outcomes.append(outcome)
+            entry = LogEntry(p.node, tuple(outcomes), plan.recipients(p))
         yield NodeStep(p.node, state, entry)
 
 
@@ -390,18 +372,12 @@ def run_protocol(
             "the classical scheme does not solve the instance; "
             "fix it or skip the check to inspect the imperfect run"
         )
-    if branch is not None:
-        branch = tuple(int(b) for b in branch)
-        if len(branch) != plan.measurement_count:
-            raise InstanceError(
-                f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}"
-            )
-        if any(not 0 <= b < scheme.register_dim for b in branch):
-            raise InstanceError("branch labels out of range")
-        if seed is not None:
-            raise InstanceError("give either a branch or a seed, not both")
-    elif seed is None:
+    if branch is not None and seed is not None:
+        raise InstanceError("give either a branch or a seed, not both")
+    if branch is None and seed is None:
         raise InstanceError("sampled mode needs a seed")
+    if seed is not None and seed < 0:
+        raise InstanceError(f"seed must be a non-negative integer, got {seed}")
     rng = None if seed is None else np.random.default_rng(seed)
     steps = node_steps(plan, input_state, rng, branch, max_entries)
     return finish_run(plan, input_state, steps)

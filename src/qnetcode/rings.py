@@ -62,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -541,7 +542,7 @@ def pairing(spec: RingSpec, q: int, y, z) -> np.ndarray:
 # descriptor parsing
 
 _Z_RE = re.compile(r"^Z\((\d+)\)$")
-_GF_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:\[([0-9,]+)\])?$")
+_GF_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:\[((?:\d+,)*\d+)\])?$")
 
 
 def _split_factors(text: str) -> list[str]:
@@ -562,18 +563,27 @@ def _split_factors(text: str) -> list[str]:
     return parts
 
 
+def decimal(digits: str, error: type[ValueError] = RingError) -> int:
+    """int() of a decimal literal, raising `error` when it is longer than
+    Python converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
+
+
 def _parse_factor(token: str) -> ZFactor | GFFactor:
     m = _Z_RE.match(token)
     if m:
-        modulus = int(m.group(1))
+        modulus = decimal(m.group(1))
         if modulus < 2:
             raise RingError(f"modulus must be at least 2, got {modulus}")
         return ZFactor(modulus)
 
     m = _GF_RE.match(token)
     if m:
-        p = int(m.group(1))
-        k = 1 if m.group(2) is None else int(m.group(2))
+        p = decimal(m.group(1))
+        k = 1 if m.group(2) is None else decimal(m.group(2))
         if p ** min(k, 65) > GF_ORDER_LIMIT:  # any k > 64 is above it
             raise RingError(f"{token} has more than 2^64 elements, the largest supported order")
         if m.group(2) is None:
@@ -583,7 +593,7 @@ def _parse_factor(token: str) -> ZFactor | GFFactor:
         elif k < 1:
             raise RingError("GF exponent must be positive")
         if m.group(3) is not None:
-            coeffs = tuple(int(c) for c in m.group(3).split(","))
+            coeffs = tuple(decimal(c) for c in m.group(3).split(","))
             if len(coeffs) != k + 1 or coeffs[-1] != 1:
                 raise RingError(f"polynomial for GF({p}^{k}) must be monic of degree {k}")
             if any(not 0 <= c < p for c in coeffs):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import INSTANCES
 from qnetcode.cli import main
 from qnetcode.network import InstanceError, parse_network
+from qnetcode.rings import RingError, parse_ring_spec
 
 BUTTERFLY = str(INSTANCES / "butterfly_f2.json")
 BROKEN = str(INSTANCES / "butterfly_f2_broken.json")
@@ -245,6 +246,20 @@ def _assert_one_line_error(err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# longer than Python's int() converts (4300 digits by default)
+LONG_LITERAL = "9" * 5000
+LONG_INT = "<integer literal of 5000 digits>"
+
+
+def _long_ints(doc) -> str:
+    """JSON text of `doc` with every LONG_INT string written as LONG_LITERAL."""
+    return json.dumps(doc).replace(json.dumps(LONG_INT), LONG_LITERAL)
+
+
+def _butterfly_with(**fields) -> bytes:
+    return _long_ints({**json.loads(open(BUTTERFLY).read()), **fields}).encode()
+
+
 def _huge_ring_copy(tmp_path, path):
     """A copy of an instance over Z(2^40), too large for any amplitude table."""
     doc = json.loads(open(path).read())
@@ -298,6 +313,15 @@ class TestErrorContract:
                 b"[[[0,0],1e308,0],[[0,1],1e308,0],[[1,0],1e308,0],[[1,1],1e308,0]]",
                 id="norm-overflows",
             ),
+            pytest.param(["verify"], _butterfly_with(ring=f"Z({LONG_LITERAL})"), id="long-z-modulus"),
+            pytest.param(["cost"], _butterfly_with(ring=f"GF({LONG_LITERAL})"), id="long-gf-order"),
+            pytest.param(["verify"], _butterfly_with(q=LONG_INT), id="long-q"),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input", f"{LONG_LITERAL},0"],
+                None,
+                id="long-input-label",
+            ),
+            pytest.param(["simulate", BUTTERFLY, "--seed", "-1"], None, id="negative-seed"),
         ],
     )
     def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, file_doc):
@@ -312,6 +336,13 @@ class TestErrorContract:
         assert code == 2
         assert out == ""
         _assert_one_line_error(err)
+
+    def test_long_literals_are_instance_and_ring_errors(self):
+        with pytest.raises(InstanceError, match="longer than"):
+            parse_network(_butterfly_with(q=LONG_INT).decode())
+        for ring in (f"Z({LONG_LITERAL})", f"GF({LONG_LITERAL})", f"GF(2^{LONG_LITERAL})"):
+            with pytest.raises(RingError, match="longer than"):
+                parse_ring_spec(ring)
 
     def test_input_state_checked_against_max_dim(self, capsys):
         code, out, err = run_cli(capsys, "simulate", SINGLE, "--seed", "1", "--max-dim", "1")
@@ -394,12 +425,13 @@ class TestErrorContract:
 FUZZ_DOCUMENTS = [
     json.loads(p.read_text()) for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")
 ]
-ODD_VALUES = [None, True, 0, -1, 7, 2**40, 2.5, "", "x", "tgt:1", [], [0], [[1]], {}]
-OUT_OF_RANGE = [-1, 2, 4, 255, 2**40]
+ODD_VALUES = [None, True, 0, -1, 7, 2**40, LONG_INT, 2.5, "", "x", "tgt:1", [], [0], [[1]], {}]
+OUT_OF_RANGE = [-1, 2, 4, 255, 2**40, LONG_INT]
 RING_DESCRIPTORS = [
-    "Z(0)", "Z(1)", "GF(6)", "GF(2^0)", "GF(4)[1,0,1]", "Z(2)xZ(", "Z(2)x", "R", "",
+    "Z(0)", "Z(1)", "GF(6)", "GF(2^0)", "GF(4)[1,0,1]", "GF(4)[1,,1]", "Z(2)xZ(", "Z(2)x", "R", "",
     "Z(3)", "GF(8)", "GF(2^20)", f"Z({2**40})", f"Z(2)xZ({2**40})", f"Z({2**70})",
     "GF(2^40)", "GF(3^30)", f"GF({2**40})", f"GF({2**61 - 1})", "GF(2^65)", f"GF({2**70})",
+    f"Z({LONG_LITERAL})", f"GF({LONG_LITERAL})", f"GF(2^{LONG_LITERAL})", f"GF(4)[1,{LONG_LITERAL},1]",
 ]
 
 
@@ -413,7 +445,7 @@ def _paths(obj, path=()):
 @st.composite
 def mutated_documents(draw):
     """A bundled instance with 1-2 keys dropped, retyped or duplicated, labels
-    out of range, or a bad or huge ring descriptor."""
+    out of range or too long to convert, or a bad or huge ring descriptor."""
     doc = copy.deepcopy(draw(st.sampled_from(FUZZ_DOCUMENTS)))
     for _ in range(draw(st.integers(1, 2))):
         action = draw(st.sampled_from(["drop", "retype", "duplicate", "label", "ring"]))
@@ -442,13 +474,15 @@ def mutated_documents(draw):
 @given(
     mutated_documents(),
     st.lists(st.sampled_from(["--prune", "--copy-skip", "--alt-phi"]), unique=True),
-    st.sampled_from([[], ["--input", "0,0"], ["--input", "1,5"], ["--input", "0"]]),
+    st.sampled_from(
+        [[], ["--input", "0,0"], ["--input", "1,5"], ["--input", "0"], ["--input", f"{LONG_LITERAL},0"]]
+    ),
     st.sampled_from(["text", "json"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, flags, state, fmt):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_long_ints(doc))
     runs = [["simulate", "--seed", "1"] + state, ["enumerate", "--max-branches", "64"] + state]
     commands = [["verify"], ["cost"]] + [argv + flags + ["--max-dim", "512"] for argv in runs]
     for argv in commands:

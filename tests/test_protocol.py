@@ -8,6 +8,7 @@ import pytest
 from conftest import INSTANCES, load_instance, random_input_state
 from qnetcode.network import (
     CapExceededError,
+    InstanceError,
     parse_network,
     scheme_with_alternate_phi,
     transfer_coefficients,
@@ -18,8 +19,8 @@ from qnetcode.protocol import (
     PhaseTable,
     classical_cost,
     compute_corrections,
-    encode_node,
     enumerate_branches,
+    node_steps,
     plan_scheme,
     run_protocol,
 )
@@ -57,7 +58,8 @@ def encode(state, node, net, scheme, forced):
     """Run one node of the scheme's plan on a state, with forced outcomes."""
     plan = plan_scheme(net, scheme)
     p = next(p for p in plan.nodes if p.node == node)
-    return encode_node(plan, p, state, forced=forced)
+    (step,) = node_steps(dataclasses.replace(plan, nodes=(p,)), state, branch=forced)
+    return step.state, step.entry.outcomes
 
 
 class TestEncodeNode:
@@ -99,6 +101,15 @@ class TestEncodeNode:
             for x1, x2 in itertools.product((0, 1), repeat=2):
                 got = state.amplitude((x1, x1, x2, x2))
                 assert got == pytest.approx(0.5 * (-1) ** (a * x1 + b * x2), abs=1e-12)
+
+
+    def test_node_steps_checks_a_forced_branch(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        plan, state = plan_scheme(net, scheme), basis_state(scheme.ring, 1, (0, 0))
+        with pytest.raises(InstanceError, match="branch must list 9 outcome labels, got 10"):
+            list(node_steps(plan, state, branch=(0,) * 10))
+        with pytest.raises(InstanceError, match="branch labels out of range"):
+            list(node_steps(plan, state, branch=(0,) * 8 + (2,)))
 
 
 class TestRunProtocol:
@@ -432,7 +443,7 @@ class TestFirstInputRecoverable:
     def test_every_bundled_measuring_node_fuses(self, name, copy_skip):
         net, scheme = load_instance(name)
         plan = plan_scheme(net, scheme, copy_skip=copy_skip)
-        assert {p.node: plan.first_input_recoverable(p) for p in plan.nodes} == {
+        assert {p.node: plan.coding(p)[1] for p in plan.nodes} == {
             p.node: plan.measures(p) for p in plan.nodes
         }
 
@@ -440,7 +451,7 @@ class TestFirstInputRecoverable:
         net, scheme = parse_network(PARALLEL_EDGES)
         assert verify_solution(net, scheme)
         plan = plan_scheme(net, scheme)
-        assert {p.node: plan.first_input_recoverable(p) for p in plan.nodes} == {"s": True, "t": False}
+        assert {p.node: plan.coding(p)[1] for p in plan.nodes} == {"s": True, "t": False}
         state = random_input_state(scheme, net.k, 3)
         results = [b.result for b in enumerate_branches(net, scheme, state)]
         results += [run_protocol(net, scheme, state, seed=seed) for seed in range(4)]
