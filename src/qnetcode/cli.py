@@ -7,7 +7,7 @@ errors.
 `verify` reads its verdict from the transfer map it prints, so it enumerates
 no inputs and needs no cap.
 
-Forced branches list one outcome label per measurement, nodes in processing
+Forced branches list one outcome label per measurement, nodes in topological
 order and input edges in declared order; a plain digit string works for
 register dimensions up to 10, comma-separated labels always. Input states
 are either a comma-separated list of per-register basis labels or a JSON
@@ -31,6 +31,7 @@ from .network import (
     CapExceededError,
     InstanceError,
     _is_coords,
+    _parse_entry,
     load_json,
     parse_network,
     scheme_with_alternate_phi,
@@ -57,6 +58,7 @@ from .quantum import (
 from .rings import (
     RingError,
     decimal,
+    int_text,
     is_identity,
     is_zero,
     matrix_entries,
@@ -74,17 +76,9 @@ def _register_index(obj, ring, q) -> int:
             raise InstanceError(f"basis label {obj} out of range (dimension {d})")
         return obj
     if isinstance(obj, list) and len(obj) == q:
-        entries = []
-        for item in obj:
-            if type(item) is int:
-                entries.append(ring.from_int(item))
-            elif _is_coords(item):
-                entries.append(ring.element(item))
-            else:
-                raise InstanceError(f"bad basis label entry {item!r}")
-        return register_label(entries)
-    if _is_coords(obj) and q == 1 and len(obj) == len(ring.moduli):
-        return ring.element(obj).to_int()
+        return register_label([_parse_entry(item, ring) for item in obj])
+    if _is_coords(obj) and q == 1:
+        return _parse_entry(obj, ring).to_int()
     raise InstanceError(f"bad basis label {obj!r}")
 
 
@@ -92,7 +86,7 @@ def _load_input_state(arg, ring, q, k, max_entries):
     d = ring.cardinality**q
     if d**k > max_entries:
         raise DimensionCapError(
-            f"the input state needs {d ** k} amplitudes, above the cap {max_entries} "
+            f"the input state needs {int_text(d**k)} amplitudes, above the cap {max_entries} "
             "(use --max-dim N)"
         )
     if arg is None:

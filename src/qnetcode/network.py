@@ -363,19 +363,6 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
     return net, scheme
 
 
-def _check_order(net: Network, order) -> tuple[str, ...]:
-    if order is None:
-        return net.topo_order
-    order = tuple(order)
-    if sorted(order) != sorted(net.nodes):
-        raise InstanceError("node order must list every node exactly once")
-    position = {v: i for i, v in enumerate(order)}
-    for e in net.edges:
-        if position[e.tail] >= position[e.head]:
-            raise InstanceError(f"order is not topological: edge {e.id} goes backwards")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -384,7 +371,6 @@ def evaluate_classical(
     net: Network,
     scheme: CodingScheme,
     inputs,
-    order=None,
     collect_edges: bool = False,
 ):
     """Propagate input labels through the scheme in topological order.
@@ -398,7 +384,7 @@ def evaluate_classical(
     if len(inputs) != net.k:
         raise InstanceError(f"expected {net.k} inputs, got {len(inputs)}")
     values = {source_edge(i + 1): np.asarray(x) for i, x in enumerate(inputs)}
-    for v in _check_order(net, order):
+    for v in net.topo_order:
         if net.node_outputs[v]:
             ins = [values[e] for e in net.node_inputs[v]]
             outs = linear_map(scheme.ring, scheme.q, scheme.coeffs[v], ins)

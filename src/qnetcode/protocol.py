@@ -16,9 +16,9 @@ itself), and `copy_skip` lets a fan-in-one node whose outputs are all plain
 copies keep its input register alive instead of measuring, which removes its
 measurements and messages entirely.
 
-Measurement order is fixed: nodes in processing order, then input edges in
-declared order. Forced branches are given as one outcome label per
-measurement in that order.
+Measurement order is fixed: nodes in `Network.topo_order` (any topological
+order works), then input edges in declared order. Forced branches are given
+as one outcome label per measurement in that order.
 
 What depends only on the scheme and the policy is fixed once in a
 `SchemePlan`; the message cost is read from it without simulation. Every
@@ -43,7 +43,6 @@ from .network import (
     InstanceError,
     Network,
     TransferMap,
-    _check_order,
     source_edge,
     target_edge,
     transfer_coefficients,
@@ -67,6 +66,7 @@ from .rings import (
     RingSpec,
     add_labels,
     character_form,
+    int_text,
     is_identity,
     is_zero,
     label_digits,
@@ -145,7 +145,7 @@ class NodePlan:
 
 @dataclass(frozen=True, eq=False)
 class SchemePlan:
-    """The transfer map and one NodePlan per node in processing order, under
+    """The transfer map and one NodePlan per node in topological order, under
     a policy that decides which nodes measure and who hears them.
 
     The tables of size |R|^q and more (coding tables, label digits,
@@ -213,12 +213,12 @@ class SchemePlan:
 
 
 def plan_scheme(
-    net: Network, scheme: CodingScheme, prune: bool = False, copy_skip: bool = False, order=None
+    net: Network, scheme: CodingScheme, prune: bool = False, copy_skip: bool = False
 ) -> SchemePlan:
-    """Plan the scheme's run under a policy; `order` defaults to topological."""
+    """Plan the scheme's run under a policy, nodes in `net.topo_order`."""
     tmap = transfer_coefficients(net, scheme)
     nodes = []
-    for v in _check_order(net, order):
+    for v in net.topo_order:
         ins, outs, coeffs = net.node_inputs[v], net.node_outputs[v], scheme.coeffs[v]
         copy_only = len(ins) == 1 and len(outs) >= 1 and all(is_identity(r[0]) for r in coeffs)
         needed_by = tuple(
@@ -298,7 +298,9 @@ def node_steps(
             ins, outs = outs[:1], outs[1:]
         outcomes = []
         if outs:
-            # the cap trips before the plan builds the node's coding table
+            # the full coded state even where the fused step builds one d times smaller:
+            # at least d^2 and d^m * n * width, it also bounds the d x d Fourier matrix
+            # (cached, uncapped) and the temporary the coding table is built from
             check_growth(state.amps.size * state.dim ** len(outs), max_entries)
             table, fused = plan.coding(p)
             if fused:
@@ -335,7 +337,7 @@ def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
 
     phase_table = compute_corrections(log, plan)
     for i in range(1, plan.net.k + 1):
-        state = apply_phase(state, target_edge(i), phase_table.turns(i), sign=-1)
+        state = apply_phase(state, target_edge(i), -phase_table.turns(i))
     return RunResult(state, pre_correction, log, phase_table, plan)
 
 
@@ -356,7 +358,6 @@ def run_protocol(
     prune: bool = False,
     copy_skip: bool = False,
     check_classical: bool = True,
-    order=None,
     max_entries: int = MAX_STATE_ENTRIES,
 ) -> RunResult:
     """Simulate the scheme node by node and correct the target phases.
@@ -366,7 +367,7 @@ def run_protocol(
     state equals the input state on the target registers.
     """
     _check_input(net, scheme, input_state)
-    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip, order=order)
+    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
     if check_classical and plan.tmap.counterexample(net.k) is not None:
         raise InvalidSchemeError(
             "the classical scheme does not solve the instance; "
@@ -462,7 +463,7 @@ def enumerate_branches(
     total = plan.branch_count
     if total > max_branches:
         raise CapExceededError(
-            f"{total} branches exceed the cap of {max_branches}; "
+            f"{int_text(total)} branches exceed the cap of {max_branches}; "
             f"raise max_branches to force full enumeration"
         )
     _check_input(net, scheme, input_state)

@@ -16,10 +16,10 @@ follow act on a leading-axis reshape of the amplitudes (one matrix product,
 one reduction) and build no transposed copy and no |amps|^2 tensor.
 
 When the outputs and the other inputs determine the first input, measuring
-it in the Fourier basis leaves only a phase: `code_and_measure_first` draws
-the outcome before coding and scatters each amplitude, times its phase,
-straight to its output label, never building the coded tensor (d^n times
-the state). The cap still counts that full coded tensor.
+it in the Fourier basis leaves only a phase, and each outcome has probability
+1/d: `code_and_measure_first` draws it before coding and scatters each
+amplitude, times its phase, straight to its output label, never building the
+coded tensor (d^n times the state). The cap still counts that full tensor.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .network import CapExceededError
-from .rings import RingSpec, linear_map, pairing
+from .rings import RingSpec, int_text, linear_map, pairing
 
 MAX_STATE_ENTRIES = 2**24
 _NORM_TOL = 1e-9
@@ -124,7 +124,7 @@ def init_state(
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if amps.size != dim**k:
         raise QuantumError(
-            f"need {dim ** k} amplitudes for {k} registers of dimension {dim}, "
+            f"need {int_text(dim**k)} amplitudes for {k} registers of dimension {int_text(dim)}, "
             f"got {amps.size}"
         )
     if amps.size > max_entries:
@@ -157,7 +157,7 @@ def check_growth(entries: int, max_entries: int) -> None:
     """Raise DimensionCapError unless a state of `entries` amplitudes fits under the cap."""
     if entries > max_entries:
         raise DimensionCapError(
-            f"state would grow to {entries} amplitudes, above the cap {max_entries}"
+            f"state would grow to {int_text(entries)} amplitudes, above the cap {max_entries}"
         )
 
 
@@ -234,15 +234,14 @@ def code_and_measure_first(
     """`apply_coding_unitary`, `apply_fourier` and `measure` of the first input
     in one scatter, for a table injective in the first input.
 
-    The outputs and the other inputs then fix y_1, so outcome z has
-    probability p = sum_y |F[z, y]|^2 w_y (w: the marginal of y_1 before
-    coding) and each amplitude just takes the factor F[z, y_1] / sqrt(p).
+    The outputs and the other inputs then fix y_1, so outcome z has probability
+    sum_y |F[z, y]|^2 w_y = 1/d (w: the marginal of y_1; |F[z, y]|^2 = 1/d) and
+    each amplitude just takes the factor F[z, y_1] sqrt(d).
     """
     reg = tuple(in_regs)[0]
-    fmat = fourier_matrix(state.ring, state.q)
-    marginal = np.abs(fmat) ** 2 @ marginal_distribution(state, reg)
-    label, p = _draw(marginal, reg, rng, forced)
-    row = fmat[label] / math.sqrt(p)
+    d = state.dim
+    label, p = _draw(np.full(d, 1 / d), reg, rng, forced)
+    row = fourier_matrix(state.ring, state.q)[label] * math.sqrt(d)
     coded = apply_coding_unitary(state, in_regs, out_regs, table, max_entries, first_row=row)
     return MeasurementOutcome(register=reg, label=label, probability=p, node=node), coded
 
@@ -256,13 +255,11 @@ def fourier_matrix(ring: RingSpec, q: int) -> np.ndarray:
     return np.exp(2j * np.pi * turns) / math.sqrt(len(labels))
 
 
-def apply_fourier(state: StateVector, reg: str, adjoint: bool = False) -> StateVector:
+def apply_fourier(state: StateVector, reg: str) -> StateVector:
     """One matrix product on the amplitudes viewed as (A, d, B) around the
     register's axis: a single zgemm when the register leads (A = 1)."""
     ax = state.axis(reg)
     mat = fourier_matrix(state.ring, state.q)
-    if adjoint:
-        mat = mat.conj().T
     shape = state.amps.shape
     out = mat @ state.amps.reshape(math.prod(shape[:ax]), shape[ax], -1)
     return StateVector(state.ring, state.q, state.reg_ids, out.reshape(shape))
@@ -313,15 +310,13 @@ def measure(
     return outcome, StateVector(state.ring, state.q, rest, collapsed)
 
 
-def apply_phase(state: StateVector, reg: str, turns, sign: int = 1) -> StateVector:
-    """Multiply the amplitude at basis label x by exp(sign * 2 pi i * turns[x]).
+def apply_phase(state: StateVector, reg: str, turns) -> StateVector:
+    """Multiply the amplitude at basis label x by exp(2 pi i * turns[x]).
 
     `turns` lists one phase per basis label of the register, in turns.
     """
-    if sign not in (1, -1):
-        raise QuantumError("sign must be +1 or -1")
     ax = state.axis(reg)
-    diag = np.exp(sign * 2j * np.pi * np.asarray(turns, dtype=float))
+    diag = np.exp(2j * np.pi * np.asarray(turns, dtype=float))
     if diag.shape != (state.dim,):
         raise QuantumError(f"need {state.dim} phases, got {diag.size}")
     shape = [1] * state.amps.ndim

@@ -572,6 +572,14 @@ def decimal(digits: str, error: type[ValueError] = RingError) -> int:
         raise error(f"integer literal longer than {sys.get_int_max_str_digits()} digits") from None
 
 
+def int_text(n: int) -> str:
+    """str(n), or its order of magnitude past `sys.get_int_max_str_digits()`."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{int(math.log10(n))}"
+
+
 def _parse_factor(token: str) -> ZFactor | GFFactor:
     m = _Z_RE.match(token)
     if m:

@@ -249,6 +249,8 @@ def _assert_one_line_error(err):
 # longer than Python's int() converts (4300 digits by default)
 LONG_LITERAL = "9" * 5000
 LONG_INT = "<integer literal of 5000 digits>"
+# parses, but its square, the butterfly's input dimension, is too long to print
+MODULUS_4000 = "9" * 4000
 
 
 def _long_ints(doc) -> str:
@@ -322,6 +324,19 @@ class TestErrorContract:
                 id="long-input-label",
             ),
             pytest.param(["simulate", BUTTERFLY, "--seed", "-1"], None, id="negative-seed"),
+            pytest.param(
+                ["simulate", "--seed", "1"],
+                _butterfly_with(ring=f"Z({MODULUS_4000})"),
+                id="4000-digit-modulus-simulate",
+            ),
+            pytest.param(
+                ["enumerate"], _butterfly_with(ring=f"Z({MODULUS_4000})"), id="4000-digit-modulus-enumerate"
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[[5], 0], 1.0, 0.0]],
+                id="entry-out-of-range",
+            ),
         ],
     )
     def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, file_doc):
@@ -431,7 +446,8 @@ RING_DESCRIPTORS = [
     "Z(0)", "Z(1)", "GF(6)", "GF(2^0)", "GF(4)[1,0,1]", "GF(4)[1,,1]", "Z(2)xZ(", "Z(2)x", "R", "",
     "Z(3)", "GF(8)", "GF(2^20)", f"Z({2**40})", f"Z(2)xZ({2**40})", f"Z({2**70})",
     "GF(2^40)", "GF(3^30)", f"GF({2**40})", f"GF({2**61 - 1})", "GF(2^65)", f"GF({2**70})",
-    f"Z({LONG_LITERAL})", f"GF({LONG_LITERAL})", f"GF(2^{LONG_LITERAL})", f"GF(4)[1,{LONG_LITERAL},1]",
+    f"Z({MODULUS_4000})", f"Z({LONG_LITERAL})", f"GF({LONG_LITERAL})", f"GF(2^{LONG_LITERAL})",
+    f"GF(4)[1,{LONG_LITERAL},1]",
 ]
 
 

@@ -167,26 +167,6 @@ class TestEvaluate:
             got = evaluate_classical(net, scheme, (a, b))
             assert got == oracle(a, b) == (a, b)
 
-    def test_order_independence(self):
-        net, scheme = load("butterfly_f2.json")
-        orders = [
-            ("s1", "s2", "n1", "n2", "t1", "t2"),
-            ("s2", "s1", "n1", "n2", "t2", "t1"),
-            ("s2", "n1", "s1", "n2", "t1", "t2"),
-        ]
-        # the third order is invalid (n1 needs s1's edge); fix it
-        orders[2] = ("s2", "s1", "n1", "n2", "t1", "t2")
-        results = set()
-        for order in orders:
-            _, values = evaluate_classical(net, scheme, (1, 1), order=order, collect_edges=True)
-            results.add(tuple(sorted((e, int(v)) for e, v in values.items())))
-        assert len(results) == 1
-
-    def test_non_topological_order_rejected(self):
-        net, scheme = load("butterfly_f2.json")
-        with pytest.raises(InstanceError, match="topological"):
-            evaluate_classical(net, scheme, (0, 0), order=("t1", "s1", "s2", "n1", "n2", "t2"))
-
 
 class TestVerify:
     @pytest.mark.parametrize("name", VALID_INSTANCES)

@@ -11,7 +11,6 @@ from qnetcode.quantum import (
     DimensionCapError,
     QuantumError,
     RegisterError,
-    StateVector,
     ZeroProbabilityError,
     apply_coding_unitary,
     apply_fourier,
@@ -91,6 +90,12 @@ class TestInit:
         with pytest.raises(DimensionCapError):
             init_state(Z2, 1, 5, np.ones(32) / math.sqrt(32), max_entries=16)
 
+    def test_cap_message_names_an_unprintable_count(self):
+        # d^2 has 8000 digits, more than Python converts to text
+        ring = parse_ring_spec(f"Z({'9' * 4000})")
+        with pytest.raises(DimensionCapError, match=r"grow to about 10\^\d+ amplitudes"):
+            basis_state(ring, 1, (0, 0))
+
 
 class TestCodingUnitary:
     def test_fan_out_copy(self):
@@ -160,13 +165,6 @@ class TestFourier:
         mat = fourier_matrix(spec, 1)
         d = spec.cardinality
         assert np.allclose(mat @ mat.conj().T, np.eye(d), atol=1e-12)
-
-    @given(st.sampled_from(RING_POOL), st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_random_state(self, text, seed):
-        state = random_state(text, 1, 2, seed)
-        back = apply_fourier(apply_fourier(state, "r0"), "r0", adjoint=True)
-        assert np.allclose(back.amps, state.amps, atol=1e-12)
 
     def test_vector_register_unitary(self):
         mat = fourier_matrix(Z2, 2)
@@ -245,13 +243,13 @@ class TestPhase:
 
     def test_z_gate(self):
         state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-        out = apply_phase(state, "src:1", [Fraction(x, 2) for x in range(2)], sign=-1)
+        out = apply_phase(state, "src:1", [-Fraction(x, 2) for x in range(2)])
         assert np.allclose(out.amps, [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-12)
 
     def test_sign_pair_inverts(self):
         state = random_state("GF(4)", 1, 2, seed=9)
         fn = [Fraction(x, 7) for x in range(4)]
-        out = apply_phase(apply_phase(state, "r1", fn, sign=1), "r1", fn, sign=-1)
+        out = apply_phase(apply_phase(state, "r1", fn), "r1", [-t for t in fn])
         assert np.allclose(out.amps, state.amps, atol=1e-12)
 
 
@@ -282,10 +280,8 @@ class TestFidelity:
             fidelity(a, b)
 
 
-def fourier_reference(state, reg, adjoint):
+def fourier_reference(state, reg):
     mat = fourier_matrix(state.ring, state.q)
-    if adjoint:
-        mat = mat.conj().T
     ax = state.axis(reg)
     return np.moveaxis(np.tensordot(mat, state.amps, axes=([1], [ax])), 0, ax)
 
@@ -314,10 +310,9 @@ def kernel_states(draw):
 def test_kernels_match_reference_on_every_axis(state, seed):
     for reg in state.reg_ids:
         ax = state.axis(reg)
-        for adjoint in (False, True):
-            got = apply_fourier(state, reg, adjoint=adjoint)
-            assert got.reg_ids == state.reg_ids
-            assert np.allclose(got.amps, fourier_reference(state, reg, adjoint), atol=1e-12)
+        got = apply_fourier(state, reg)
+        assert got.reg_ids == state.reg_ids
+        assert np.allclose(got.amps, fourier_reference(state, reg), atol=1e-12)
         other = tuple(i for i in range(state.amps.ndim) if i != ax)
         expected = (np.abs(state.amps) ** 2).sum(axis=other)
         assert np.allclose(marginal_distribution(state, reg), expected, atol=1e-12)
@@ -372,14 +367,6 @@ def test_fused_first_input_matches_code_fourier_measure(case, seed):
         assert got_state.reg_ids == want_state.reg_ids
         assert got_state.amps.shape == want_state.amps.shape
         assert np.allclose(got_state.amps, want_state.amps, atol=1e-12)
-    # a state too faint for any forced label raises the same error on both paths
-    faint = StateVector(state.ring, state.q, state.reg_ids, state.amps * 1e-7)
-    errors = []
-    for step in (code_fourier_measure, code_and_measure_first):
-        with pytest.raises(ZeroProbabilityError) as info:
-            step(faint, ins, outs, table, forced=seed % state.dim)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
 
 
 def test_injectivity_in_first_input():
