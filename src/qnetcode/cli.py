@@ -19,7 +19,6 @@ coordinate lists.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -88,6 +87,10 @@ def _load_input_state(arg, ring, q, k, max_entries):
         raise DimensionCapError(
             f"the input state needs {int_text(d**k)} amplitudes, above the cap {max_entries} "
             "(use --max-dim N)"
+        )
+    if d**k * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise DimensionCapError(
+            f"the input state needs {int_text(d**k)} amplitudes, more than an array can index"
         )
     if arg is None:
         amps = np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex)
@@ -226,7 +229,7 @@ def cmd_simulate(args) -> int:
         "instance": str(args.instance),
         "ring": str(scheme.ring),
         "q": scheme.q,
-        "node_order": list(result.node_order),
+        "node_order": list(net.topo_order),
         "branch": list(result.log.branch_labels()),
         "outcomes": [
             {"node": e.node, "register": o.register, "label": o.label}
@@ -240,7 +243,7 @@ def cmd_simulate(args) -> int:
     lines = [
         f"instance: {args.instance}",
         f"ring: {scheme.ring}  q: {scheme.q}  register dim: {scheme.register_dim}",
-        f"node order: {' '.join(result.node_order)}",
+        f"node order: {' '.join(net.topo_order)}",
         "outcomes:",
     ]
     for entry in result.log.entries:
@@ -305,8 +308,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_cost(args) -> int:
     net, scheme = parse_network(args.instance)
-    plan = plan_scheme(net, scheme)
-    base, pruned = classical_cost(plan), classical_cost(dataclasses.replace(plan, prune=True))
+    base = classical_cost(plan_scheme(net, scheme))
+    pruned = classical_cost(plan_scheme(net, scheme, prune=True))
     payload = {
         "command": "cost",
         "instance": str(args.instance),
@@ -412,7 +415,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
-        InstanceError, RingError, QuantumError, CapExceededError, OSError, json.JSONDecodeError
+        InstanceError, RingError, QuantumError, CapExceededError, OSError, MemoryError,
+        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

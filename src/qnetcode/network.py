@@ -162,6 +162,9 @@ def _parse_entry(obj, spec: RingSpec):
             raise InstanceError(
                 f"entry {obj} has {len(obj)} coordinates, expected {len(spec.moduli)}"
             )
+        for c, m in zip(obj, spec.moduli):
+            if not 0 <= c < m:
+                raise InstanceError(f"entry coordinate {c} out of range for {spec}")
         return spec.element(obj)
     raise InstanceError(f"bad ring entry {obj!r}")
 

@@ -14,7 +14,9 @@ what the kM|V| cost bound counts. Two optional reductions are available:
 from some measured register is nonzero (a target never pays for messages to
 itself), and `copy_skip` lets a fan-in-one node whose outputs are all plain
 copies keep its input register alive instead of measuring, which removes its
-measurements and messages entirely.
+measurements and messages entirely. `plan_scheme` fixes the policy: each
+`NodePlan` records the registers its node keeps, codes, adjoins and
+measures, and the pairs it tells.
 
 Measurement order is fixed: nodes in `Network.topo_order` (any topological
 order works), then input edges in declared order. Forced branches are given
@@ -23,8 +25,8 @@ as one outcome label per measurement in that order.
 What depends only on the scheme and the policy is fixed once in a
 `SchemePlan`; the message cost is read from it without simulation. Every
 run, sampled or forced, goes through the one node loop, `node_steps`, which
-is the only place a node is coded or measured and the only place a forced
-branch is checked.
+reads no policy, is the only place a node is coded or measured and the only
+place a forced branch is checked.
 """
 
 from __future__ import annotations
@@ -133,20 +135,28 @@ class PhaseTable:
 
 @dataclass(frozen=True)
 class NodePlan:
-    """What one node does in every run; fixed by the scheme alone."""
+    """What one node does in every run, under the plan's policy.
+
+    A copy-skip node renames its kept input register to its first output and
+    codes that register into its other outputs; any other node codes its
+    inputs into its outputs and measures the inputs. `measured` is None when
+    the node does not announce; a node without inputs announces, and tells
+    `recipients`, that it measured nothing.
+    """
 
     node: str
-    in_edges: tuple[str, ...]
-    out_edges: tuple[str, ...]
-    coeffs: tuple  # coeffs[output][input], integer matrices
-    copy_only: bool  # fan-in one and every output an identity copy
-    needed_by: tuple[int, ...]  # pairs (1-based) whose correction reads its outcomes
+    kept: tuple[str, str] | None  # (input register, the output it becomes)
+    coded_from: tuple[str, ...]  # registers the adjoined outputs are coded from
+    adjoined: tuple[str, ...]  # output registers it adjoins
+    rows: tuple  # rows[output][register], integer matrices
+    measured: tuple[str, ...] | None  # in measurement order
+    recipients: tuple[int, ...]  # 1-based pair indices
 
 
 @dataclass(frozen=True, eq=False)
 class SchemePlan:
     """The transfer map and one NodePlan per node in topological order, under
-    a policy that decides which nodes measure and who hears them.
+    the announcement policy named by `policy` ("broadcast" or "prune").
 
     The tables of size |R|^q and more (coding tables, label digits,
     correction rows) are built on first use, so planning and cost stay cheap
@@ -157,21 +167,17 @@ class SchemePlan:
     scheme: CodingScheme
     tmap: TransferMap
     nodes: tuple[NodePlan, ...]
-    prune: bool = False
-    copy_skip: bool = False
+    policy: str
     _coding: dict = field(default_factory=dict, init=False, repr=False)
 
     def coding(self, p: NodePlan) -> tuple[np.ndarray | None, bool]:
         """The node's coding table (`quantum.output_labels`; None if it adjoins
-        no registers) and whether its first input is measured inside the
-        coding scatter: the node measures, and its outputs and other inputs
-        determine that input. A copy-skip node codes its kept register into
-        the remaining copies."""
+        no registers) and whether its first measured register is measured
+        inside the coding scatter: the outputs and the other inputs determine
+        it."""
         if p.node not in self._coding:
-            measures = self.measures(p)
-            rows = p.coeffs if measures else tuple((row[0],) for row in p.coeffs[1:])
-            table = output_labels(self.scheme.ring, self.scheme.q, rows) if rows else None
-            fused = bool(measures and p.in_edges and rows) and injective_in_first_input(table)
+            table = output_labels(self.scheme.ring, self.scheme.q, p.rows) if p.adjoined else None
+            fused = bool(p.measured) and table is not None and injective_in_first_input(table)
             self._coding[p.node] = table, fused
         return self._coding[p.node]
 
@@ -190,22 +196,8 @@ class SchemePlan:
         return {e: g @ form % ring.exponent for e, g in self.tmap.gammas.items()}
 
     @property
-    def policy(self) -> str:
-        return "prune" if self.prune else "broadcast"
-
-    @property
-    def ring_bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.scheme.ring.cardinality)))
-
-    def measures(self, p: NodePlan) -> bool:
-        return not (self.copy_skip and p.copy_only)
-
-    def recipients(self, p: NodePlan) -> tuple[int, ...]:
-        return p.needed_by if self.prune else tuple(range(1, self.net.k + 1))
-
-    @property
     def measurement_count(self) -> int:
-        return sum(len(p.in_edges) for p in self.nodes if self.measures(p))
+        return sum(len(p.measured) for p in self.nodes if p.measured is not None)
 
     @property
     def branch_count(self) -> int:
@@ -217,18 +209,25 @@ def plan_scheme(
 ) -> SchemePlan:
     """Plan the scheme's run under a policy, nodes in `net.topo_order`."""
     tmap = transfer_coefficients(net, scheme)
+    everyone = tuple(range(1, net.k + 1))
     nodes = []
     for v in net.topo_order:
         ins, outs, coeffs = net.node_inputs[v], net.node_outputs[v], scheme.coeffs[v]
-        copy_only = len(ins) == 1 and len(outs) >= 1 and all(is_identity(r[0]) for r in coeffs)
-        needed_by = tuple(
-            j + 1
-            for j in range(net.k)
-            # a target already holds its own outcomes
-            if net.pairs[j][1] != v and any(not is_zero(tmap.gammas[e][j]) for e in ins)
-        )
-        nodes.append(NodePlan(v, ins, outs, coeffs, copy_only, needed_by))
-    return SchemePlan(net, scheme, tmap, tuple(nodes), prune, copy_skip)
+        if copy_skip and len(ins) == 1 and outs and all(is_identity(r[0]) for r in coeffs):
+            # the input register survives as the first output; the rest are copies
+            rows = tuple((r[0],) for r in coeffs[1:])
+            nodes.append(NodePlan(v, (ins[0], outs[0]), outs[:1], outs[1:], rows, None, ()))
+            continue
+        told = everyone
+        if prune:
+            told = tuple(
+                j + 1
+                for j in range(net.k)
+                # a target already holds its own outcomes
+                if net.pairs[j][1] != v and any(not is_zero(tmap.gammas[e][j]) for e in ins)
+            )
+        nodes.append(NodePlan(v, None, ins, outs, coeffs, ins, told))
+    return SchemePlan(net, scheme, tmap, tuple(nodes), "prune" if prune else "broadcast")
 
 
 @dataclass
@@ -238,10 +237,6 @@ class RunResult:
     log: MessageLog
     phase_table: PhaseTable
     plan: SchemePlan
-
-    @property
-    def node_order(self) -> tuple[str, ...]:
-        return tuple(p.node for p in self.plan.nodes)
 
 
 @dataclass(frozen=True)
@@ -272,8 +267,7 @@ def node_steps(
     Every node codes its inputs into fresh output registers, measuring a
     recoverable first input inside the coding scatter
     (`quantum.code_and_measure_first`), then Fourier-transforms and measures
-    the remaining inputs in order. A copy-skip node instead keeps its input
-    as its first output and codes it into the other copies.
+    the remaining inputs in order; each step is the node's `NodePlan`.
 
     Outcomes are sampled from `rng`, or taken in turn from `branch`, one
     label per measurement; a branch of the wrong length or with a label out
@@ -291,32 +285,29 @@ def node_steps(
     labels = itertools.repeat(None) if branch is None else iter(branch)
     state = input_state
     for p in plan.nodes:
-        ins, outs, measures = p.in_edges, p.out_edges, plan.measures(p)
-        if not measures:
-            # the input register survives as the first output; the rest are copies
-            state = state.renamed({ins[0]: outs[0]})
-            ins, outs = outs[:1], outs[1:]
+        if p.kept is not None:
+            state = state.renamed({p.kept[0]: p.kept[1]})
         outcomes = []
-        if outs:
+        if p.adjoined:
             # the full coded state even where the fused step builds one d times smaller:
             # at least d^2 and d^m * n * width, it also bounds the d x d Fourier matrix
             # (cached, uncapped) and the temporary the coding table is built from
-            check_growth(state.amps.size * state.dim ** len(outs), max_entries)
+            check_growth(state.amps.size * state.dim ** len(p.adjoined), max_entries)
             table, fused = plan.coding(p)
             if fused:
                 outcome, state = code_and_measure_first(
-                    state, ins, outs, table, rng, next(labels), p.node, max_entries
+                    state, p.coded_from, p.adjoined, table, rng, next(labels), max_entries
                 )
                 outcomes.append(outcome)
             else:
-                state = apply_coding_unitary(state, ins, outs, table, max_entries)
+                state = apply_coding_unitary(state, p.coded_from, p.adjoined, table, max_entries)
         entry = None
-        if measures:
-            for reg in ins[len(outcomes) :]:
+        if p.measured is not None:
+            for reg in p.measured[len(outcomes) :]:
                 state = apply_fourier(state, reg)
-                outcome, state = measure(state, reg, rng=rng, forced=next(labels), node=p.node)
+                outcome, state = measure(state, reg, rng=rng, forced=next(labels))
                 outcomes.append(outcome)
-            entry = LogEntry(p.node, tuple(outcomes), plan.recipients(p))
+            entry = LogEntry(p.node, tuple(outcomes), p.recipients)
         yield NodeStep(p.node, state, entry)
 
 
@@ -429,13 +420,14 @@ def classical_cost(plan: SchemePlan) -> CostReport:
     Broadcast traffic is k * q times the total fan-in of the measuring nodes,
     and M is the largest fan-in, so it never exceeds the bound.
     """
-    net, q, bits = plan.net, plan.scheme.q, plan.ring_bits
+    net, q = plan.net, plan.scheme.q
+    bits = max(1, math.ceil(math.log2(plan.scheme.ring.cardinality)))
     bound = net.k * net.max_fan_in * len(net.nodes) * q
     per_node = []
     for p in plan.nodes:
-        if plan.measures(p):
-            told = len(plan.recipients(p))
-            per_node.append((p.node, len(p.in_edges), told, len(p.in_edges) * told * q))
+        if p.measured is not None:
+            told = len(p.recipients)
+            per_node.append((p.node, len(p.measured), told, len(p.measured) * told * q))
     sent = sum(row[3] for row in per_node)
     return CostReport(
         net.k, net.max_fan_in, len(net.nodes), len(net.edges), q, bound, bound * bits,

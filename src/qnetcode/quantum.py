@@ -59,7 +59,6 @@ class MeasurementOutcome:
     register: str
     label: int
     probability: float  # the marginal of the outcome before the collapse
-    node: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +228,7 @@ def apply_coding_unitary(
 
 
 def code_and_measure_first(
-    state, in_regs, out_regs, table, rng=None, forced=None, node=None, max_entries=MAX_STATE_ENTRIES
+    state, in_regs, out_regs, table, rng=None, forced=None, max_entries=MAX_STATE_ENTRIES
 ) -> tuple[MeasurementOutcome, StateVector]:
     """`apply_coding_unitary`, `apply_fourier` and `measure` of the first input
     in one scatter, for a table injective in the first input.
@@ -243,7 +242,7 @@ def code_and_measure_first(
     label, p = _draw(np.full(d, 1 / d), reg, rng, forced)
     row = fourier_matrix(state.ring, state.q)[label] * math.sqrt(d)
     coded = apply_coding_unitary(state, in_regs, out_regs, table, max_entries, first_row=row)
-    return MeasurementOutcome(register=reg, label=label, probability=p, node=node), coded
+    return MeasurementOutcome(register=reg, label=label, probability=p), coded
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +294,6 @@ def measure(
     reg: str,
     rng: np.random.Generator | None = None,
     forced: int | None = None,
-    node: str | None = None,
 ) -> tuple[MeasurementOutcome, StateVector]:
     """Computational-basis measurement; the register is dropped afterwards.
 
@@ -305,7 +303,7 @@ def measure(
     ax = state.axis(reg)
     label, p = _draw(marginal_distribution(state, reg), reg, rng, forced)
     collapsed = state.amps[(slice(None),) * ax + (label,)] / math.sqrt(p)
-    outcome = MeasurementOutcome(register=reg, label=label, probability=p, node=node)
+    outcome = MeasurementOutcome(register=reg, label=label, probability=p)
     rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
     return outcome, StateVector(state.ring, state.q, rest, collapsed)
 

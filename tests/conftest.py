@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -24,3 +25,11 @@ def random_input_state(scheme, k, seed):
     amps = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     amps /= np.linalg.norm(amps)
     return init_state(scheme.ring, scheme.q, k, amps)
+
+
+def butterfly_with_isolated_node() -> dict:
+    """butterfly_f2 plus a node `iso` with no inputs and no outputs."""
+    doc = json.loads((INSTANCES / "butterfly_f2.json").read_text())
+    doc["nodes"].append("iso")
+    doc["coding"]["iso"] = {"inputs": [], "outputs": []}
+    return doc

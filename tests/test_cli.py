@@ -3,12 +3,14 @@ import copy
 import io
 import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCES
+from conftest import INSTANCES, butterfly_with_isolated_node
 from qnetcode.cli import main
 from qnetcode.network import InstanceError, parse_network
 from qnetcode.rings import RingError, parse_ring_spec
@@ -40,7 +42,7 @@ class TestVerify:
         assert "counterexample" in out
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
-        doc = json.loads(open(BUTTERFLY).read())
+        doc = json.loads(Path(BUTTERFLY).read_text())
         doc["edges"].append({"id": "back", "from": "t1", "to": "s1"})
         doc["coding"]["t1"]["outputs"].append({"edge": "back", "coeffs": [0, 0]})
         doc["coding"]["s1"]["inputs"] = ["src:1", "back"]
@@ -242,6 +244,19 @@ class TestCost:
         assert "broadcast: 18 elements" in out
 
 
+def test_node_without_inputs_announces(capsys, tmp_path):
+    # it measures no registers, yet it announces: to every pair, or under
+    # prune to none; the cost table lists it
+    path = str(tmp_path / "iso.json")
+    Path(path).write_text(json.dumps(butterfly_with_isolated_node()))
+    _, out, _ = run_cli(capsys, "simulate", path, "--seed", "3")
+    assert "\n  iso:  -> pairs [1, 2]\n" in out
+    _, out, _ = run_cli(capsys, "simulate", path, "--seed", "3", "--copy-skip", "--prune")
+    assert "\n  iso:  -> pairs []\n" in out
+    _, out, _ = run_cli(capsys, "cost", path)
+    assert "\n  iso: 0 measured x 2 recipients = 0 elements\n" in out
+
+
 def _assert_one_line_error(err):
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -258,13 +273,17 @@ def _long_ints(doc) -> str:
     return json.dumps(doc).replace(json.dumps(LONG_INT), LONG_LITERAL)
 
 
+def _copy_with(path, **fields) -> bytes:
+    return _long_ints({**json.loads(Path(path).read_text()), **fields}).encode()
+
+
 def _butterfly_with(**fields) -> bytes:
-    return _long_ints({**json.loads(open(BUTTERFLY).read()), **fields}).encode()
+    return _copy_with(BUTTERFLY, **fields)
 
 
 def _huge_ring_copy(tmp_path, path):
     """A copy of an instance over Z(2^40), too large for any amplitude table."""
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["ring"] = f"Z({2**40})"
     out = tmp_path / "huge.json"
     out.write_text(json.dumps(doc))
@@ -337,6 +356,28 @@ class TestErrorContract:
                 [[[[5], 0], 1.0, 0.0]],
                 id="entry-out-of-range",
             ),
+            # sizes no array can index, refused before anything is allocated
+            pytest.param(
+                ["simulate", "--seed", "1", "--max-dim", str(2**62)],
+                _butterfly_with(ring=f"Z({2**31})"),
+                id="unindexable-uniform-state",
+            ),
+            pytest.param(
+                ["simulate", "--seed", "1", "--input", "0,0", "--max-dim", str(2**62)],
+                _butterfly_with(ring=f"Z({2**31})"),
+                id="unindexable-basis-state",
+            ),
+            pytest.param(
+                ["simulate", "--seed", "1", "--max-dim", "9" * 4100],
+                _copy_with(SINGLE, ring=f"Z({MODULUS_4000})"),
+                id="unindexable-4000-digit-modulus",
+            ),
+            # coordinate lists are range-checked like labels, not reduced
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[[[5]], 0], 1.0, 0.0]],
+                id="state-coordinate-out-of-range",
+            ),
         ],
     )
     def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, file_doc):
@@ -350,6 +391,16 @@ class TestErrorContract:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+        _assert_one_line_error(err)
+
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate the array")
+
+        monkeypatch.setattr(np, "full", refuse)
+        code, out, err = run_cli(capsys, "simulate", SINGLE, "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "Unable to allocate" in err
         _assert_one_line_error(err)
 
     def test_long_literals_are_instance_and_ring_errors(self):
@@ -387,7 +438,7 @@ class TestErrorContract:
         assert code == 1
         assert "solution: INVALID (counterexample input ((0,), (1,)))" in out
         # the Z(4) butterfly with its -1 relabelled for Z(2^40) is a solution there
-        doc = json.loads(open(INSTANCES / "butterfly_z4.json").read())
+        doc = json.loads((INSTANCES / "butterfly_z4.json").read_text())
         doc["ring"] = f"Z({2**40})"
         for block in doc["coding"].values():
             for output in block["outputs"]:
@@ -422,10 +473,15 @@ class TestErrorContract:
                 "[True]",
                 id="coefficient-bool",
             ),
+            pytest.param(
+                lambda d: d["coding"]["n1"]["outputs"][0].update(coeffs=[[5], [7]]),
+                "entry coordinate 5 out of range for Z(2)",
+                id="coordinate-out-of-range",
+            ),
         ],
     )
     def test_malformed_document_exit_2(self, capsys, tmp_path, mutate, field):
-        doc = json.loads(open(BUTTERFLY).read())
+        doc = json.loads(Path(BUTTERFLY).read_text())
         mutate(doc)
         with pytest.raises(InstanceError, match=re.escape(field)):
             parse_network(doc)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import INSTANCES, load_instance, random_input_state
+from conftest import INSTANCES, butterfly_with_isolated_node, load_instance, random_input_state
 from qnetcode.network import (
     CapExceededError,
     InstanceError,
@@ -294,11 +294,12 @@ class TestCost:
         assert report.quantum_registers_sent == 0
 
     @pytest.mark.parametrize(
-        "name",
-        [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")],
+        "instance",
+        [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")]
+        + [pytest.param(butterfly_with_isolated_node(), id="butterfly_f2_iso")],
     )
-    def test_plan_matches_seeded_run(self, name):
-        net, scheme = load_instance(name)
+    def test_plan_matches_seeded_run(self, instance):
+        net, scheme = parse_network(INSTANCES / instance if isinstance(instance, str) else instance)
         state = random_input_state(scheme, net.k, 31)
         bound = net.k * scheme.q * net.max_fan_in * len(net.nodes)
         for prune, copy_skip in itertools.product((False, True), repeat=2):
@@ -311,8 +312,17 @@ class TestCost:
             assert [(e.node, len(e.outcomes), len(e.recipients)) for e in log.entries] == [
                 row[:3] for row in report.per_node
             ]
-            planned = {p.node: plan.recipients(p) for p in plan.nodes}
-            assert all(e.recipients == planned[e.node] for e in log.entries)
+            planned = {p.node: p for p in plan.nodes}
+            for e in log.entries:
+                assert tuple(o.register for o in e.outcomes) == planned[e.node].measured
+                assert e.recipients == planned[e.node].recipients
+            skipped = {p.node for p in plan.nodes if p.kept is not None}
+            assert copy_skip or not skipped
+            assert skipped.isdisjoint(e.node for e in log.entries)
+            if "iso" in planned:
+                # it measures no registers, but it announces that
+                assert planned["iso"].measured == ()
+                assert "iso" in {e.node for e in log.entries}
             assert report.bound_elements == bound
             if not prune:
                 assert report.elements_sent <= bound
@@ -442,7 +452,7 @@ class TestFirstInputRecoverable:
         net, scheme = load_instance(name)
         plan = plan_scheme(net, scheme, copy_skip=copy_skip)
         assert {p.node: plan.coding(p)[1] for p in plan.nodes} == {
-            p.node: plan.measures(p) for p in plan.nodes
+            p.node: p.measured is not None for p in plan.nodes
         }
 
     def test_unrecoverable_first_input_falls_back(self):
