@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from qnetcode.cli import _parse_branch
 from qnetcode.network import InstanceError, parse_network
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
 from qnetcode.quantum import fidelity, init_state
@@ -32,25 +33,30 @@ def show_state(state, note):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--branch", default="000000000", help="nine outcome labels")
+    parser.add_argument(
+        "--branch", default="000000000", help="nine outcome labels, as digits or comma-separated"
+    )
     parser.add_argument(
         "--amps",
         default="0.5,0.5,0.5,0.5",
         help="four comma-separated real amplitudes for |00>,|01>,|10>,|11>",
     )
     args = parser.parse_args()
-    branch = [int(ch) for ch in args.branch]
-    amps = [float(tok) for tok in args.amps.split(",")]
 
     net, scheme = parse_network(INSTANCE)
-    state = init_state(scheme.ring, scheme.q, net.k, amps)
+    try:
+        amps = [float(tok) for tok in args.amps.split(",")]
+        state = init_state(scheme.ring, scheme.q, net.k, amps)
+    except ValueError as exc:
+        parser.error(f"bad --amps: {exc}")
     plan = plan_scheme(net, scheme)
     try:
+        branch = _parse_branch(args.branch, scheme.register_dim)
         steps = list(node_steps(plan, state, branch=branch))
     except InstanceError as exc:
         parser.error(str(exc))
 
-    print(f"instance: {INSTANCE.name}, branch {args.branch}")
+    print(f"instance: {INSTANCE.name}, branch {''.join(map(str, branch))}")
     show_state(state, "input on the source registers")
     for step in steps:
         got = " ".join(f"{o.register}={o.label}" for o in step.entry.outcomes)

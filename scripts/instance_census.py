@@ -59,10 +59,17 @@ def census(path, full_enum, samples):
     }
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full-enum", type=int, default=4096)
-    parser.add_argument("--samples", type=int, default=50)
+    parser.add_argument("--samples", type=positive_int, default=50)
     args = parser.parse_args()
 
     header = (

@@ -50,14 +50,13 @@ from .quantum import (
     DimensionCapError,
     QuantumError,
     ZeroProbabilityError,
-    basis_state,
+    check_growth,
     fidelity,
     init_state,
 )
 from .rings import (
     RingError,
     decimal,
-    int_text,
     is_identity,
     is_zero,
     matrix_entries,
@@ -81,20 +80,9 @@ def _register_index(obj, ring, q) -> int:
     raise InstanceError(f"bad basis label {obj!r}")
 
 
-def _load_input_state(arg, ring, q, k, max_entries):
-    d = ring.cardinality**q
-    if d**k > max_entries:
-        raise DimensionCapError(
-            f"the input state needs {int_text(d**k)} amplitudes, above the cap {max_entries} "
-            "(use --max-dim N)"
-        )
-    if d**k * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
-        raise DimensionCapError(
-            f"the input state needs {int_text(d**k)} amplitudes, more than an array can index"
-        )
-    if arg is None:
-        amps = np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex)
-        return init_state(ring, q, k, amps, max_entries=max_entries)
+def _input_triples(arg, k) -> list:
+    """The [label, real, imag] triples of an input-state file, or the one of a
+    basis-label literal."""
     if os.path.exists(arg):
         triples = load_json(arg)
         if not isinstance(triples, list) or not all(
@@ -102,6 +90,25 @@ def _load_input_state(arg, ring, q, k, max_entries):
             for t in triples
         ):
             raise InstanceError("input-state file must hold a list of [label, real, imag]")
+        return triples
+    text = arg.strip()
+    if all(ch.isdigit() or ch in ", " for ch in text) and any(ch.isdigit() for ch in text):
+        labels = [decimal(tok) for tok in text.replace(" ", "").split(",") if tok]
+        if len(labels) != k:
+            raise InstanceError(f"input literal must give {k} labels, got {len(labels)}")
+        return [[labels, 1.0, 0.0]]
+    raise InstanceError(f"input state file not found: {arg}")
+
+
+def _load_input_state(arg, ring, q, k, max_entries):
+    """The input state: uniform when `arg` is None, else from `_input_triples`;
+    the cap is checked before any of it is allocated."""
+    d = ring.cardinality**q
+    check_growth(d**k, max_entries)
+    if arg is None:
+        amps = np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex)
+    else:
+        triples = _input_triples(arg, k)
         amps = np.zeros(d**k, dtype=complex)
         for label, re_part, im_part in triples:
             if not isinstance(label, list) or len(label) != k:
@@ -110,15 +117,7 @@ def _load_input_state(arg, ring, q, k, max_entries):
             for item in label:
                 flat = flat * d + _register_index(item, ring, q)
             amps[flat] = complex(float(re_part), float(im_part))
-        return init_state(ring, q, k, amps, max_entries=max_entries)
-    text = arg.strip()
-    if all(ch.isdigit() or ch in ", " for ch in text) and any(ch.isdigit() for ch in text):
-        labels = [decimal(tok) for tok in text.replace(" ", "").split(",") if tok]
-        if len(labels) != k:
-            raise InstanceError(f"input literal must give {k} labels, got {len(labels)}")
-        labels = [_register_index(v, ring, q) for v in labels]
-        return basis_state(ring, q, labels, max_entries=max_entries)
-    raise InstanceError(f"input state file not found: {arg}")
+    return init_state(ring, q, k, amps)
 
 
 def _parse_branch(text, dim) -> tuple[int, ...]:
@@ -269,22 +268,19 @@ def cmd_enumerate(args) -> int:
     state = _load_input_state(args.input, scheme.ring, scheme.q, net.k, args.max_dim)
     fids = []
     skipped = 0
-    try:
-        for branch_result in enumerate_branches(
-            net,
-            scheme,
-            state,
-            max_branches=args.max_branches,
-            prune=args.prune,
-            copy_skip=args.copy_skip,
-            max_entries=args.max_dim,
-        ):
-            if branch_result.fidelity is None:
-                skipped += 1
-            else:
-                fids.append(branch_result.fidelity)
-    except CapExceededError as exc:
-        raise CapExceededError(f"{exc} (use --max-branches N)") from None
+    for branch_result in enumerate_branches(
+        net,
+        scheme,
+        state,
+        max_branches=args.max_branches,
+        prune=args.prune,
+        copy_skip=args.copy_skip,
+        max_entries=args.max_dim,
+    ):
+        if branch_result.fidelity is None:
+            skipped += 1
+        else:
+            fids.append(branch_result.fidelity)
     total = len(fids) + skipped
     lo, hi = (min(fids), max(fids)) if fids else (0.0, 0.0)
     payload = {
@@ -414,9 +410,12 @@ def main(argv=None) -> int:
     except (InvalidSchemeError, ZeroProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CapExceededError as exc:
+        flag = "--max-dim" if isinstance(exc, DimensionCapError) else "--max-branches"
+        print(f"error: {exc} (use {flag} N)", file=sys.stderr)
+        return 2
     except (
-        InstanceError, RingError, QuantumError, CapExceededError, OSError, MemoryError,
-        json.JSONDecodeError,
+        InstanceError, RingError, QuantumError, OSError, MemoryError, json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

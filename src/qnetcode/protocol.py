@@ -267,7 +267,9 @@ def node_steps(
     Every node codes its inputs into fresh output registers, measuring a
     recoverable first input inside the coding scatter
     (`quantum.code_and_measure_first`), then Fourier-transforms and measures
-    the remaining inputs in order; each step is the node's `NodePlan`.
+    the remaining inputs in order; each step is the node's `NodePlan`. Before
+    a node codes, `quantum.check_growth` refuses a coded state above
+    `max_entries` amplitudes, so nothing of that node is built.
 
     Outcomes are sampled from `rng`, or taken in turn from `branch`, one
     label per measurement; a branch of the wrong length or with a label out
@@ -296,11 +298,11 @@ def node_steps(
             table, fused = plan.coding(p)
             if fused:
                 outcome, state = code_and_measure_first(
-                    state, p.coded_from, p.adjoined, table, rng, next(labels), max_entries
+                    state, p.coded_from, p.adjoined, table, rng, next(labels)
                 )
                 outcomes.append(outcome)
             else:
-                state = apply_coding_unitary(state, p.coded_from, p.adjoined, table, max_entries)
+                state = apply_coding_unitary(state, p.coded_from, p.adjoined, table)
         entry = None
         if p.measured is not None:
             for reg in p.measured[len(outcomes) :]:

@@ -8,7 +8,11 @@ phase is kept, never quotiented out.
 Operations return new states. Registers are created by the coding unitary
 and destroyed by measurement, so the tensor always has exactly one axis per
 live register. A configurable cap bounds the amplitude count so a malformed
-instance fails fast instead of exhausting memory.
+instance fails fast instead of exhausting memory. `check_growth` is the one
+check against it, made before anything is allocated: by the caller that
+builds the input state and by the node loop before each coding step. The
+kernels below take no cap; only `basis_state`, which allocates from its own
+arguments, checks at the default `MAX_STATE_ENTRIES`.
 
 The coding unitary puts the node's input registers on the leading axes of a
 fresh C-contiguous tensor, so the Fourier transform and the measurement that
@@ -35,6 +39,7 @@ from .network import CapExceededError
 from .rings import RingSpec, int_text, linear_map, pairing
 
 MAX_STATE_ENTRIES = 2**24
+_INDEXABLE_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 _NORM_TOL = 1e-9
 
 
@@ -99,14 +104,7 @@ class StateVector:
         return StateVector(self.ring, self.q, new_order, np.transpose(self.amps, perm))
 
 
-def init_state(
-    ring: RingSpec,
-    q: int,
-    k: int,
-    amplitudes,
-    reg_ids=None,
-    max_entries: int = MAX_STATE_ENTRIES,
-) -> StateVector:
+def init_state(ring: RingSpec, q: int, k: int, amplitudes, reg_ids=None) -> StateVector:
     """State of k registers from a flat amplitude array of length (|R|^q)^k.
 
     The flat index runs over basis labels with the first register most
@@ -126,8 +124,6 @@ def init_state(
             f"need {int_text(dim**k)} amplitudes for {k} registers of dimension {int_text(dim)}, "
             f"got {amps.size}"
         )
-    if amps.size > max_entries:
-        raise DimensionCapError(f"state of {amps.size} amplitudes exceeds cap {max_entries}")
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
     if not (np.isfinite(amps).all() and math.isfinite(norm)):
@@ -140,23 +136,29 @@ def init_state(
     return StateVector(ring, q, reg_ids, amps.reshape((dim,) * k))
 
 
-def basis_state(
-    ring: RingSpec, q: int, labels, reg_ids=None, max_entries: int = MAX_STATE_ENTRIES
-) -> StateVector:
-    """Computational basis state |labels[0], labels[1], ...>."""
+def basis_state(ring: RingSpec, q: int, labels, reg_ids=None) -> StateVector:
+    """Computational basis state |labels[0], labels[1], ...>, refused above
+    `MAX_STATE_ENTRIES` amplitudes."""
     labels = tuple(int(v) for v in labels)
     dim = ring.cardinality**q
-    check_growth(dim ** len(labels), max_entries)
+    check_growth(dim ** len(labels), MAX_STATE_ENTRIES)
     amps = np.zeros((dim,) * len(labels), dtype=complex)
     amps[labels] = 1.0
-    return init_state(ring, q, len(labels), amps, reg_ids=reg_ids, max_entries=max_entries)
+    return init_state(ring, q, len(labels), amps, reg_ids=reg_ids)
 
 
 def check_growth(entries: int, max_entries: int) -> None:
-    """Raise DimensionCapError unless a state of `entries` amplitudes fits under the cap."""
+    """The amplitude cap: refuse a state of `entries` amplitudes above
+    `max_entries` (DimensionCapError), or larger than any array can index
+    (QuantumError), before it is allocated."""
     if entries > max_entries:
         raise DimensionCapError(
-            f"state would grow to {int_text(entries)} amplitudes, above the cap {max_entries}"
+            f"the state would hold {int_text(entries)} amplitudes, "
+            f"above the cap {int_text(max_entries)}"
+        )
+    if entries > _INDEXABLE_ENTRIES:
+        raise QuantumError(
+            f"the state would hold {int_text(entries)} amplitudes, more than an array can index"
         )
 
 
@@ -176,12 +178,7 @@ def injective_in_first_input(table) -> bool:
 
 
 def apply_coding_unitary(
-    state: StateVector,
-    in_regs,
-    out_regs,
-    table,
-    max_entries: int = MAX_STATE_ENTRIES,
-    first_row=None,
+    state: StateVector, in_regs, out_regs, table, first_row=None
 ) -> StateVector:
     """Adjoin fresh output registers holding the coded combination of inputs.
 
@@ -206,7 +203,6 @@ def apply_coding_unitary(
     in_axes = [state.axis(r) for r in in_regs]
     if len(set(in_axes)) != m:
         raise RegisterError("duplicate input register")
-    check_growth(state.amps.size * dim**n, max_entries)
 
     # input combination y sends the amplitudes at y to joint output label
     # table[y] on one last axis
@@ -228,7 +224,7 @@ def apply_coding_unitary(
 
 
 def code_and_measure_first(
-    state, in_regs, out_regs, table, rng=None, forced=None, max_entries=MAX_STATE_ENTRIES
+    state, in_regs, out_regs, table, rng=None, forced=None
 ) -> tuple[MeasurementOutcome, StateVector]:
     """`apply_coding_unitary`, `apply_fourier` and `measure` of the first input
     in one scatter, for a table injective in the first input.
@@ -241,7 +237,7 @@ def code_and_measure_first(
     d = state.dim
     label, p = _draw(np.full(d, 1 / d), reg, rng, forced)
     row = fourier_matrix(state.ring, state.q)[label] * math.sqrt(d)
-    coded = apply_coding_unitary(state, in_regs, out_regs, table, max_entries, first_row=row)
+    coded = apply_coding_unitary(state, in_regs, out_regs, table, first_row=row)
     return MeasurementOutcome(register=reg, label=label, probability=p), coded
 
 

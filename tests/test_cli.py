@@ -193,7 +193,10 @@ class TestEnumerate:
             capsys, "enumerate", BUTTERFLY, "--max-branches", "100"
         )
         assert code == 2
-        assert "max_branches" in err
+        assert err == (
+            "error: 512 branches exceed the cap of 100; raise max_branches to force full "
+            "enumeration (use --max-branches N)\n"
+        )
 
 
 class TestInputFormats:
@@ -290,6 +293,22 @@ def _huge_ring_copy(tmp_path, path):
     return str(out)
 
 
+def _fan_out(n: int) -> dict:
+    """One pair over Z(2) whose source copies its input onto n parallel edges."""
+    edges = [f"e{i}" for i in range(1, n + 1)]
+    return {
+        "ring": "Z(2)",
+        "q": 1,
+        "nodes": ["s", "t"],
+        "edges": [{"id": e, "from": "s", "to": "t"} for e in edges],
+        "pairs": [{"source": "s", "target": "t"}],
+        "coding": {
+            "s": {"inputs": ["src:1"], "outputs": [{"edge": e, "coeffs": [1]} for e in edges]},
+            "t": {"inputs": edges, "outputs": [{"edge": "tgt:1", "coeffs": [1] + [0] * (n - 1)}]},
+        },
+    }
+
+
 class TestErrorContract:
     # a given file document is written out and its path appended to argv
     @pytest.mark.parametrize(
@@ -372,6 +391,11 @@ class TestErrorContract:
                 _copy_with(SINGLE, ring=f"Z({MODULUS_4000})"),
                 id="unindexable-4000-digit-modulus",
             ),
+            pytest.param(
+                ["simulate", "--seed", "1", "--max-dim", str(2**70)],
+                _fan_out(61),
+                id="unindexable-coded-state",
+            ),
             # coordinate lists are range-checked like labels, not reduced
             pytest.param(
                 ["simulate", BUTTERFLY, "--seed", "1", "--input"],
@@ -413,14 +437,21 @@ class TestErrorContract:
     def test_input_state_checked_against_max_dim(self, capsys):
         code, out, err = run_cli(capsys, "simulate", SINGLE, "--seed", "1", "--max-dim", "1")
         assert (code, out) == (2, "")
-        assert "input state needs 2 amplitudes" in err
-        _assert_one_line_error(err)
+        assert err == "error: the state would hold 2 amplitudes, above the cap 1 (use --max-dim N)\n"
+
+    def test_node_loop_cap_names_the_flag(self, capsys):
+        # the node s codes the 2-amplitude input into one more register
+        code, out, err = run_cli(capsys, "simulate", SINGLE, "--seed", "1", "--max-dim", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: the state would hold 4 amplitudes, above the cap 2 (use --max-dim N)\n"
 
     def test_huge_ring_input_state_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "simulate", _huge_ring_copy(tmp_path, SINGLE), "--seed", "1")
         assert (code, out) == (2, "")
-        assert f"input state needs {2**40} amplitudes" in err
-        _assert_one_line_error(err)
+        assert err == (
+            f"error: the state would hold {2**40} amplitudes, above the cap {2**24} "
+            "(use --max-dim N)\n"
+        )
 
     def test_huge_ring_cost_and_verify(self, capsys, tmp_path):
         # neither command needs a table of size |R|^q or a pass over the inputs

@@ -25,7 +25,7 @@ from qnetcode.protocol import (
     plan_scheme,
     run_protocol,
 )
-from qnetcode.quantum import basis_state, fidelity, init_state
+from qnetcode.quantum import DimensionCapError, basis_state, fidelity, init_state
 from qnetcode.rings import frac_mod1, parse_ring_spec
 
 VALID_INSTANCES = [
@@ -111,6 +111,15 @@ class TestEncodeNode:
             list(node_steps(plan, state, branch=(0,) * 10))
         with pytest.raises(InstanceError, match="branch labels out of range"):
             list(node_steps(plan, state, branch=(0,) * 8 + (2,)))
+
+    def test_node_steps_checks_the_cap_before_coding(self):
+        # s1 codes the 4-amplitude input into two outputs: 4 * 2^2 amplitudes
+        net, scheme = load_instance("butterfly_f2.json")
+        plan, state = plan_scheme(net, scheme), basis_state(scheme.ring, 1, (0, 0))
+        with pytest.raises(DimensionCapError, match="hold 16 amplitudes, above the cap 15$"):
+            next(node_steps(plan, state, branch=(0,) * 9, max_entries=15))
+        assert plan._coding == {}  # refused before s1's coding table was built
+        assert next(node_steps(plan, state, branch=(0,) * 9, max_entries=16)).node == "s1"
 
 
 class TestRunProtocol:

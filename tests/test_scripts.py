@@ -31,18 +31,40 @@ def test_walkthrough_delivers_the_input():
     assert out == (ROOT / "tests" / "walkthrough_101100110.txt").read_text()
 
 
+def test_walkthrough_reads_a_comma_branch():
+    out = run_script("butterfly_walkthrough.py", "--branch", "1,0,1,1,0,0,1,1,0").stdout
+    assert out == (ROOT / "tests" / "walkthrough_101100110.txt").read_text()
+
+
 @pytest.mark.parametrize(
-    "branch, message",
+    "arg, message",
     [
         ("1011001101", "branch must list 9 outcome labels, got 10"),
         ("101100112", "branch labels out of range"),
+        ("1x", "branch must be comma-separated labels"),
+        ("1,0,1,1,0,0,1,1,x", "branch labels must be integers"),
+        ("--amps=a,b", "bad --amps: could not convert string to float: 'a'"),
+        ("--amps=1,0,0", "bad --amps: need 4 amplitudes for 2 registers of dimension 2, got 3"),
+        ("--amps=0,0,0,0", "bad --amps: state vector must not be all zero"),
     ],
 )
-def test_walkthrough_rejects_a_bad_branch(branch, message):
-    proc = run_script("butterfly_walkthrough.py", "--branch", branch, check=False)
-    assert proc.returncode != 0
+def test_walkthrough_rejects_a_bad_branch(arg, message):
+    # an argument that names its flag is an --amps value; the rest are branches
+    args = [arg] if arg.startswith("--") else ["--branch", arg]
+    proc = run_script("butterfly_walkthrough.py", *args, check=False)
+    assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "x"])
+def test_census_rejects_a_bad_sample_count(samples):
+    proc = run_script("instance_census.py", f"--samples={samples}", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_census_costs_match_cost_command(capsys):
