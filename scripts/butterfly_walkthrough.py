@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Step through the butterfly run node by node for a chosen branch.
 
-Prints the live registers and nonzero amplitudes after every node, then the
-correction tables and the final comparison with the input. Useful for seeing
+Prints the live registers and the support rows (nonzero amplitudes, in label
+order) after every node, then the correction tables and the final comparison
+with the input. Useful for seeing
 where each measurement phase enters and how the targets cancel it.
 
     python3 scripts/butterfly_walkthrough.py --branch 101100110
@@ -16,7 +17,7 @@ import numpy as np
 from qnetcode.cli import _parse_branch
 from qnetcode.network import InstanceError, parse_network
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
-from qnetcode.quantum import fidelity, init_state
+from qnetcode.quantum import SupportState, fidelity, init_state
 
 INSTANCE = Path(__file__).resolve().parent.parent / "instances" / "butterfly_f2.json"
 
@@ -24,10 +25,10 @@ INSTANCE = Path(__file__).resolve().parent.parent / "instances" / "butterfly_f2.
 def show_state(state, note):
     print(f"  {note}")
     print(f"    registers: {' '.join(state.reg_ids)}")
-    for idx in np.ndindex(*state.amps.shape):
-        amp = state.amps[idx]
+    for s in np.lexsort(state.labels.T[::-1]):
+        amp = state.amps[s]
         if abs(amp) > 1e-12:
-            ket = "".join(str(v) for v in idx)
+            ket = "".join(str(v) for v in state.labels[s])
             print(f"    |{ket}>  {amp.real:+.4f}{amp.imag:+.4f}i")
 
 
@@ -57,7 +58,7 @@ def main():
         parser.error(str(exc))
 
     print(f"instance: {INSTANCE.name}, branch {''.join(map(str, branch))}")
-    show_state(state, "input on the source registers")
+    show_state(SupportState.of(state), "input on the source registers")
     for step in steps:
         got = " ".join(f"{o.register}={o.label}" for o in step.entry.outcomes)
         show_state(step.state, f"after {step.node} (outcomes {got})")
@@ -66,7 +67,7 @@ def main():
     for i, table in enumerate(result.phase_table.tables, start=1):
         values = [str(table[x]) for x in range(scheme.register_dim)]
         print(f"  correction h_{i}: {values}")
-    show_state(result.state, "after corrections")
+    show_state(SupportState.of(result.state), "after corrections")
 
     print(f"fidelity with the input: {fidelity(state, result.state):.12f}")
 

@@ -110,12 +110,16 @@ def _load_input_state(arg, ring, q, k, max_entries):
     else:
         triples = _input_triples(arg, k)
         amps = np.zeros(d**k, dtype=complex)
+        seen = set()
         for label, re_part, im_part in triples:
             if not isinstance(label, list) or len(label) != k:
                 raise InstanceError(f"basis label must list {k} registers, got {label!r}")
             flat = 0
             for item in label:
                 flat = flat * d + _register_index(item, ring, q)
+            if flat in seen:
+                raise InstanceError(f"input state lists basis label {label!r} twice")
+            seen.add(flat)
             amps[flat] = complex(float(re_part), float(im_part))
     return init_state(ring, q, k, amps)
 

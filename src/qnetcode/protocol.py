@@ -26,7 +26,8 @@ What depends only on the scheme and the policy is fixed once in a
 `SchemePlan`; the message cost is read from it without simulation. Every
 run, sampled or forced, goes through the one node loop, `node_steps`, which
 reads no policy, is the only place a node is coded or measured and the only
-place a forced branch is checked.
+place a forced branch is checked. It runs on the state's support
+(`quantum.SupportState`), which on a solution keeps the input's size.
 """
 
 from __future__ import annotations
@@ -53,16 +54,14 @@ from .quantum import (
     MAX_STATE_ENTRIES,
     MeasurementOutcome,
     StateVector,
+    SupportState,
     ZeroProbabilityError,
-    apply_coding_unitary,
-    apply_fourier,
     apply_phase,
     check_growth,
-    code_and_measure_first,
+    code_rows,
     fidelity,
-    injective_in_first_input,
-    measure,
-    output_labels,
+    measure_rows,
+    output_columns,
 )
 from .rings import (
     RingSpec,
@@ -72,6 +71,7 @@ from .rings import (
     is_identity,
     is_zero,
     label_digits,
+    place_values,
 )
 
 BRANCH_CAP_DEFAULT = 65536
@@ -160,7 +160,7 @@ class SchemePlan:
 
     The tables of size |R|^q and more (coding tables, label digits,
     correction rows) are built on first use, so planning and cost stay cheap
-    on any ring.
+    on any ring, and so is each node's column bookkeeping.
     """
 
     net: Network
@@ -169,17 +169,30 @@ class SchemePlan:
     nodes: tuple[NodePlan, ...]
     policy: str
     _coding: dict = field(default_factory=dict, init=False, repr=False)
+    _columns: dict = field(default_factory=dict, init=False, repr=False)
 
-    def coding(self, p: NodePlan) -> tuple[np.ndarray | None, bool]:
-        """The node's coding table (`quantum.output_labels`; None if it adjoins
-        no registers) and whether its first measured register is measured
-        inside the coding scatter: the outputs and the other inputs determine
-        it."""
+    def coding(self, p: NodePlan) -> np.ndarray | None:
+        """The node's coding table (`quantum.output_columns`; None if it
+        adjoins no registers)."""
         if p.node not in self._coding:
-            table = output_labels(self.scheme.ring, self.scheme.q, p.rows) if p.adjoined else None
-            fused = bool(p.measured) and table is not None and injective_in_first_input(table)
-            self._coding[p.node] = table, fused
+            ring, q = self.scheme.ring, self.scheme.q
+            self._coding[p.node] = output_columns(ring, q, p.rows) if p.adjoined else None
         return self._coding[p.node]
+
+    def columns(self, p: NodePlan, roster: tuple[str, ...]):
+        """Node p's column bookkeeping for the roster it starts from: the
+        arguments of `quantum.code_rows` after the table, which put its inputs
+        first, and the place values that key the columns after the first; its
+        i-th `quantum.measure_rows` takes them from i on."""
+        key = (p.node, roster)
+        if key not in self._columns:
+            d = self.scheme.register_dim
+            ins = [roster.index(r) for r in p.coded_from]
+            gather = ins + [c for c in range(len(roster)) if c not in ins]
+            roster = tuple(roster[c] for c in gather) + p.adjoined
+            coding = np.array(gather), place_values((d,) * len(ins)), roster
+            self._columns[key] = coding, place_values((d,) * (len(roster) - 1))
+        return self._columns[key]
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -251,7 +264,7 @@ class NodeStep:
     """The state after one node, and its announcement (None if it did not measure)."""
 
     node: str
-    state: StateVector
+    state: SupportState
     entry: LogEntry | None
 
 
@@ -264,12 +277,13 @@ def node_steps(
 ):
     """The node loop: run the plan's nodes in order, yielding a NodeStep after each.
 
-    Every node codes its inputs into fresh output registers, measuring a
-    recoverable first input inside the coding scatter
-    (`quantum.code_and_measure_first`), then Fourier-transforms and measures
-    the remaining inputs in order; each step is the node's `NodePlan`. Before
-    a node codes, `quantum.check_growth` refuses a coded state above
-    `max_entries` amplitudes, so nothing of that node is built.
+    The loop runs on the input's support (`quantum.SupportState`). Every node
+    appends its outputs' labels to each row (`quantum.code_rows`), then
+    measures its inputs in order in the Fourier basis (`quantum.measure_rows`);
+    each step is the node's `NodePlan`, and the plan works out once where its
+    registers sit among the columns. Before a node codes,
+    `quantum.check_growth` refuses a coded state above `max_entries`
+    amplitudes, so nothing of that node is built.
 
     Outcomes are sampled from `rng`, or taken in turn from `branch`, one
     label per measurement; a branch of the wrong length or with a label out
@@ -285,29 +299,24 @@ def node_steps(
             raise InstanceError("branch labels out of range")
         rng = None
     labels = itertools.repeat(None) if branch is None else iter(branch)
-    state = input_state
+    d = plan.scheme.register_dim
+    state = SupportState.of(input_state)
     for p in plan.nodes:
         if p.kept is not None:
             state = state.renamed({p.kept[0]: p.kept[1]})
-        outcomes = []
         if p.adjoined:
-            # the full coded state even where the fused step builds one d times smaller:
-            # at least d^2 and d^m * n * width, it also bounds the d x d Fourier matrix
-            # (cached, uncapped) and the temporary the coding table is built from
-            check_growth(state.amps.size * state.dim ** len(p.adjoined), max_entries)
-            table, fused = plan.coding(p)
-            if fused:
-                outcome, state = code_and_measure_first(
-                    state, p.coded_from, p.adjoined, table, rng, next(labels)
-                )
-                outcomes.append(outcome)
-            else:
-                state = apply_coding_unitary(state, p.coded_from, p.adjoined, table)
+            # d^(live + adjoined), the dense coded state, not the support's rows: at
+            # least d^2 and d^m * n, it bounds the d x d Fourier matrix (cached,
+            # uncapped), the coding table built next, and keeps row keys below 2^63
+            check_growth(d ** (len(state.reg_ids) + len(p.adjoined)), max_entries)
+        if p.adjoined or p.measured:
+            coding, keys = plan.columns(p, state.reg_ids)
+            state = code_rows(state, plan.coding(p), *coding)
         entry = None
         if p.measured is not None:
-            for reg in p.measured[len(outcomes) :]:
-                state = apply_fourier(state, reg)
-                outcome, state = measure(state, reg, rng=rng, forced=next(labels))
+            outcomes = []
+            for i in range(len(p.measured)):
+                outcome, state = measure_rows(state, keys[i:], rng, next(labels))
                 outcomes.append(outcome)
             entry = LogEntry(p.node, tuple(outcomes), p.recipients)
         yield NodeStep(p.node, state, entry)
@@ -315,8 +324,8 @@ def node_steps(
 
 def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
     """Take a run's node steps in turn, log the announcements, and let the
-    targets cancel their phases."""
-    state, entries = input_state, []
+    targets cancel their phases on the dense target state."""
+    state, entries = SupportState.of(input_state), []
     for step in steps:
         state = step.state
         if step.entry is not None:
@@ -325,7 +334,7 @@ def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
     targets = tuple(target_edge(i + 1) for i in range(plan.net.k))
     if sorted(state.reg_ids) != sorted(targets):
         raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {targets}")
-    state = state.reordered(targets)
+    state = state.dense(targets)
     pre_correction = state
 
     phase_table = compute_corrections(log, plan)

@@ -1,29 +1,26 @@
-"""Dense state-vector engine over named registers of dimension |R|^q.
+"""State engines over named registers of dimension d = |R|^q.
 
-A state holds an ordered roster of live register ids and a complex amplitude
-tensor with one axis per register. Axis order follows the roster; each axis
-is indexed by the basis label of a width-q register (see `rings`). Global
-phase is kept, never quotiented out.
+The protocol runs on a support list, `SupportState`: the live register ids,
+an (S, live) integer array of basis labels with one row per nonzero
+amplitude, and the S amplitudes. On a solution the support never grows past
+the input's. Coding relabels basis states, so `code_rows` appends output
+columns to the rows. Every live cut still determines the input, so measuring
+a register in the Fourier basis leaves the phase chi(y, z) on each row, each
+outcome at probability exactly 1/d (`measure_rows`); where rows interfere,
+in a scheme that is not a solution, it sums them exactly.
 
-Operations return new states. Registers are created by the coding unitary
-and destroyed by measurement, so the tensor always has exactly one axis per
-live register. A configurable cap bounds the amplitude count so a malformed
-instance fails fast instead of exhausting memory. `check_growth` is the one
-check against it, made before anything is allocated: by the caller that
-builds the input state and by the node loop before each coding step. The
-kernels below take no cap; only `basis_state`, which allocates from its own
-arguments, checks at the default `MAX_STATE_ENTRIES`.
+The dense engine, `StateVector`, keeps one amplitude axis per live register.
+It holds the input and the final target state (d^k amplitudes), and its
+kernels `apply_coding_unitary`, `apply_fourier` and `measure` are the
+reference the support engine is tested against. Global phase is kept, never
+quotiented out.
 
-The coding unitary puts the node's input registers on the leading axes of a
-fresh C-contiguous tensor, so the Fourier transform and the measurement that
-follow act on a leading-axis reshape of the amplitudes (one matrix product,
-one reduction) and build no transposed copy and no |amps|^2 tensor.
-
-When the outputs and the other inputs determine the first input, measuring
-it in the Fourier basis leaves only a phase, and each outcome has probability
-1/d: `code_and_measure_first` draws it before coding and scatters each
-amplitude, times its phase, straight to its output label, never building the
-coded tensor (d^n times the state). The cap still counts that full tensor.
+A configurable cap bounds the amplitude count so a malformed instance fails
+fast instead of exhausting memory. `check_growth` is the one check against
+it, made before anything is allocated: by the caller that builds the input
+state and by the node loop before each coding step. The kernels below take
+no cap; only `basis_state`, which allocates from its own arguments, checks
+at the default `MAX_STATE_ENTRIES`.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .network import CapExceededError
-from .rings import RingSpec, int_text, linear_map, pairing
+from .rings import RingSpec, int_text, linear_map, pairing, place_values
 
 MAX_STATE_ENTRIES = 2**24
 _INDEXABLE_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
@@ -90,18 +87,38 @@ class StateVector:
     def dims_signature(self) -> tuple[int, ...]:
         return (self.dim,) * len(self.reg_ids)
 
-    def renamed(self, mapping: dict[str, str]) -> "StateVector":
-        ids = tuple(mapping.get(r, r) for r in self.reg_ids)
-        if len(set(ids)) != len(ids):
-            raise RegisterError("renaming collides register ids")
-        return StateVector(self.ring, self.q, ids, self.amps)
 
-    def reordered(self, new_order) -> "StateVector":
-        new_order = tuple(new_order)
-        if sorted(new_order) != sorted(self.reg_ids):
-            raise RegisterError("reorder must use exactly the live registers")
-        perm = [self.axis(r) for r in new_order]
-        return StateVector(self.ring, self.q, new_order, np.transpose(self.amps, perm))
+@dataclass(frozen=True, eq=False)
+class SupportState:
+    """A state as its support rows: row s has label labels[s, c] on register
+    reg_ids[c] and amplitude amps[s]. Rows are distinct; every basis state
+    not listed has amplitude zero."""
+
+    ring: RingSpec
+    q: int
+    reg_ids: tuple[str, ...]
+    labels: np.ndarray  # (S, len(reg_ids)) int64
+    amps: np.ndarray  # (S,) complex
+
+    @classmethod
+    def of(cls, state: StateVector) -> "SupportState":
+        """The nonzero amplitudes of a dense state, in label order."""
+        amps = state.amps.reshape(-1)[np.flatnonzero(state.amps)]
+        return cls(state.ring, state.q, state.reg_ids, np.argwhere(state.amps), amps)
+
+    def renamed(self, mapping: dict[str, str]) -> "SupportState":
+        ids = tuple(mapping.get(r, r) for r in self.reg_ids)
+        return SupportState(self.ring, self.q, ids, self.labels, self.amps)
+
+    def dense(self, reg_ids) -> StateVector:
+        """The dense state with one axis per live register, in `reg_ids` order."""
+        reg_ids, d = tuple(reg_ids), self.ring.cardinality**self.q
+        if sorted(reg_ids) != sorted(self.reg_ids):
+            raise RegisterError("a dense state must use exactly the live registers")
+        columns = [self.reg_ids.index(r) for r in reg_ids]
+        amps = np.zeros(d ** len(columns), dtype=complex)
+        amps[self.labels[:, columns] @ place_values((d,) * len(columns))] = self.amps
+        return StateVector(self.ring, self.q, reg_ids, amps.reshape((d,) * len(columns)))
 
 
 def init_state(ring: RingSpec, q: int, k: int, amplitudes, reg_ids=None) -> StateVector:
@@ -162,83 +179,56 @@ def check_growth(entries: int, max_entries: int) -> None:
         )
 
 
-def output_labels(ring: RingSpec, q: int, coeffs) -> np.ndarray:
-    """The coding table of `apply_coding_unitary`: for every input label
-    combination y (one axis per input), the joint label of the n outputs
-    f_i(y) = sum_j coeffs[i][j] @ y_j, first output most significant."""
+def output_columns(ring: RingSpec, q: int, coeffs) -> np.ndarray:
+    """The coding table: row y, the m input labels read as one integer
+    (`rings.place_values`), holds the labels of the n outputs
+    f_i(y) = sum_j coeffs[i][j] @ y_j."""
     d, m, n = ring.cardinality**q, len(coeffs[0]), len(coeffs)
     labels = linear_map(ring, q, coeffs, np.indices((d,) * m, sparse=True))
-    return labels @ d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return labels.reshape(d**m, n).astype(np.int64)
 
 
-def injective_in_first_input(table) -> bool:
-    """Whether the outputs and the other inputs determine the first input."""
-    table = np.sort(table, axis=0)
-    return bool(np.all(table[1:] != table[:-1]))
+def code_rows(state: SupportState, table, gather, weights, reg_ids) -> SupportState:
+    """The coding unitary on the support, which keeps every row's amplitude:
+    the columns go in `gather` order, the m inputs first, and each row gains
+    the outputs in row `inputs @ weights` of `table` (`output_columns`; None
+    for no outputs). `reg_ids` is the new roster."""
+    labels = state.labels[:, gather]
+    if table is not None:
+        labels = np.concatenate((labels, table[labels[:, : len(weights)] @ weights]), axis=1)
+    return SupportState(state.ring, state.q, reg_ids, labels, state.amps)
 
 
-def apply_coding_unitary(
-    state: StateVector, in_regs, out_regs, table, first_row=None
-) -> StateVector:
+def apply_coding_unitary(state: StateVector, in_regs, out_regs, table) -> StateVector:
     """Adjoin fresh output registers holding the coded combination of inputs.
 
-    `table` comes from `output_labels`: basis states map as
-    |y_1..y_m>|0..0> -> |y_1..y_m>|table[y_1..y_m]>, the right side being
-    the joint label of the outputs. A pure relabeling of basis states: the
-    nonzero amplitudes are moved, never mixed, in one scatter into the new
-    tensor. Its axes are the inputs in `in_regs` order, the other live
+    `table` comes from `output_columns`: basis states map as
+    |y_1..y_m>|0..0> -> |y_1..y_m>|f(y)>. A pure relabeling of basis states:
+    the nonzero amplitudes are moved, never mixed, in one scatter into the
+    new tensor. Its axes are the inputs in `in_regs` order, the other live
     registers in their current order, then the outputs.
-
-    With `first_row` (a table injective in y_1; see `code_and_measure_first`)
-    each amplitude takes the factor first_row[y_1] and y_1's axis is dropped.
     """
     in_regs = tuple(in_regs)
     out_regs = tuple(out_regs)
     m, n = len(in_regs), len(out_regs)
     dim = state.dim
-    if np.shape(table) != (dim,) * m:
-        raise QuantumError(f"coding table must have shape {(dim,) * m}")
+    if np.shape(table) != (dim**m, n):
+        raise QuantumError(f"coding table must have shape {(dim**m, n)}")
     if set(out_regs) & set(state.reg_ids) or len(set(out_regs)) != n:
         raise RegisterError("output registers collide with live registers")
     in_axes = [state.axis(r) for r in in_regs]
     if len(set(in_axes)) != m:
         raise RegisterError("duplicate input register")
 
-    # input combination y sends the amplitudes at y to joint output label
-    # table[y] on one last axis
+    # input combination y sends the amplitudes at y to the outputs' joint
+    # label on one last axis
     order = in_axes + [ax for ax in range(state.amps.ndim) if ax not in in_axes]
     moved = state.amps.transpose(order)
-    index = np.indices((dim,) * m, sparse=True)
-    shape = moved.shape
-    if first_row is not None:
-        # y_1 goes to 0 on a length-one axis, dropped below; injectivity keeps writes apart
-        moved = moved * first_row.reshape((dim,) + (1,) * (moved.ndim - 1))
-        index = (0,) + index[1:]
-        shape = (1,) + shape[1:]
-    new = np.zeros(shape + (dim**n,), dtype=complex)
-    new[(*index, ..., table)] = moved
-    if first_row is not None:
-        new, order = new[0], order[1:]
+    joint = (table @ place_values((dim,) * n)).reshape((dim,) * m)
+    new = np.zeros(moved.shape + (dim**n,), dtype=complex)
+    new[(*np.indices((dim,) * m, sparse=True), ..., joint)] = moved
     reg_ids = tuple(state.reg_ids[ax] for ax in order) + out_regs
     return StateVector(state.ring, state.q, reg_ids, new.reshape(new.shape[:-1] + (dim,) * n))
-
-
-def code_and_measure_first(
-    state, in_regs, out_regs, table, rng=None, forced=None
-) -> tuple[MeasurementOutcome, StateVector]:
-    """`apply_coding_unitary`, `apply_fourier` and `measure` of the first input
-    in one scatter, for a table injective in the first input.
-
-    The outputs and the other inputs then fix y_1, so outcome z has probability
-    sum_y |F[z, y]|^2 w_y = 1/d (w: the marginal of y_1; |F[z, y]|^2 = 1/d) and
-    each amplitude just takes the factor F[z, y_1] sqrt(d).
-    """
-    reg = tuple(in_regs)[0]
-    d = state.dim
-    label, p = _draw(np.full(d, 1 / d), reg, rng, forced)
-    row = fourier_matrix(state.ring, state.q)[label] * math.sqrt(d)
-    coded = apply_coding_unitary(state, in_regs, out_regs, table, first_row=row)
-    return MeasurementOutcome(register=reg, label=label, probability=p), coded
 
 
 @lru_cache(maxsize=None)
@@ -302,6 +292,36 @@ def measure(
     outcome = MeasurementOutcome(register=reg, label=label, probability=p)
     rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
     return outcome, StateVector(state.ring, state.q, rest, collapsed)
+
+
+def measure_rows(
+    state: SupportState, weights, rng=None, forced=None
+) -> tuple[MeasurementOutcome, SupportState]:
+    """`apply_fourier` and `measure` of the register in the first column.
+
+    `weights` (`rings.place_values`) keys each row by its other columns. If
+    no two rows share a key, they fix the register's label y: outcome z has
+    probability exactly 1/d and multiplies each row by F[z, y] sqrt(d).
+    Otherwise each key's rows are summed with F[z, .], and z is drawn from
+    the exact marginal.
+    """
+    reg, y, rest = state.reg_ids[0], state.labels[:, 0], state.labels[:, 1:]
+    fourier = fourier_matrix(state.ring, state.q)
+    d = len(fourier)
+    keys = rest @ weights
+    keys.sort()
+    if (keys[1:] != keys[:-1]).all():
+        label, p = _draw(np.full(d, 1 / d), reg, rng, forced)
+        amps = state.amps * (fourier[label] * math.sqrt(d))[y]
+    else:
+        _, first, group = np.unique(rest @ weights, return_index=True, return_inverse=True)
+        rows = np.zeros((len(first), d), dtype=complex)
+        rows[group, y] = state.amps
+        coeffs = rows @ fourier  # F is symmetric: coeffs[g, z] = sum_y F[z, y] rows[g, y]
+        label, p = _draw((np.abs(coeffs) ** 2).sum(axis=0), reg, rng, forced)
+        amps, rest = coeffs[:, label] / math.sqrt(p), rest[first]
+    outcome = MeasurementOutcome(register=reg, label=label, probability=p)
+    return outcome, SupportState(state.ring, state.q, state.reg_ids[1:], rest, amps)
 
 
 def apply_phase(state: StateVector, reg: str, turns) -> StateVector:

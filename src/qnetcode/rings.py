@@ -425,12 +425,12 @@ def _radix(spec: RingSpec, q: int) -> np.ndarray:
     return np.array(spec.moduli * q, dtype=_dtype(spec))
 
 
-def _places(radix) -> np.ndarray:
+def place_values(radix) -> np.ndarray:
     """Place values of mixed-radix digits, first digit most significant."""
-    places = [1]
-    for r in reversed(radix[1:]):
-        places.append(places[-1] * r)
-    return np.array(places[::-1], dtype=np.int64)
+    places = [1] * len(radix)
+    for i in range(len(radix) - 2, -1, -1):
+        places[i] = places[i + 1] * radix[i + 1]
+    return np.array(places, dtype=np.int64)
 
 
 def label_digits(spec: RingSpec, q: int, labels) -> np.ndarray:
@@ -465,7 +465,7 @@ def register_entries(spec: RingSpec, q: int, label: int) -> tuple[int, ...]:
 def add_labels(spec: RingSpec, q: int, a, b) -> np.ndarray:
     """Label of the register sum a + b, for broadcastable label arrays."""
     digits = label_digits(spec, q, a) + label_digits(spec, q, b)
-    return digits % _radix(spec, q) @ _places(spec.moduli * q)
+    return digits % _radix(spec, q) @ place_values(spec.moduli * q)
 
 
 def coefficient_matrix(spec: RingSpec, rows) -> np.ndarray:
@@ -521,7 +521,7 @@ def linear_map(spec: RingSpec, q: int, coeffs, inputs) -> np.ndarray:
         label_digits(spec, q, v) @ g[:, j].transpose(1, 0, 2).reshape(width, n * width)
         for j, v in enumerate(inputs)
     )
-    return y.reshape(y.shape[:-1] + (n, width)) % _radix(spec, q) @ _places(radix)
+    return y.reshape(y.shape[:-1] + (n, width)) % _radix(spec, q) @ place_values(radix)
 
 
 def character_form(spec: RingSpec, q: int) -> np.ndarray:

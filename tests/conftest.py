@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,22 @@ import pytest
 from qnetcode.network import parse_network
 from qnetcode.quantum import init_state
 
-INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "instances"
+
+# two parallel edges s -> t, and t outputs 0 * e1 + 1 * e2: the coding table
+# does not determine e1 from the outputs and e2, but every support row does
+PARALLEL_EDGES = {
+    "ring": "Z(2)",
+    "q": 1,
+    "nodes": ["s", "t"],
+    "edges": [{"id": "e1", "from": "s", "to": "t"}, {"id": "e2", "from": "s", "to": "t"}],
+    "pairs": [{"source": "s", "target": "t"}],
+    "coding": {
+        "s": {"inputs": ["src:1"], "outputs": [{"edge": "e1", "coeffs": [1]}, {"edge": "e2", "coeffs": [1]}]},
+        "t": {"inputs": ["e1", "e2"], "outputs": [{"edge": "tgt:1", "coeffs": [0, 1]}]},
+    },
+}
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +50,16 @@ def butterfly_with_isolated_node() -> dict:
     doc["nodes"].append("iso")
     doc["coding"]["iso"] = {"inputs": [], "outputs": []}
     return doc
+
+
+@cache
+def _benchmark_generator():
+    spec = importlib.util.spec_from_file_location("generate", ROOT / "perfbench" / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated_butterfly(k: int, ring: str, q: int) -> dict:
+    """The k-pair butterfly document of the benchmark's generator."""
+    return _benchmark_generator().butterfly(k, ring, q)

@@ -217,6 +217,22 @@ class TestInputFormats:
         assert code == 0
         assert "fidelity: 1.000000000000" in out
 
+    @pytest.mark.parametrize(
+        "triples",
+        [
+            [[[0, 0], 1, 0], [[0, 0], 0, 1], [[1, 1], 1, 0]],
+            # the same basis state written as an index and as coordinate lists
+            [[[1, 0], 1, 0], [[[1], [0]], 1, 0]],
+        ],
+        ids=["same-label", "same-state"],
+    )
+    def test_repeated_label_exit_2(self, capsys, tmp_path, triples):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(triples))
+        code, out, err = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: input state lists basis label {triples[1][0]!r} twice\n"
+
     def test_uniform_default_input(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "2")
         assert code == 0

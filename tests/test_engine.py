@@ -1,0 +1,189 @@
+"""The support engine (`protocol.node_steps`) against a dense reference loop
+built from the `quantum` kernels, node by node."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import INSTANCES, PARALLEL_EDGES, generated_butterfly, load_instance, random_input_state
+from qnetcode.network import parse_network, scheme_with_alternate_phi, target_edge
+from qnetcode.protocol import finish_run, node_steps, plan_scheme
+from qnetcode.quantum import (
+    StateVector,
+    SupportState,
+    ZeroProbabilityError,
+    apply_coding_unitary,
+    apply_fourier,
+    apply_phase,
+    basis_state,
+    fidelity,
+    init_state,
+    measure,
+    output_columns,
+)
+
+BUNDLED = [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")]
+# the instances of the benchmark's sim_tensor workload
+GENERATED = [(3, "Z(3)", 1), (4, "Z(2)", 1), (3, "Z(2)", 2)]
+POLICIES = {"broadcast": {}, "prune": {"prune": True}, "copy-skip": {"copy_skip": True}}
+
+
+def dense_steps(plan, state, rng=None, branch=None):
+    """The node loop on dense states: (node, state, outcomes) after each node."""
+    ring, q = plan.scheme.ring, plan.scheme.q
+    labels = iter(branch) if branch is not None else None
+    for p in plan.nodes:
+        if p.kept is not None:
+            ids = tuple(p.kept[1] if r == p.kept[0] else r for r in state.reg_ids)
+            state = StateVector(ring, q, ids, state.amps)
+        if p.adjoined:
+            table = output_columns(ring, q, p.rows)
+            state = apply_coding_unitary(state, p.coded_from, p.adjoined, table)
+        outcomes = []
+        for reg in p.measured or ():
+            state = apply_fourier(state, reg)
+            forced = None if labels is None else next(labels)
+            outcome, state = measure(state, reg, rng=rng, forced=forced)
+            outcomes.append(outcome)
+        yield p.node, state, outcomes
+
+
+def _advance(steps):
+    """The next step, "zero" where a forced outcome is refused, None at the end."""
+    try:
+        return next(steps)
+    except ZeroProbabilityError:
+        return "zero"
+    except StopIteration:
+        return None
+
+
+def compare_runs(plan, state, rng_seed=None, branch=None):
+    """Run both loops in lockstep and check they agree; returns the support
+    run's RunResult, or None where both refuse a forced outcome."""
+    rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in range(2)]
+    support = node_steps(plan, state, rngs[0], branch)
+    dense = dense_steps(plan, state, rngs[1], branch)
+    steps = []
+    while True:
+        got, want = _advance(support), _advance(dense)
+        if got is None or got == "zero":
+            assert want == got
+            break
+        node, dense_state, outcomes = want
+        assert got.node == node
+        assert got.state.reg_ids == dense_state.reg_ids
+        got_outcomes = got.entry.outcomes if got.entry is not None else ()
+        assert [(o.register, o.label) for o in got_outcomes] == [
+            (o.register, o.label) for o in outcomes
+        ]
+        for o, w in zip(got_outcomes, outcomes):
+            assert o.probability == pytest.approx(w.probability, abs=1e-12)
+        assert np.allclose(
+            got.state.dense(dense_state.reg_ids).amps, dense_state.amps, rtol=0, atol=1e-12
+        )
+        steps.append(got)
+    if got == "zero":
+        return None
+    result = finish_run(plan, state, steps)
+    final = SupportState.of(dense_state).dense(result.state.reg_ids)
+    assert np.allclose(result.pre_correction.amps, final.amps, rtol=0, atol=1e-12)
+    for i in range(1, plan.net.k + 1):
+        final = apply_phase(final, target_edge(i), -result.phase_table.turns(i))
+    assert np.allclose(result.state.amps, final.amps, rtol=0, atol=1e-12)
+    return result
+
+
+def _instance(case):
+    kind, arg = case
+    if kind == "bundled":
+        return load_instance(arg)
+    if kind == "parallel":
+        return parse_network(PARALLEL_EDGES)
+    return parse_network(generated_butterfly(*arg))
+
+
+CASES = (
+    [("bundled", name) for name in BUNDLED]
+    + [("parallel", None)]
+    + [("generated", args) for args in GENERATED]
+)
+
+
+@given(
+    st.sampled_from(CASES),
+    st.sampled_from(sorted(POLICIES)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_support_engine_matches_dense_loop(case, policy, alt_phi, forced, seed):
+    net, scheme = _instance(case)
+    if alt_phi:
+        scheme = scheme_with_alternate_phi(scheme)
+    plan = plan_scheme(net, scheme, **POLICIES[policy])
+    state = random_input_state(scheme, net.k, seed)
+    if forced:
+        rng = np.random.default_rng(seed)
+        branch = tuple(int(v) for v in rng.integers(scheme.register_dim, size=plan.measurement_count))
+        compare_runs(plan, state, branch=branch)
+    else:
+        compare_runs(plan, state, rng_seed=seed)
+
+
+@pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
+@pytest.mark.parametrize("case", CASES, ids=lambda c: str(c[1]))
+def test_every_case_matches_once_per_policy(case, alt_phi):
+    # each instance, policy and coordinate map at least once, whatever hypothesis draws above
+    net, scheme = _instance(case)
+    if alt_phi:
+        scheme = scheme_with_alternate_phi(scheme)
+    state = random_input_state(scheme, net.k, 5)
+    for kwargs in POLICIES.values():
+        plan = plan_scheme(net, scheme, **kwargs)
+        compare_runs(plan, state, rng_seed=17)
+        compare_runs(plan, state, branch=(1,) * plan.measurement_count)
+
+
+class TestBrokenButterfly:
+    """butterfly_f2_broken: t2's R6 is the one measurement whose rows interfere."""
+
+    @pytest.mark.parametrize("which", ["random", "uniform", "basis-01"])
+    def test_every_branch_matches_the_dense_oracle(self, which):
+        net, scheme = load_instance("butterfly_f2_broken.json")
+        plan = plan_scheme(net, scheme)
+        if which == "random":
+            state = random_input_state(scheme, net.k, 7)
+        elif which == "uniform":
+            state = init_state(scheme.ring, 1, 2, [0.5] * 4)
+        else:
+            state = basis_state(scheme.ring, 1, (0, 1))
+        verdicts = []
+        for labels in np.ndindex(*(2,) * plan.measurement_count):
+            result = compare_runs(plan, state, branch=labels)
+            verdicts.append(None if result is None else fidelity(state, result.state))
+            if result is None:
+                continue
+            for entry in result.log.entries:
+                for o in entry.outcomes:
+                    if (entry.node, o.register) != ("t2", "R6"):
+                        assert o.probability == 1 / 2
+        realizable = [f for f in verdicts if f is not None]
+        assert min(realizable) < 0.9
+        # on the uniform input R6's rows cancel on half of the branches
+        assert len(verdicts) - len(realizable) == (256 if which == "uniform" else 0)
+
+    def test_only_r6_is_not_a_phase(self):
+        net, scheme = load_instance("butterfly_f2_broken.json")
+        plan = plan_scheme(net, scheme)
+        state = random_input_state(scheme, net.k, 7)
+        seen = set()
+        for seed in range(20):
+            result = finish_run(plan, state, node_steps(plan, state, np.random.default_rng(seed)))
+            for entry in result.log.entries:
+                for o in entry.outcomes:
+                    if o.probability != 1 / 2:
+                        seen.add((entry.node, o.register))
+        assert seen == {("t2", "R6")}

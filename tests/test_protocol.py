@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import INSTANCES, butterfly_with_isolated_node, load_instance, random_input_state
+from conftest import (
+    INSTANCES,
+    PARALLEL_EDGES,
+    butterfly_with_isolated_node,
+    load_instance,
+    random_input_state,
+)
 from qnetcode.network import (
     CapExceededError,
     InstanceError,
@@ -21,6 +27,7 @@ from qnetcode.protocol import (
     classical_cost,
     compute_corrections,
     enumerate_branches,
+    finish_run,
     node_steps,
     plan_scheme,
     run_protocol,
@@ -60,7 +67,7 @@ def encode(state, node, net, scheme, forced):
     plan = plan_scheme(net, scheme)
     p = next(p for p in plan.nodes if p.node == node)
     (step,) = node_steps(dataclasses.replace(plan, nodes=(p,)), state, branch=forced)
-    return step.state, step.entry.outcomes
+    return step.state.dense(step.state.reg_ids), step.entry.outcomes
 
 
 class TestEncodeNode:
@@ -439,44 +446,36 @@ class TestEnumerate:
         assert abs(result.pre_correction.amplitude((0, 1))) < 1e-9
 
 
-# two parallel edges s -> t, and t outputs 0 * e1 + 1 * e2: the outputs and
-# e2 do not determine e1
-PARALLEL_EDGES = {
-    "ring": "Z(2)",
-    "q": 1,
-    "nodes": ["s", "t"],
-    "edges": [{"id": "e1", "from": "s", "to": "t"}, {"id": "e2", "from": "s", "to": "t"}],
-    "pairs": [{"source": "s", "target": "t"}],
-    "coding": {
-        "s": {"inputs": ["src:1"], "outputs": [{"edge": "e1", "coeffs": [1]}, {"edge": "e2", "coeffs": [1]}]},
-        "t": {"inputs": ["e1", "e2"], "outputs": [{"edge": "tgt:1", "coeffs": [0, 1]}]},
-    },
-}
-
-
-class TestFirstInputRecoverable:
+class TestOutcomesExactlyUniform:
+    @pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
     @pytest.mark.parametrize("copy_skip", [False, True], ids=["measure-all", "copy-skip"])
     @pytest.mark.parametrize("name", VALID_INSTANCES)
-    def test_every_bundled_measuring_node_fuses(self, name, copy_skip):
+    def test_every_outcome_has_probability_one_over_d(self, name, copy_skip, alt_phi):
+        # on a solution every measurement leaves a phase: p is 1/d, not approximately
         net, scheme = load_instance(name)
+        if alt_phi:
+            scheme = scheme_with_alternate_phi(scheme)
+        d, state = scheme.register_dim, random_input_state(scheme, net.k, 11)
         plan = plan_scheme(net, scheme, copy_skip=copy_skip)
-        assert {p.node: plan.coding(p)[1] for p in plan.nodes} == {
-            p.node: p.measured is not None for p in plan.nodes
-        }
+        rng = np.random.default_rng(3)
+        forced = [tuple(rng.integers(d, size=plan.measurement_count)) for _ in range(10)]
+        runs = [node_steps(plan, state, branch=b) for b in forced]
+        runs += [node_steps(plan, state, np.random.default_rng(seed)) for seed in range(10)]
+        for steps in runs:
+            result = finish_run(plan, state, steps)
+            assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-12)
+            assert all(o.probability == 1 / d for o in result.log.all_outcomes())
 
-    def test_unrecoverable_first_input_falls_back(self):
+    def test_unrecoverable_first_input_is_still_a_phase(self):
         net, scheme = parse_network(PARALLEL_EDGES)
         assert verify_solution(net, scheme)
-        plan = plan_scheme(net, scheme)
-        assert {p.node: plan.coding(p)[1] for p in plan.nodes} == {"s": True, "t": False}
         state = random_input_state(scheme, net.k, 3)
         results = [b.result for b in enumerate_branches(net, scheme, state)]
         results += [run_protocol(net, scheme, state, seed=seed) for seed in range(4)]
         assert len(results) == 2**3 + 4
         for result in results:
             assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-12)
-            for o in result.log.all_outcomes():
-                assert abs(o.probability - 1 / 2) <= 1e-12
+            assert all(o.probability == 1 / 2 for o in result.log.all_outcomes())
 
 
 class TestAlternatePhi:
