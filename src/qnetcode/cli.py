@@ -19,6 +19,7 @@ coordinate lists.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -345,7 +346,10 @@ def cmd_cost(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on the first call, then reused
+    (`parse_args` returns a fresh namespace, and no default is mutable)."""
     parser = argparse.ArgumentParser(
         prog="qnetcode",
         description="Quantum simulation of classical linear network coding schemes",
@@ -406,10 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_caps(args) -> None:
+    for flag in ("--max-dim", "--max-branches"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < 1:
+            raise InstanceError(f"{flag} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_caps(args)
         return args.fn(args)
     except (InvalidSchemeError, ZeroProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -237,7 +237,9 @@ def fourier_matrix(ring: RingSpec, q: int) -> np.ndarray:
     (the character is symmetric)."""
     labels = np.arange(ring.cardinality**q)
     turns = pairing(ring, q, labels, labels) / ring.exponent
-    return np.exp(2j * np.pi * turns) / math.sqrt(len(labels))
+    mat = np.exp(2j * np.pi * turns) / math.sqrt(len(labels))
+    mat.flags.writeable = False
+    return mat
 
 
 def apply_fourier(state: StateVector, reg: str) -> StateVector:
@@ -259,12 +261,35 @@ def marginal_distribution(state: StateVector, reg: str) -> np.ndarray:
     return np.einsum("ajb,ajb->j", parts, parts)
 
 
-def _draw(marginal: np.ndarray, reg: str, rng, forced) -> tuple[int, float]:
-    """An outcome label and its probability: sampled from `rng`, or `forced`."""
+def _cdf(marginal: np.ndarray) -> np.ndarray:
+    """The cumulative distribution `Generator.choice(len(marginal), p=...)`
+    searches for the normalised marginal."""
+    cdf = (marginal / float(marginal.sum())).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+@lru_cache(maxsize=None)
+def _uniform(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform marginal 1/d and its `_cdf`, read-only."""
+    marginal = np.full(d, 1 / d)
+    cdf = _cdf(marginal)
+    marginal.flags.writeable = cdf.flags.writeable = False
+    return marginal, cdf
+
+
+def _draw(marginal: np.ndarray, reg: str, rng, forced, cdf=None) -> tuple[int, float]:
+    """An outcome label and its probability: sampled from `rng`, or `forced`.
+
+    A sample takes one `rng.random()` and searches the marginal's `_cdf`
+    (`cdf`, if the caller has it), which is how `Generator.choice` draws,
+    so the labels are those of `rng.choice(len(marginal), p=...)`.
+    """
     if (rng is None) == (forced is None):
         raise QuantumError("provide exactly one of rng= and forced=")
     if forced is None:
-        label = int(rng.choice(len(marginal), p=marginal / float(marginal.sum())))
+        cdf = _cdf(marginal) if cdf is None else cdf
+        label = int(cdf.searchsorted(rng.random(), side="right"))
         return label, float(marginal[label])
     label = int(forced)
     if not 0 <= label < len(marginal):
@@ -311,7 +336,8 @@ def measure_rows(
     keys = rest @ weights
     keys.sort()
     if (keys[1:] != keys[:-1]).all():
-        label, p = _draw(np.full(d, 1 / d), reg, rng, forced)
+        marginal, cdf = _uniform(d)
+        label, p = _draw(marginal, reg, rng, forced, cdf)
         amps = state.amps * (fourier[label] * math.sqrt(d))[y]
     else:
         _, first, group = np.unique(rest @ weights, return_index=True, return_inverse=True)

@@ -65,7 +65,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -468,18 +468,26 @@ def add_labels(spec: RingSpec, q: int, a, b) -> np.ndarray:
     return digits % _radix(spec, q) @ place_values(spec.moduli * q)
 
 
+@lru_cache(maxsize=1024)
+def _entry_block(spec: RingSpec, entry: RingElem) -> np.ndarray:
+    """Read-only width x width block of one entry: row t holds the
+    coordinates of entry times the t-th coordinate unit."""
+    width = len(spec.moduli)
+    units = [spec.element([int(s == t) for s in range(width)]) for t in range(width)]
+    block = np.array([(entry * u).coords for u in units], dtype=_dtype(spec))
+    block.flags.writeable = False
+    return block
+
+
 def coefficient_matrix(spec: RingSpec, rows) -> np.ndarray:
     """Integer matrix G of a q x q matrix B of RingElems, acting on register digits.
 
     Row (j, t) holds the digits of B applied to the t-th coordinate unit in
     slot j, so B x has the digits of digits(x) @ G reduced mod the radix.
+    Each distinct entry's block is computed once per process.
     """
-    width = len(spec.moduli)
-    units = [spec.element([int(s == t) for s in range(width)]) for t in range(width)]
-    return np.array(
-        [[c for row in rows for c in (row[j] * u).coords] for j in range(len(rows)) for u in units],
-        dtype=_dtype(spec),
-    )
+    blocks = [[_entry_block(spec, row[j]) for row in rows] for j in range(len(rows))]
+    return np.concatenate([np.concatenate(band, axis=1) for band in blocks])
 
 
 def matrix_entries(spec: RingSpec, g: np.ndarray) -> list[list[int]]:

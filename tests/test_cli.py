@@ -2,7 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import INSTANCES, butterfly_with_isolated_node
-from qnetcode.cli import main
+from qnetcode.cli import build_parser, main
 from qnetcode.network import InstanceError, parse_network
 from qnetcode.rings import RingError, parse_ring_spec
 
@@ -450,6 +453,20 @@ class TestErrorContract:
             with pytest.raises(RingError, match="longer than"):
                 parse_ring_spec(ring)
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["simulate", BUTTERFLY, "--seed", "1"], "--max-dim"),
+            (["enumerate", BUTTERFLY], "--max-dim"),
+            (["enumerate", BUTTERFLY], "--max-branches"),
+        ],
+    )
+    def test_caps_below_one_are_refused(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be at least 1, got {value}\n"
+
     def test_input_state_checked_against_max_dim(self, capsys):
         code, out, err = run_cli(capsys, "simulate", SINGLE, "--seed", "1", "--max-dim", "1")
         assert (code, out) == (2, "")
@@ -611,3 +628,39 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, flags, 
         assert code in (0, 1, 2), argv
         if code == 2:
             _assert_one_line_error(err.getvalue())
+
+
+def test_reused_parser_leaks_nothing_between_calls():
+    # each in-process call prints and exits as the same argv in a fresh process
+    sequence = [
+        ["simulate", BUTTERFLY, "--seed", "7", "--prune", "--copy-skip", "--alt-phi", "--format", "json"],
+        ["simulate", BUTTERFLY, "--seed", "7"],
+        ["enumerate", BUTTERFLY, "--max-branches", "64"],
+        ["enumerate", SINGLE],
+        ["verify", BUTTERFLY, "--max-check", "10"],
+        ["verify", BUTTERFLY],
+    ]
+    root = INSTANCES.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "qnetcode.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=root,
+        )
+        for argv in sequence
+    ]
+    parser = build_parser()
+    for argv, proc in zip(sequence, fresh):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        want_out, want_err = proc.communicate(timeout=300)
+        assert (code, out.getvalue()) == (proc.returncode, want_out), argv
+        # a usage message is wrapped to the terminal width; its last line is not
+        assert err.getvalue().splitlines()[-1:] == want_err.splitlines()[-1:], argv
+    assert [proc.returncode for proc in fresh] == [0, 0, 2, 0, 2, 0]
+    assert build_parser() is parser

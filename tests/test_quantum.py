@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnetcode.quantum import (
+    _draw,
+    _uniform,
     DimensionCapError,
     QuantumError,
     RegisterError,
@@ -235,6 +237,27 @@ class TestMeasure:
         assert len(grown.reg_ids) == 4
         _, shrunk = measure(grown, "a", forced=0)
         assert len(shrunk.reg_ids) == 3
+
+
+class TestDraw:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 16, 27, 64])
+    def test_labels_are_those_of_generator_choice(self, d):
+        # the seeded labels pinned in tests/cli_golden.json rest on this
+        uniform, cdf = _uniform(d)
+        for seed in range(150):
+            weights = np.random.default_rng([d, seed]).random(d)
+            weights[::3] = 0.0
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert _draw(uniform, "r", ours, None, cdf)[0] == theirs.choice(d, p=uniform / uniform.sum())
+                assert _draw(weights, "r", ours, None)[0] == theirs.choice(d, p=weights / weights.sum())
+            assert ours.random() == theirs.random()
+
+
+def test_cached_tables_are_read_only():
+    for table in (fourier_matrix(GF4, 1), *_uniform(4)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
 
 
 class TestPhase:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from qnetcode.rings import (
+    _entry_block,
     RingError,
     add_labels,
     character,
@@ -406,3 +407,34 @@ class TestIntegerForm:
         assert np.array_equal(got, coefficient_matrix(spec, sum_of_products))
         expected = frac_mod1(sum((character(a, b) for a, b in zip(y, v)), Fraction(0)))
         assert pair(spec, q, register_label(y), register_label(v)) == expected
+
+
+class TestCoefficientMatrix:
+    @pytest.mark.parametrize("text", SMALL_DESCRIPTORS + ["Z(16777259)"])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_blocks_assemble_the_per_unit_products(self, text, q):
+        # row (j, t) lists the coordinates of B[i][j] times unit t, for every i
+        spec = parse_ring_spec(text)
+        width = len(spec.moduli)
+        units = [spec.element([int(s == t) for s in range(width)]) for t in range(width)]
+        rng = np.random.default_rng(q)
+        for _ in range(5):
+            B = [[spec.from_int(int(rng.integers(min(spec.cardinality, 2**62)))) for _ in range(q)] for _ in range(q)]
+            expected = [[c for i in range(q) for c in (B[i][j] * u).coords] for j in range(q) for u in units]
+            g = coefficient_matrix(spec, B)
+            assert g.dtype == (object if text == "Z(16777259)" else np.int64)
+            assert g.tolist() == expected
+            assert g.flags.writeable
+
+    def test_cached_blocks_are_read_only(self):
+        spec = parse_ring_spec("GF(4)")
+        block = _entry_block(spec, spec.one())
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0
+        g = coefficient_matrix(spec, [[spec.one()]])
+        g[0, 0] = 0
+        assert _entry_block(spec, spec.one())[0, 0] == 1
+
+    def test_entry_of_another_ring(self):
+        with pytest.raises(RingError, match="different rings"):
+            coefficient_matrix(parse_ring_spec("Z(3)"), [[parse_ring_spec("Z(5)").one()]])
