@@ -27,7 +27,9 @@ What depends only on the scheme and the policy is fixed once in a
 run, sampled or forced, goes through the one node loop, `node_steps`, which
 reads no policy, is the only place a node is coded or measured and the only
 place a forced branch is checked. It runs on the state's support
-(`quantum.SupportState`), which on a solution keeps the input's size.
+(`quantum.SupportState`), which on a solution keeps the input's size, and
+names registers only: where they sit among the support's columns is the
+`quantum` kernels' concern.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .rings import (
     is_identity,
     is_zero,
     label_digits,
-    place_values,
 )
 
 BRANCH_CAP_DEFAULT = 65536
@@ -160,7 +161,7 @@ class SchemePlan:
 
     The tables of size |R|^q and more (coding tables, label digits,
     correction rows) are built on first use, so planning and cost stay cheap
-    on any ring, and so is each node's column bookkeeping.
+    on any ring.
     """
 
     net: Network
@@ -169,30 +170,12 @@ class SchemePlan:
     nodes: tuple[NodePlan, ...]
     policy: str
     _coding: dict = field(default_factory=dict, init=False, repr=False)
-    _columns: dict = field(default_factory=dict, init=False, repr=False)
 
-    def coding(self, p: NodePlan) -> np.ndarray | None:
-        """The node's coding table (`quantum.output_columns`; None if it
-        adjoins no registers)."""
+    def coding(self, p: NodePlan) -> np.ndarray:
+        """The coding table of a node that adjoins registers (`quantum.output_columns`)."""
         if p.node not in self._coding:
-            ring, q = self.scheme.ring, self.scheme.q
-            self._coding[p.node] = output_columns(ring, q, p.rows) if p.adjoined else None
+            self._coding[p.node] = output_columns(self.scheme.ring, self.scheme.q, p.rows)
         return self._coding[p.node]
-
-    def columns(self, p: NodePlan, roster: tuple[str, ...]):
-        """Node p's column bookkeeping for the roster it starts from: the
-        arguments of `quantum.code_rows` after the table, which put its inputs
-        first, and the place values that key the columns after the first; its
-        i-th `quantum.measure_rows` takes them from i on."""
-        key = (p.node, roster)
-        if key not in self._columns:
-            d = self.scheme.register_dim
-            ins = [roster.index(r) for r in p.coded_from]
-            gather = ins + [c for c in range(len(roster)) if c not in ins]
-            roster = tuple(roster[c] for c in gather) + p.adjoined
-            coding = np.array(gather), place_values((d,) * len(ins)), roster
-            self._columns[key] = coding, place_values((d,) * (len(roster) - 1))
-        return self._columns[key]
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -277,19 +260,21 @@ def node_steps(
 ):
     """The node loop: run the plan's nodes in order, yielding a NodeStep after each.
 
-    The loop runs on the input's support (`quantum.SupportState`). Every node
-    appends its outputs' labels to each row (`quantum.code_rows`), then
-    measures its inputs in order in the Fourier basis (`quantum.measure_rows`);
-    each step is the node's `NodePlan`, and the plan works out once where its
-    registers sit among the columns. Before a node codes,
-    `quantum.check_growth` refuses a coded state above `max_entries`
-    amplitudes, so nothing of that node is built.
+    The loop runs on the input's support (`quantum.SupportState`) and does
+    what each node's `NodePlan` says: a node that adjoins registers codes
+    them from its inputs (`quantum.code_rows`), then each register it
+    measures is measured by name in the Fourier basis (`quantum.measure_rows`).
+    Before a node codes, `quantum.check_growth` refuses a coded state above
+    `max_entries` amplitudes, so nothing of that node is built.
 
     Outcomes are sampled from `rng`, or taken in turn from `branch`, one
-    label per measurement; a branch of the wrong length or with a label out
-    of range raises InstanceError when the first step is taken.
+    label per measurement; a branch of the wrong length, with a label out of
+    range, or given with an `rng` raises InstanceError when the first step is
+    taken.
     """
     if branch is not None:
+        if rng is not None:
+            raise InstanceError("give either a branch or an rng, not both")
         branch = tuple(int(b) for b in branch)
         if len(branch) != plan.measurement_count:
             raise InstanceError(
@@ -297,7 +282,6 @@ def node_steps(
             )
         if any(not 0 <= b < plan.scheme.register_dim for b in branch):
             raise InstanceError("branch labels out of range")
-        rng = None
     labels = itertools.repeat(None) if branch is None else iter(branch)
     d = plan.scheme.register_dim
     state = SupportState.of(input_state)
@@ -309,16 +293,12 @@ def node_steps(
             # least d^2 and d^m * n, it bounds the d x d Fourier matrix (cached,
             # uncapped), the coding table built next, and keeps row keys below 2^63
             check_growth(d ** (len(state.reg_ids) + len(p.adjoined)), max_entries)
-        if p.adjoined or p.measured:
-            coding, keys = plan.columns(p, state.reg_ids)
-            state = code_rows(state, plan.coding(p), *coding)
-        entry = None
-        if p.measured is not None:
-            outcomes = []
-            for i in range(len(p.measured)):
-                outcome, state = measure_rows(state, keys[i:], rng, next(labels))
-                outcomes.append(outcome)
-            entry = LogEntry(p.node, tuple(outcomes), p.recipients)
+            state = code_rows(state, p.coded_from, p.adjoined, plan.coding(p))
+        outcomes = []
+        for reg in p.measured or ():
+            outcome, state = measure_rows(state, reg, rng, next(labels))
+            outcomes.append(outcome)
+        entry = None if p.measured is None else LogEntry(p.node, tuple(outcomes), p.recipients)
         yield NodeStep(p.node, state, entry)
 
 

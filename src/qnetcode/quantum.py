@@ -12,7 +12,11 @@ in a scheme that is not a solution, it sums them exactly.
 The dense engine, `StateVector`, keeps one amplitude axis per live register.
 It holds the input and the final target state (d^k amplitudes), and its
 kernels `apply_coding_unitary`, `apply_fourier` and `measure` are the
-reference the support engine is tested against. Global phase is kept, never
+reference the support engine is tested against. Both engines' kernels take
+the same arguments, register names, and leave the same rosters: coding puts
+the inputs first, then the other registers, then the outputs, and a
+measurement drops its register. Only this module knows where a register sits
+among the support's columns (`_layout`). Global phase is kept, never
 quotiented out.
 
 A configurable cap bounds the amplitude count so a malformed instance fails
@@ -188,15 +192,36 @@ def output_columns(ring: RingSpec, q: int, coeffs) -> np.ndarray:
     return labels.reshape(d**m, n).astype(np.int64)
 
 
-def code_rows(state: SupportState, table, gather, weights, reg_ids) -> SupportState:
-    """The coding unitary on the support, which keeps every row's amplitude:
-    the columns go in `gather` order, the m inputs first, and each row gains
-    the outputs in row `inputs @ weights` of `table` (`output_columns`; None
-    for no outputs). `reg_ids` is the new roster."""
+@lru_cache(maxsize=1024)
+def _layout(reg_ids, in_regs, out_regs, d: int):
+    """The layout of both engines' coding, worked out here only: the gather
+    order of columns or axes (inputs first, then the other registers), the
+    place values of the inputs' joint label, the new roster (gathered, then
+    the outputs), and the place values that key a row by all its columns but
+    one. Arrays are read-only."""
+    for r in in_regs:
+        if r not in reg_ids:
+            raise RegisterError(f"unknown register {r!r}")
+    ins = [reg_ids.index(r) for r in in_regs]
+    if len(set(ins)) != len(ins) or len(set(reg_ids + out_regs)) != len(reg_ids) + len(out_regs):
+        raise RegisterError("duplicate input register, or outputs that collide with live registers")
+    gather = np.array(ins + [c for c in range(len(reg_ids)) if c not in ins])
+    roster = tuple(reg_ids[c] for c in gather) + out_regs
+    weights, keys = place_values((d,) * len(ins)), place_values((d,) * (len(roster) - 1))
+    for a in (gather, weights, keys):
+        a.flags.writeable = False
+    return gather, weights, roster, keys
+
+
+def code_rows(state: SupportState, in_regs, out_regs, table) -> SupportState:
+    """`apply_coding_unitary` on the support: every row keeps its amplitude
+    and gains the outputs' labels, row `inputs @ weights` of `table`
+    (`output_columns`). The columns go as the dense engine's axes go."""
+    d = state.ring.cardinality**state.q
+    gather, weights, roster, _ = _layout(state.reg_ids, tuple(in_regs), tuple(out_regs), d)
     labels = state.labels[:, gather]
-    if table is not None:
-        labels = np.concatenate((labels, table[labels[:, : len(weights)] @ weights]), axis=1)
-    return SupportState(state.ring, state.q, reg_ids, labels, state.amps)
+    labels = np.concatenate((labels, table[labels[:, : len(weights)] @ weights]), axis=1)
+    return SupportState(state.ring, state.q, roster, labels, state.amps)
 
 
 def apply_coding_unitary(state: StateVector, in_regs, out_regs, table) -> StateVector:
@@ -214,20 +239,14 @@ def apply_coding_unitary(state: StateVector, in_regs, out_regs, table) -> StateV
     dim = state.dim
     if np.shape(table) != (dim**m, n):
         raise QuantumError(f"coding table must have shape {(dim**m, n)}")
-    if set(out_regs) & set(state.reg_ids) or len(set(out_regs)) != n:
-        raise RegisterError("output registers collide with live registers")
-    in_axes = [state.axis(r) for r in in_regs]
-    if len(set(in_axes)) != m:
-        raise RegisterError("duplicate input register")
+    order, _, reg_ids, _ = _layout(state.reg_ids, in_regs, out_regs, dim)
 
     # input combination y sends the amplitudes at y to the outputs' joint
     # label on one last axis
-    order = in_axes + [ax for ax in range(state.amps.ndim) if ax not in in_axes]
     moved = state.amps.transpose(order)
     joint = (table @ place_values((dim,) * n)).reshape((dim,) * m)
     new = np.zeros(moved.shape + (dim**n,), dtype=complex)
     new[(*np.indices((dim,) * m, sparse=True), ..., joint)] = moved
-    reg_ids = tuple(state.reg_ids[ax] for ax in order) + out_regs
     return StateVector(state.ring, state.q, reg_ids, new.reshape(new.shape[:-1] + (dim,) * n))
 
 
@@ -243,22 +262,10 @@ def fourier_matrix(ring: RingSpec, q: int) -> np.ndarray:
 
 
 def apply_fourier(state: StateVector, reg: str) -> StateVector:
-    """One matrix product on the amplitudes viewed as (A, d, B) around the
-    register's axis: a single zgemm when the register leads (A = 1)."""
+    """The Fourier matrix applied along the register's axis."""
     ax = state.axis(reg)
-    mat = fourier_matrix(state.ring, state.q)
-    shape = state.amps.shape
-    out = mat @ state.amps.reshape(math.prod(shape[:ax]), shape[ax], -1)
-    return StateVector(state.ring, state.q, state.reg_ids, out.reshape(shape))
-
-
-def marginal_distribution(state: StateVector, reg: str) -> np.ndarray:
-    """Sum of |amplitude|^2 over the other axes, as one reduction over the
-    real and imaginary parts, with no |amps|^2 tensor."""
-    ax = state.axis(reg)
-    amps = np.ascontiguousarray(state.amps)
-    parts = amps.reshape(math.prod(amps.shape[:ax]), amps.shape[ax], -1).view(np.float64)
-    return np.einsum("ajb,ajb->j", parts, parts)
+    out = np.tensordot(fourier_matrix(state.ring, state.q), state.amps, axes=([1], [ax]))
+    return StateVector(state.ring, state.q, state.reg_ids, np.moveaxis(out, 0, ax))
 
 
 def _cdf(marginal: np.ndarray) -> np.ndarray:
@@ -312,7 +319,8 @@ def measure(
     (condition on a given outcome label) must be provided.
     """
     ax = state.axis(reg)
-    label, p = _draw(marginal_distribution(state, reg), reg, rng, forced)
+    others = tuple(i for i in range(state.amps.ndim) if i != ax)
+    label, p = _draw((np.abs(state.amps) ** 2).sum(axis=others), reg, rng, forced)
     collapsed = state.amps[(slice(None),) * ax + (label,)] / math.sqrt(p)
     outcome = MeasurementOutcome(register=reg, label=label, probability=p)
     rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
@@ -320,34 +328,36 @@ def measure(
 
 
 def measure_rows(
-    state: SupportState, weights, rng=None, forced=None
+    state: SupportState, reg: str, rng=None, forced=None
 ) -> tuple[MeasurementOutcome, SupportState]:
-    """`apply_fourier` and `measure` of the register in the first column.
+    """`apply_fourier` and `measure` of a live register on the support.
 
-    `weights` (`rings.place_values`) keys each row by its other columns. If
-    no two rows share a key, they fix the register's label y: outcome z has
-    probability exactly 1/d and multiplies each row by F[z, y] sqrt(d).
-    Otherwise each key's rows are summed with F[z, .], and z is drawn from
-    the exact marginal.
+    Each row is keyed by its other columns. If no two rows share a key, they
+    fix the register's label y: outcome z has probability exactly 1/d and
+    multiplies each row by F[z, y] sqrt(d). Otherwise each key's rows are
+    summed with F[z, .], and z is drawn from the exact marginal.
     """
-    reg, y, rest = state.reg_ids[0], state.labels[:, 0], state.labels[:, 1:]
     fourier = fourier_matrix(state.ring, state.q)
     d = len(fourier)
+    gather, _, roster, weights = _layout(state.reg_ids, (reg,), (), d)
+    y = state.labels[:, gather[0]]
+    # after coding, the measured inputs lead and the other columns are a view
+    rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
     keys = rest @ weights
-    keys.sort()
-    if (keys[1:] != keys[:-1]).all():
+    ordered = np.sort(keys)
+    if (ordered[1:] != ordered[:-1]).all():
         marginal, cdf = _uniform(d)
         label, p = _draw(marginal, reg, rng, forced, cdf)
         amps = state.amps * (fourier[label] * math.sqrt(d))[y]
     else:
-        _, first, group = np.unique(rest @ weights, return_index=True, return_inverse=True)
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         rows = np.zeros((len(first), d), dtype=complex)
         rows[group, y] = state.amps
         coeffs = rows @ fourier  # F is symmetric: coeffs[g, z] = sum_y F[z, y] rows[g, y]
         label, p = _draw((np.abs(coeffs) ** 2).sum(axis=0), reg, rng, forced)
         amps, rest = coeffs[:, label] / math.sqrt(p), rest[first]
     outcome = MeasurementOutcome(register=reg, label=label, probability=p)
-    return outcome, SupportState(state.ring, state.q, state.reg_ids[1:], rest, amps)
+    return outcome, SupportState(state.ring, state.q, roster[1:], rest, amps)
 
 
 def apply_phase(state: StateVector, reg: str, turns) -> StateVector:

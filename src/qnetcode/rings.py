@@ -246,6 +246,14 @@ class RingSpec:
     factors: tuple[ZFactor | GFFactor, ...]
     phi_rows: tuple[tuple[int, ...], ...]
 
+    def __hash__(self) -> int:
+        # ring-keyed caches hash the spec on every lookup; its fields are hashed once
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.factors, self.phi_rows))
+
     @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(m for f in self.factors for m in f.moduli)

@@ -436,6 +436,10 @@ class TestErrorContract:
         assert out == ""
         _assert_one_line_error(err)
 
+    def test_branch_and_seed_together_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--branch", "000000000")
+        assert (code, out, err) == (2, "", "error: give either a branch or a seed, not both\n")
+
     def test_memory_error_exit_2(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate the array")

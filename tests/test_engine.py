@@ -1,6 +1,8 @@
 """The support engine (`protocol.node_steps`) against a dense reference loop
 built from the `quantum` kernels, node by node."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,6 @@ from qnetcode.quantum import (
     fidelity,
     init_state,
     measure,
-    output_columns,
 )
 
 BUNDLED = [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")]
@@ -30,21 +31,17 @@ POLICIES = {"broadcast": {}, "prune": {"prune": True}, "copy-skip": {"copy_skip"
 
 
 def dense_steps(plan, state, rng=None, branch=None):
-    """The node loop on dense states: (node, state, outcomes) after each node."""
-    ring, q = plan.scheme.ring, plan.scheme.q
-    labels = iter(branch) if branch is not None else None
+    """`protocol.node_steps` on dense states, line for line: (node, state, outcomes)."""
+    labels = itertools.repeat(None) if branch is None else iter(branch)
     for p in plan.nodes:
         if p.kept is not None:
             ids = tuple(p.kept[1] if r == p.kept[0] else r for r in state.reg_ids)
-            state = StateVector(ring, q, ids, state.amps)
+            state = StateVector(state.ring, state.q, ids, state.amps)
         if p.adjoined:
-            table = output_columns(ring, q, p.rows)
-            state = apply_coding_unitary(state, p.coded_from, p.adjoined, table)
+            state = apply_coding_unitary(state, p.coded_from, p.adjoined, plan.coding(p))
         outcomes = []
         for reg in p.measured or ():
-            state = apply_fourier(state, reg)
-            forced = None if labels is None else next(labels)
-            outcome, state = measure(state, reg, rng=rng, forced=forced)
+            outcome, state = measure(apply_fourier(state, reg), reg, rng, next(labels))
             outcomes.append(outcome)
         yield p.node, state, outcomes
 

@@ -119,6 +119,12 @@ class TestEncodeNode:
         with pytest.raises(InstanceError, match="branch labels out of range"):
             list(node_steps(plan, state, branch=(0,) * 8 + (2,)))
 
+    def test_node_steps_refuses_a_branch_with_an_rng(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        plan, state = plan_scheme(net, scheme), basis_state(scheme.ring, 1, (0, 0))
+        with pytest.raises(InstanceError, match="give either a branch or an rng, not both"):
+            next(node_steps(plan, state, np.random.default_rng(3), branch=(1,) * 9))
+
     def test_node_steps_checks_the_cap_before_coding(self):
         # s1 codes the 4-amplitude input into two outputs: 4 * 2^2 amplitudes
         net, scheme = load_instance("butterfly_f2.json")

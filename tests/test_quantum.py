@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qnetcode.quantum import (
     _draw,
+    _layout,
     _uniform,
     DimensionCapError,
     QuantumError,
@@ -24,18 +25,17 @@ from qnetcode.quantum import (
     fidelity,
     fourier_matrix,
     init_state,
-    marginal_distribution,
     measure,
     measure_rows,
     output_columns,
 )
-from qnetcode.rings import coefficient_matrix, parse_ring_spec, place_values
+from qnetcode.rings import coefficient_matrix, parse_ring_spec
 
 Z2 = parse_ring_spec("Z(2)")
 Z3 = parse_ring_spec("Z(3)")
 GF4 = parse_ring_spec("GF(4)")
-
-RING_POOL = ["Z(2)", "Z(3)", "Z(4)", "GF(4)", "GF(8)", "Z(2)xZ(4)", "Z(3)", "Z(2)xZ(2)"]
+PRODUCT_RINGS = [("Z(2)", 1), ("Z(3)", 1), ("Z(4)", 1), ("GF(4)", 1), ("GF(8)", 1)]
+PRODUCT_RINGS += [("Z(2)xZ(4)", 1), ("Z(2)xZ(2)", 1), ("Z(2)", 2)]
 
 
 def code(state, ins, outs, rows):
@@ -54,6 +54,16 @@ def transposed(state, order):
     """The same state with its axes, and its amplitudes' memory layout, in `order`."""
     perm = [state.axis(r) for r in order]
     return StateVector(state.ring, state.q, tuple(order), np.transpose(state.amps, perm))
+
+
+def product_state(spec, q, seed):
+    """The product of three random one-register states on a, b, c, stored in
+    c, a, b order, and its three factors."""
+    rng, d = np.random.default_rng(seed), spec.cardinality**q
+    factors = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in "abc"]
+    factors = [f / np.linalg.norm(f) for f in factors]
+    state = init_state(spec, q, 3, np.einsum("i,j,k->ijk", *factors), reg_ids=("a", "b", "c"))
+    return transposed(state, ("c", "a", "b")), factors
 
 
 def random_state(spec_text, q, n_regs, seed):
@@ -134,10 +144,13 @@ class TestCodingUnitary:
         assert np.allclose(before, after, atol=1e-12)
         assert norm(out) == pytest.approx(1.0, abs=1e-9)
 
-    def test_register_collision(self):
-        state = basis_state(Z2, 1, (0,), reg_ids=("a",))
-        with pytest.raises(RegisterError):
-            code(state, ("a",), ("a",), [[1]])
+    # an unknown input, an input given twice, an output that is live
+    @pytest.mark.parametrize("ins, outs", [("ax", "o"), ("aa", "o"), ("ab", "b")])
+    def test_register_errors_in_both_engines(self, ins, outs):
+        state, table = basis_state(Z2, 1, (1, 0), reg_ids=("a", "b")), np.zeros((4, 1), dtype=np.int64)
+        for kernel in (apply_coding_unitary, lambda s, *args: code_rows(SupportState.of(s), *args)):
+            with pytest.raises(RegisterError):
+                kernel(state, tuple(ins), tuple(outs), table)
 
     def test_inputs_lead_the_new_layout(self):
         state = random_state("Z(3)", 1, 4, seed=2)
@@ -175,6 +188,17 @@ class TestFourier:
         assert mat.shape == (4, 4)
         assert np.allclose(mat @ mat.conj().T, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("text, q", PRODUCT_RINGS)
+    def test_each_axis_of_a_product_state(self, text, q):
+        # F on one register of a product state transforms that factor alone
+        spec = parse_ring_spec(text)
+        state, factors = product_state(spec, q, seed=4)
+        for i, reg in enumerate("abc"):
+            got = apply_fourier(state, reg)
+            assert got.reg_ids == state.reg_ids
+            new = [fourier_matrix(spec, q) @ f if j == i else f for j, f in enumerate(factors)]
+            assert np.allclose(transposed(got, "abc").amps, np.einsum("i,j,k->ijk", *new), atol=1e-12)
+
     def test_unknown_register(self):
         with pytest.raises(RegisterError):
             apply_fourier(basis_state(Z2, 1, (0,)), "nope")
@@ -183,8 +207,8 @@ class TestFourier:
 class TestMeasure:
     def test_uniform_probabilities(self):
         state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-        marg = marginal_distribution(state, "src:1")
-        assert np.allclose(marg, [0.5, 0.5], atol=1e-12)
+        for z in (0, 1):
+            assert measure(state, "src:1", forced=z)[0].probability == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_on_basis_state(self):
         state = basis_state(Z2, 1, (1, 0))
@@ -201,8 +225,22 @@ class TestMeasure:
         assert d <= 9
         for y in range(d):
             state = apply_fourier(basis_state(spec, 1, (y,)), "src:1")
-            marg = marginal_distribution(state, "src:1")
-            assert np.allclose(marg, np.full(d, 1.0 / d), atol=1e-12)
+            for z in range(d):
+                assert measure(state, "src:1", forced=z)[0].probability == pytest.approx(1 / d, abs=1e-12)
+
+    @pytest.mark.parametrize("text, q", PRODUCT_RINGS)
+    def test_each_axis_of_a_product_state(self, text, q):
+        # outcome z of one factor f: probability |f[z]|^2, the other factors stay
+        state, factors = product_state(parse_ring_spec(text), q, seed=6)
+        for i, reg in enumerate("abc"):
+            rest_ids = tuple(r for r in "abc" if r != reg)
+            others = [f for j, f in enumerate(factors) if j != i]
+            for z, amp in enumerate(factors[i]):
+                outcome, rest = measure(state, reg, forced=z)
+                assert outcome.probability == pytest.approx(abs(amp) ** 2, abs=1e-12)
+                assert sorted(rest.reg_ids) == list(rest_ids)
+                expected = np.outer(*others) * amp / abs(amp)
+                assert np.allclose(transposed(rest, rest_ids).amps, expected, atol=1e-12)
 
     def test_seeded_reproducibility(self):
         state = random_state("Z(4)", 1, 2, seed=11)
@@ -231,13 +269,6 @@ class TestMeasure:
         with pytest.raises(QuantumError):
             measure(state, "src:1")
 
-    def test_register_count_bookkeeping(self):
-        state = basis_state(Z2, 1, (0, 1), reg_ids=("a", "b"))
-        grown = code(state, ("a",), ("c", "d"), [[1], [1]])
-        assert len(grown.reg_ids) == 4
-        _, shrunk = measure(grown, "a", forced=0)
-        assert len(shrunk.reg_ids) == 3
-
 
 class TestDraw:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 16, 27, 64])
@@ -255,7 +286,8 @@ class TestDraw:
 
 
 def test_cached_tables_are_read_only():
-    for table in (fourier_matrix(GF4, 1), *_uniform(4)):
+    gather, weights, _, keys = _layout(("a", "b"), ("b",), ("c",), 4)
+    for table in (fourier_matrix(GF4, 1), *_uniform(4), gather, weights, keys):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 
@@ -305,53 +337,6 @@ class TestFidelity:
             fidelity(a, b)
 
 
-def fourier_reference(state, reg):
-    mat = fourier_matrix(state.ring, state.q)
-    ax = state.axis(reg)
-    return np.moveaxis(np.tensordot(mat, state.amps, axes=([1], [ax])), 0, ax)
-
-
-def measure_reference(state, reg, rng=None, forced=None):
-    """Label, probability and collapsed amplitudes of a measurement."""
-    ax = state.axis(reg)
-    probs = np.abs(state.amps) ** 2
-    marginal = probs.sum(axis=tuple(i for i in range(probs.ndim) if i != ax))
-    label = forced if rng is None else int(rng.choice(state.dim, p=marginal / marginal.sum()))
-    return label, marginal[label], np.take(state.amps, label, axis=ax) / math.sqrt(marginal[label])
-
-
-@st.composite
-def kernel_states(draw):
-    """Random states of 1-4 registers, half of them with transposed amplitudes."""
-    text, q = draw(st.sampled_from([("Z(2)", 1), ("Z(3)", 1), ("Z(4)", 1), ("GF(4)", 1), ("Z(2)", 2)]))
-    state = random_state(text, q, draw(st.integers(1, 4)), draw(st.integers(0, 2**31 - 1)))
-    if draw(st.booleans()):
-        state = transposed(state, draw(st.permutations(state.reg_ids)))
-    return state
-
-
-@given(kernel_states(), st.integers(0, 2**31 - 1))
-@settings(max_examples=60, deadline=None)
-def test_kernels_match_reference_on_every_axis(state, seed):
-    for reg in state.reg_ids:
-        ax = state.axis(reg)
-        got = apply_fourier(state, reg)
-        assert got.reg_ids == state.reg_ids
-        assert np.allclose(got.amps, fourier_reference(state, reg), atol=1e-12)
-        other = tuple(i for i in range(state.amps.ndim) if i != ax)
-        expected = (np.abs(state.amps) ** 2).sum(axis=other)
-        assert np.allclose(marginal_distribution(state, reg), expected, atol=1e-12)
-        rest_ids = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
-        for forced in (None, seed % state.dim):
-            rngs = [None if forced is not None else np.random.default_rng(seed) for _ in range(2)]
-            label, p, amps = measure_reference(state, reg, rngs[0], forced)
-            outcome, rest = measure(state, reg, rng=rngs[1], forced=forced)
-            assert (outcome.register, outcome.label) == (reg, label)
-            assert outcome.probability == pytest.approx(p, abs=1e-12)
-            assert rest.reg_ids == rest_ids
-            assert np.allclose(rest.amps, amps, atol=1e-12)
-
-
 @st.composite
 def coding_cases(draw):
     """A random state with some amplitudes zeroed, 1-3 of its registers as
@@ -374,33 +359,28 @@ def coding_cases(draw):
     return state, ins, tuple(f"o{i}" for i in range(n)), table
 
 
-def support_code_measure(state, ins, outs, table, rng=None, forced=None):
-    """`code_rows` then `measure_rows` of the first input, columns laid out as
-    `apply_coding_unitary` lays out its axes."""
-    d, m = state.dim, len(ins)
-    rows = SupportState.of(state)
-    in_cols = [state.reg_ids.index(r) for r in ins]
-    gather = in_cols + [c for c in range(len(state.reg_ids)) if c not in in_cols]
-    roster = tuple(state.reg_ids[c] for c in gather) + outs
-    rows = code_rows(rows, table, np.array(gather), place_values((d,) * m), roster)
-    return measure_rows(rows, place_values((d,) * (len(roster) - 1)), rng=rng, forced=forced)
+def support_code_measure(state, ins, outs, table, reg, rng=None, forced=None):
+    coded = code_rows(SupportState.of(state), ins, outs, table)
+    return measure_rows(coded, reg, rng=rng, forced=forced)
 
 
-def dense_code_measure(state, ins, outs, table, rng=None, forced=None):
+def dense_code_measure(state, ins, outs, table, reg, rng=None, forced=None):
     coded = apply_coding_unitary(state, ins, outs, table)
-    return measure(apply_fourier(coded, ins[0]), ins[0], rng=rng, forced=forced)
+    return measure(apply_fourier(coded, reg), reg, rng=rng, forced=forced)
 
 
 @given(coding_cases(), st.integers(0, 2**31 - 1))
 @settings(max_examples=80, deadline=None)
 def test_support_kernels_match_dense_kernels(case, seed):
     state, ins, outs, table = case
-    for forced in (None, seed % state.dim):
+    # the first input leads the coded columns; every other register does not
+    others = [r for r in state.reg_ids + outs if r != ins[0]]
+    for reg, forced in itertools.product((ins[0], others[seed % len(others)]), (None, seed % state.dim)):
         runs = []
         for step in (dense_code_measure, support_code_measure):
             rng = None if forced is not None else np.random.default_rng(seed)
             try:
-                runs.append(step(state, ins, outs, table, rng=rng, forced=forced))
+                runs.append(step(state, ins, outs, table, reg, rng=rng, forced=forced))
             except ZeroProbabilityError:
                 runs.append(None)
         if runs[0] is None or runs[1] is None:
@@ -411,6 +391,9 @@ def test_support_kernels_match_dense_kernels(case, seed):
         assert got.probability == pytest.approx(want.probability, abs=1e-12)
         assert got_state.reg_ids == want_state.reg_ids
         assert np.allclose(got_state.dense(want_state.reg_ids).amps, want_state.amps, atol=1e-12)
+    for step in (dense_code_measure, support_code_measure):
+        with pytest.raises(RegisterError, match="unknown register 'nope'"):
+            step(state, ins, outs, table, "nope", forced=0)
 
 
 class TestSupportState:
@@ -432,7 +415,7 @@ class TestSupportState:
         # |00> + |11>: the other register fixes y, so each outcome has p = 1/d exactly
         rows = SupportState.of(init_state(Z3, 1, 2, [0.6, 0, 0, 0, 0.8, 0, 0, 0, 0]))
         for z in range(3):
-            outcome, rest = measure_rows(rows, place_values((3,)), forced=z)
+            outcome, rest = measure_rows(rows, "src:1", forced=z)
             assert outcome.probability == 1 / 3
             assert rest.labels.tolist() == [[0], [1]]
             assert np.allclose(rest.amps, [0.6, 0.8 * np.exp(2j * np.pi * z / 3)], atol=1e-15)
@@ -441,23 +424,8 @@ class TestSupportState:
         # (|0> + |1>)|0> / sqrt 2 measured in the Fourier basis: outcome 1 never happens
         half = math.sqrt(0.5)
         rows = SupportState.of(init_state(Z2, 1, 2, [half, 0, half, 0]))
-        outcome, rest = measure_rows(rows, place_values((2,)), forced=0)
+        outcome, rest = measure_rows(rows, "src:1", forced=0)
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
         assert rest.labels.tolist() == [[0]] and rest.amps == pytest.approx([1.0], abs=1e-12)
         with pytest.raises(ZeroProbabilityError):
-            measure_rows(rows, place_values((2,)), forced=1)
-
-
-@given(st.sampled_from(RING_POOL), st.integers(0, 2**31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_norm_preserved_through_pipeline(text, seed):
-    spec = parse_ring_spec(text)
-    state = random_state(text, 1, 2, seed)
-    state = code(state, ("r0", "r1"), ("r2",), [[1, 1]])
-    assert norm(state) == pytest.approx(1.0, abs=1e-9)
-    state = apply_fourier(state, "r0")
-    assert norm(state) == pytest.approx(1.0, abs=1e-9)
-    _, state = measure(state, "r0", rng=np.random.default_rng(seed))
-    assert norm(state) == pytest.approx(1.0, abs=1e-9)
-    state = apply_phase(state, "r1", [Fraction(x, 5) for x in range(spec.cardinality)])
-    assert norm(state) == pytest.approx(1.0, abs=1e-9)
+            measure_rows(rows, "src:1", forced=1)

@@ -1,7 +1,9 @@
-"""Smoke tests that run the bundled scripts as subprocesses."""
+"""Smoke tests that run the bundled scripts, and README's worked examples, as
+subprocesses."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -10,19 +12,36 @@ from conftest import INSTANCES
 from qnetcode.cli import main
 
 ROOT = INSTANCES.parent
+WORKED_EXAMPLES = (ROOT / "README.md").read_text().split("Try the worked examples:\n\n```\n")[1].split("```")[0]
+COMMANDS = [shlex.split(line) for line in WORKED_EXAMPLES.splitlines()]
+COMMANDS += [["qnetcode", cmd, "--help"] for cmd in ("verify", "simulate", "enumerate", "cost")] + [["qnetcode", "--help"]]
 
 
-def run_script(name, *args, check=True):
+def run_python(*args, check=True):
+    """A fresh Python process in the repository root that imports this checkout."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
+        cwd=ROOT,
         timeout=300,
         check=check,
     )
+
+
+def run_script(name, *args, check=True):
+    return run_python(str(ROOT / "scripts" / name), *args, check=check)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_readme_examples_and_help_run_in_a_fresh_process(argv):
+    # the entry point `qnetcode` is `python -m qnetcode.cli` without an install
+    assert argv[0] in ("qnetcode", "python3")
+    proc = run_python(*(["-m", "qnetcode.cli"] if argv[0] == "qnetcode" else []), *argv[1:], check=False)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_walkthrough_delivers_the_input():
