@@ -99,11 +99,17 @@ class Network:
 @dataclass(frozen=True, eq=False)
 class CodingScheme:
     """Per-node coefficient matrices (see `rings.coefficient_matrix`):
-    coeffs[node][output_idx][input_idx]."""
+    coeffs[node][output_idx][input_idx].
+
+    A scheme is immutable once parsed: `parse_network` makes every
+    coefficient array read-only, because the scheme keeps the plans built
+    from it (`protocol.plan_scheme`), one per network and policy.
+    """
 
     ring: RingSpec
     q: int
     coeffs: dict[str, tuple[tuple[np.ndarray, ...], ...]] = field(repr=False)
+    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def register_dim(self) -> int:
@@ -350,6 +356,8 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
                     f"coefficient matrices, got {row_doc!r}"
                 )
             rows.append(tuple(_parse_matrix(m, ring, q) for m in row_doc))
+            for g in rows[-1]:
+                g.flags.writeable = False
         node_inputs[v] = ins
         node_outputs[v] = outs
         coeffs[v] = tuple(rows)

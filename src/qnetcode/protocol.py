@@ -23,13 +23,18 @@ order works), then input edges in declared order. Forced branches are given
 as one outcome label per measurement in that order.
 
 What depends only on the scheme and the policy is fixed once in a
-`SchemePlan`; the message cost is read from it without simulation. Every
-run, sampled or forced, goes through the one node loop, `node_steps`, which
-reads no policy, is the only place a node is coded or measured and the only
-place a forced branch is checked. It runs on the state's support
+`SchemePlan`; the message cost is read from it without simulation. Plans
+are memoised per scheme, network and policy: `plan_scheme` keeps each on
+its scheme, so repeated runs of one parsed scheme share the transfer map,
+coding tables and correction rows, and a plan lives as long as its scheme.
+
+Every run, sampled or forced, goes through the one node loop, `node_steps`,
+which reads no policy, is the only place a node is coded or measured and the
+only place a forced branch is checked. It runs on the state's support
 (`quantum.SupportState`), which on a solution keeps the input's size, and
 names registers only: where they sit among the support's columns is the
-`quantum` kernels' concern.
+`quantum` kernels' concern. The input may carry spectator registers after
+`src:1..k`, which no node touches; they come after `tgt:1..k` in the output.
 """
 
 from __future__ import annotations
@@ -161,11 +166,12 @@ class SchemePlan:
 
     The tables of size |R|^q and more (coding tables, label digits,
     correction rows) are built on first use, so planning and cost stay cheap
-    on any ring.
+    on any ring. Every run of the scheme shares them, so they are read-only.
+    The ring and width are the transfer map's: a plan holds no reference to
+    its scheme, which holds the plan (`plan_scheme`).
     """
 
     net: Network
-    scheme: CodingScheme
     tmap: TransferMap
     nodes: tuple[NodePlan, ...]
     policy: str
@@ -174,22 +180,38 @@ class SchemePlan:
     def coding(self, p: NodePlan) -> np.ndarray:
         """The coding table of a node that adjoins registers (`quantum.output_columns`)."""
         if p.node not in self._coding:
-            self._coding[p.node] = output_columns(self.scheme.ring, self.scheme.q, p.rows)
+            table = self._coding[p.node] = output_columns(self.tmap.ring, self.tmap.q, p.rows)
+            table.flags.writeable = False
         return self._coding[p.node]
+
+    @property
+    def register_dim(self) -> int:
+        return self.tmap.ring.cardinality**self.tmap.q
+
+    @cached_property
+    def counterexample(self):
+        """The solution verdict: the first input tuple the scheme fails to
+        deliver, or None (`TransferMap.counterexample`)."""
+        return self.tmap.counterexample(self.net.k)
 
     @cached_property
     def digits(self) -> np.ndarray:
         """Digits of every basis label of a register."""
-        return label_digits(self.scheme.ring, self.scheme.q, np.arange(self.scheme.register_dim))
+        digits = label_digits(self.tmap.ring, self.tmap.q, np.arange(self.register_dim))
+        digits.flags.writeable = False
+        return digits
 
     @cached_property
     def correction_rows(self) -> dict[str, np.ndarray]:
         """Per register e, matrices P[j] with exponent * character(a, gamma_ej x)
         = digits(x) @ P[j] @ digits(a) mod exponent: outcome a on e adds the
         row digits @ P[j] @ digits(a) to pair j's correction."""
-        ring, q = self.scheme.ring, self.scheme.q
+        ring, q = self.tmap.ring, self.tmap.q
         form = character_form(ring, q)
-        return {e: g @ form % ring.exponent for e, g in self.tmap.gammas.items()}
+        rows = {e: g @ form % ring.exponent for e, g in self.tmap.gammas.items()}
+        for r in rows.values():
+            r.flags.writeable = False
+        return rows
 
     @property
     def measurement_count(self) -> int:
@@ -197,14 +219,20 @@ class SchemePlan:
 
     @property
     def branch_count(self) -> int:
-        return self.scheme.register_dim**self.measurement_count
+        return self.register_dim**self.measurement_count
 
 
 def plan_scheme(
     net: Network, scheme: CodingScheme, prune: bool = False, copy_skip: bool = False
 ) -> SchemePlan:
-    """Plan the scheme's run under a policy, nodes in `net.topo_order`."""
+    """The scheme's plan under a policy, nodes in `net.topo_order`, built on
+    the first call for this network and policy and kept on the scheme."""
+    key = (net, prune, copy_skip)
+    if key in scheme._plans:
+        return scheme._plans[key]
     tmap = transfer_coefficients(net, scheme)
+    for g in tmap.gammas.values():
+        g.flags.writeable = False
     everyone = tuple(range(1, net.k + 1))
     nodes = []
     for v in net.topo_order:
@@ -223,12 +251,13 @@ def plan_scheme(
                 if net.pairs[j][1] != v and any(not is_zero(tmap.gammas[e][j]) for e in ins)
             )
         nodes.append(NodePlan(v, None, ins, outs, coeffs, ins, told))
-    return SchemePlan(net, scheme, tmap, tuple(nodes), "prune" if prune else "broadcast")
+    plan = scheme._plans[key] = SchemePlan(net, tmap, tuple(nodes), "prune" if prune else "broadcast")
+    return plan
 
 
 @dataclass
 class RunResult:
-    state: StateVector  # corrected output on tgt:1..k, pair order
+    state: StateVector  # corrected output on tgt:1..k in pair order, then the spectators
     pre_correction: StateVector
     log: MessageLog
     phase_table: PhaseTable
@@ -280,10 +309,10 @@ def node_steps(
             raise InstanceError(
                 f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}"
             )
-        if any(not 0 <= b < plan.scheme.register_dim for b in branch):
+        if any(not 0 <= b < plan.register_dim for b in branch):
             raise InstanceError("branch labels out of range")
     labels = itertools.repeat(None) if branch is None else iter(branch)
-    d = plan.scheme.register_dim
+    d = plan.register_dim
     state = SupportState.of(input_state)
     for p in plan.nodes:
         if p.kept is not None:
@@ -304,31 +333,42 @@ def node_steps(
 
 def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
     """Take a run's node steps in turn, log the announcements, and let the
-    targets cancel their phases on the dense target state."""
-    state, entries = SupportState.of(input_state), []
+    targets cancel their phases on the dense state of the targets, then the
+    input's spectator registers (those after `src:1..k`, which no node
+    touches) in input order."""
+    state, entries = None, []
     for step in steps:
         state = step.state
         if step.entry is not None:
             entries.append(step.entry)
-    log = MessageLog(plan.scheme.q, entries)
-    targets = tuple(target_edge(i + 1) for i in range(plan.net.k))
-    if sorted(state.reg_ids) != sorted(targets):
-        raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {targets}")
-    state = state.dense(targets)
+    log = MessageLog(plan.tmap.q, entries)
+    k = plan.net.k
+    roster = tuple(target_edge(i + 1) for i in range(k)) + input_state.reg_ids[k:]
+    if state is None:  # no node ran
+        state = SupportState.of(input_state)
+    if sorted(state.reg_ids) != sorted(roster):
+        raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {roster}")
+    state = state.dense(roster)
     pre_correction = state
 
     phase_table = compute_corrections(log, plan)
-    for i in range(1, plan.net.k + 1):
+    for i in range(1, k + 1):
         state = apply_phase(state, target_edge(i), -phase_table.turns(i))
     return RunResult(state, pre_correction, log, phase_table, plan)
 
 
 def _check_input(net: Network, scheme: CodingScheme, state: StateVector) -> None:
+    """The input lives on `src:1..k`, then on any spectator registers, which
+    must not be named like an edge, so that no node touches them."""
     if state.ring != scheme.ring or state.q != scheme.q:
         raise InstanceError("input state ring or width does not match the scheme")
     expected_regs = tuple(source_edge(i + 1) for i in range(net.k))
-    if state.reg_ids != expected_regs:
-        raise InstanceError(f"input state must live on registers {expected_regs}")
+    if state.reg_ids[: net.k] != expected_regs:
+        raise InstanceError(f"input state must live on registers {expected_regs}, then any spectators")
+    edges = {e.id for e in net.edges}
+    for reg in state.reg_ids[net.k :]:
+        if reg in edges or reg.startswith(("src:", "tgt:")):
+            raise InstanceError(f"spectator register {reg!r} is named like an edge")
 
 
 def run_protocol(
@@ -350,7 +390,7 @@ def run_protocol(
     """
     _check_input(net, scheme, input_state)
     plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
-    if check_classical and plan.tmap.counterexample(net.k) is not None:
+    if check_classical and plan.counterexample is not None:
         raise InvalidSchemeError(
             "the classical scheme does not solve the instance; "
             "fix it or skip the check to inspect the imperfect run"
@@ -374,7 +414,7 @@ def compute_corrections(log: MessageLog, plan: SchemePlan) -> PhaseTable:
     table for pair j is the sum of those integer rows mod the ring's
     exponent, evaluated at each basis label.
     """
-    ring, q = plan.scheme.ring, plan.scheme.q
+    ring, q = plan.tmap.ring, plan.tmap.q
     outcomes = log.all_outcomes()
     for outcome in outcomes:
         if outcome.register not in plan.tmap.gammas:
@@ -411,8 +451,8 @@ def classical_cost(plan: SchemePlan) -> CostReport:
     Broadcast traffic is k * q times the total fan-in of the measuring nodes,
     and M is the largest fan-in, so it never exceeds the bound.
     """
-    net, q = plan.net, plan.scheme.q
-    bits = max(1, math.ceil(math.log2(plan.scheme.ring.cardinality)))
+    net, q = plan.net, plan.tmap.q
+    bits = max(1, math.ceil(math.log2(plan.tmap.ring.cardinality)))
     bound = net.k * net.max_fan_in * len(net.nodes) * q
     per_node = []
     for p in plan.nodes:

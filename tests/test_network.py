@@ -141,6 +141,16 @@ class TestParse:
         assert verify_solution(net, scheme)
 
 
+def test_parsed_coefficients_are_read_only():
+    # the scheme keeps the plans built from it, so its coefficients must not change
+    net, scheme = load("butterfly_f2.json")
+    for rows in scheme.coeffs.values():
+        for row in rows:
+            assert all(not g.flags.writeable for g in row)
+    with pytest.raises(ValueError, match="read-only"):
+        scheme.coeffs["n1"][0][0][0, 0] = 0
+
+
 class TestEvaluate:
     def test_butterfly_basis_input(self):
         net, scheme = load("butterfly_f2.json")

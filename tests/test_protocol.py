@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from conftest import (
     load_instance,
     random_input_state,
 )
+import qnetcode.protocol
 from qnetcode.network import (
     CapExceededError,
     InstanceError,
@@ -560,3 +563,131 @@ class TestTransferInteraction:
         del tmap.gammas["src:1"]
         with pytest.raises(Exception, match="transfer"):
             compute_corrections(result.log, dataclasses.replace(result.plan, tmap=tmap))
+
+
+BUNDLED = [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")]
+POLICIES = list(itertools.product((False, True), repeat=2))  # (prune, copy_skip)
+
+
+class TestPlanMemo:
+    def test_one_plan_per_scheme_network_and_policy(self):
+        net, scheme = load_instance("butterfly_gf4.json")
+        assert plan_scheme(net, scheme) is plan_scheme(net, scheme)
+        plans = [plan_scheme(net, scheme, prune=p, copy_skip=c) for p, c in POLICIES]
+        assert len({id(p) for p in plans}) == 4
+        assert plans == [plan_scheme(net, scheme, prune=p, copy_skip=c) for p, c in POLICIES]
+        twisted = scheme_with_alternate_phi(scheme)
+        plan = plan_scheme(net, twisted)
+        assert plan is not plans[0] and plan is plan_scheme(net, twisted)
+        assert plan.tmap.ring == twisted.ring != scheme.ring
+        other_net, _ = load_instance("butterfly_gf4.json")
+        assert plan_scheme(other_net, scheme) is not plans[0]
+
+    def test_runs_reuse_the_transfer_map(self, monkeypatch):
+        calls = []
+
+        def counted(net, scheme):
+            calls.append(scheme)
+            return transfer_coefficients(net, scheme)
+
+        monkeypatch.setattr(qnetcode.protocol, "transfer_coefficients", counted)
+        net, scheme = load_instance("butterfly_z4.json")
+        state = random_input_state(scheme, net.k, 3)
+        results = [run_protocol(net, scheme, state, seed=s) for s in range(50)]
+        assert len(calls) == 1
+        assert all(r.plan is results[0].plan for r in results)
+
+    def test_plan_dies_with_its_scheme(self):
+        # no reference cycle and no module-level cache keeps a plan alive
+        net, scheme = load_instance("butterfly_z2_q2.json")
+        state = random_input_state(scheme, net.k, 4)
+        result = run_protocol(net, scheme, state, seed=1, prune=True)
+        refs = [weakref.ref(result.plan), weakref.ref(scheme)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del scheme, result
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_shared_plan_tables_are_read_only(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        plan = run_protocol(net, scheme, basis_state(scheme.ring, 1, (1, 0)), seed=0).plan
+        tables = [plan.digits, *plan.tmap.gammas.values(), *plan.correction_rows.values()]
+        tables += [plan.coding(p) for p in plan.nodes if p.adjoined]
+        assert all(not t.flags.writeable for t in tables)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.correction_rows["R1"][...] = 0
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_memoised_runs_equal_fresh_runs(self, name):
+        net, scheme = load_instance(name)
+        state = random_input_state(scheme, net.k, 7)
+        for (prune, copy_skip), seed in itertools.product(POLICIES, range(25)):
+            kwargs = dict(seed=seed, prune=prune, copy_skip=copy_skip, check_classical=False)
+            memo = run_protocol(net, scheme, state, **kwargs)
+            fresh = run_protocol(*load_instance(name), state, **kwargs)
+            assert memo.plan is plan_scheme(net, scheme, prune, copy_skip)
+            assert memo.log.entries == fresh.log.entries
+            assert memo.phase_table.numerators.tobytes() == fresh.phase_table.numerators.tobytes()
+            for got, want in [(memo.state, fresh.state), (memo.pre_correction, fresh.pre_correction)]:
+                assert got.reg_ids == want.reg_ids
+                assert got.amps.tobytes() == want.amps.tobytes()
+
+
+def choi_state(scheme, k):
+    """src:i maximally entangled with an untouched ref:i, for every pair."""
+    d = scheme.register_dim
+    amps = np.zeros((d,) * (2 * k), dtype=complex)
+    for x in itertools.product(range(d), repeat=k):
+        amps[x + x] = d ** (-k / 2)
+    regs = tuple(f"src:{i}" for i in range(1, k + 1)) + tuple(f"ref:{i}" for i in range(1, k + 1))
+    return init_state(scheme.ring, scheme.q, 2 * k, amps, reg_ids=regs)
+
+
+class TestSpectators:
+    def test_choi_state_delivered_on_every_branch(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = choi_state(scheme, net.k)
+        results = list(enumerate_branches(net, scheme, state))
+        assert len(results) == 512
+        assert all(r.fidelity == pytest.approx(1.0, abs=1e-9) for r in results)
+        assert results[0].result.state.reg_ids == ("tgt:1", "tgt:2", "ref:1", "ref:2")
+
+    def test_choi_state_exposes_the_broken_scheme(self):
+        net, scheme = load_instance("butterfly_f2_broken.json")
+        state = choi_state(scheme, net.k)
+        fids = [r.fidelity for r in enumerate_branches(net, scheme, state) if r.fidelity is not None]
+        assert min(fids) < 1 - 1e-6
+
+    def test_seeded_run_carries_spectators_last(self):
+        net, scheme = load_instance("butterfly_z2_q2.json")
+        state = choi_state(scheme, net.k)
+        result = run_protocol(net, scheme, state, seed=11)
+        assert result.state.reg_ids == ("tgt:1", "tgt:2", "ref:1", "ref:2")
+        assert result.pre_correction.reg_ids == result.state.reg_ids
+        assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["R1", "src:3", "tgt:1"])
+    def test_spectator_named_like_an_edge_is_refused(self, name):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (0, 0, 0), reg_ids=("src:1", "src:2", name))
+        with pytest.raises(InstanceError, match="named like an edge"):
+            run_protocol(net, scheme, state, seed=0)
+
+    def test_sources_must_come_first(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (0, 0, 0), reg_ids=("ref:1", "src:1", "src:2"))
+        with pytest.raises(InstanceError, match="must live on registers"):
+            run_protocol(net, scheme, state, seed=0)
+
+    def test_run_without_steps_names_the_left_registers(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (0, 0))
+        with pytest.raises(
+            InstanceError,
+            match=r"run left registers \('src:1', 'src:2'\), expected exactly \('tgt:1', 'tgt:2'\)",
+        ):
+            finish_run(plan_scheme(net, scheme), state, [])
