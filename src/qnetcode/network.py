@@ -101,15 +101,16 @@ class CodingScheme:
     """Per-node coefficient matrices (see `rings.coefficient_matrix`):
     coeffs[node][output_idx][input_idx].
 
-    A scheme is immutable once parsed: `parse_network` makes every
-    coefficient array read-only, because the scheme keeps the plans built
-    from it (`protocol.plan_scheme`), one per network and policy.
+    A scheme is immutable once parsed (`parse_network` makes its arrays
+    read-only): it keeps the plans built from it (`protocol.plan_scheme`),
+    one per network and policy, and their transfer maps, one per network.
     """
 
     ring: RingSpec
     q: int
     coeffs: dict[str, tuple[tuple[np.ndarray, ...], ...]] = field(repr=False)
     _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _transfer: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def register_dim(self) -> int:

@@ -24,17 +24,20 @@ as one outcome label per measurement in that order.
 
 What depends only on the scheme and the policy is fixed once in a
 `SchemePlan`; the message cost is read from it without simulation. Plans
-are memoised per scheme, network and policy: `plan_scheme` keeps each on
-its scheme, so repeated runs of one parsed scheme share the transfer map,
-coding tables and correction rows, and a plan lives as long as its scheme.
+are memoised per scheme, network and policy: `plan_scheme` keeps each on its
+scheme, with one transfer map for all policies, so runs of one parsed scheme
+share the map, coding tables and correction rows; a plan lives with its scheme.
 
 Every run, sampled or forced, goes through the one node loop, `node_steps`,
 which reads no policy, is the only place a node is coded or measured and the
 only place a forced branch is checked. It runs on the state's support
 (`quantum.SupportState`), which on a solution keeps the input's size, and
 names registers only: where they sit among the support's columns is the
-`quantum` kernels' concern. The input may carry spectator registers after
-`src:1..k`, which no node touches; they come after `tgt:1..k` in the output.
+`quantum` kernels' concern. A plan of a solution is certified
+(`SchemePlan.certified`): each of its measurements leaves only a phase, so
+the loop measures each node's registers in one step without checking rows.
+The input may carry spectator registers after `src:1..k`, which no node
+touches; they come after `tgt:1..k` in the output.
 """
 
 from __future__ import annotations
@@ -194,6 +197,16 @@ class SchemePlan:
         deliver, or None (`TransferMap.counterexample`)."""
         return self.tmap.counterexample(self.net.k)
 
+    @property
+    def certified(self) -> bool:
+        """No measurement of a run interferes: true on a solution, under any
+        policy and with any spectators. A node measures only its own inputs,
+        after adjoining its outputs, so the targets are computed from the
+        other live registers. On a solution they hold x, which fixes each
+        measured label gamma x: the rows' other columns are distinct, and
+        every outcome has probability 1/d (`quantum.measure_rows`)."""
+        return self.counterexample is None
+
     @cached_property
     def digits(self) -> np.ndarray:
         """Digits of every basis label of a register."""
@@ -230,9 +243,11 @@ def plan_scheme(
     key = (net, prune, copy_skip)
     if key in scheme._plans:
         return scheme._plans[key]
-    tmap = transfer_coefficients(net, scheme)
-    for g in tmap.gammas.values():
-        g.flags.writeable = False
+    tmap = scheme._transfer.get(net)
+    if tmap is None:  # one per network: the policies share it
+        tmap = scheme._transfer[net] = transfer_coefficients(net, scheme)
+        for g in tmap.gammas.values():
+            g.flags.writeable = False
     everyone = tuple(range(1, net.k + 1))
     nodes = []
     for v in net.topo_order:
@@ -291,8 +306,8 @@ def node_steps(
 
     The loop runs on the input's support (`quantum.SupportState`) and does
     what each node's `NodePlan` says: a node that adjoins registers codes
-    them from its inputs (`quantum.code_rows`), then each register it
-    measures is measured by name in the Fourier basis (`quantum.measure_rows`).
+    them from its inputs (`quantum.code_rows`), then measures its registers in
+    the Fourier basis (`quantum.measure_rows`), unchecked if `plan.certified`.
     Before a node codes, `quantum.check_growth` refuses a coded state above
     `max_entries` amplitudes, so nothing of that node is built.
 
@@ -311,8 +326,7 @@ def node_steps(
             )
         if any(not 0 <= b < plan.register_dim for b in branch):
             raise InstanceError("branch labels out of range")
-    labels = itertools.repeat(None) if branch is None else iter(branch)
-    d = plan.register_dim
+    pos, d = 0, plan.register_dim
     state = SupportState.of(input_state)
     for p in plan.nodes:
         if p.kept is not None:
@@ -323,11 +337,12 @@ def node_steps(
             # uncapped), the coding table built next, and keeps row keys below 2^63
             check_growth(d ** (len(state.reg_ids) + len(p.adjoined)), max_entries)
             state = code_rows(state, p.coded_from, p.adjoined, plan.coding(p))
-        outcomes = []
-        for reg in p.measured or ():
-            outcome, state = measure_rows(state, reg, rng, next(labels))
-            outcomes.append(outcome)
-        entry = None if p.measured is None else LogEntry(p.node, tuple(outcomes), p.recipients)
+        outcomes = ()
+        if p.measured:
+            forced = None if branch is None else branch[pos : pos + len(p.measured)]
+            pos += len(p.measured)
+            outcomes, state = measure_rows(state, p.measured, rng, forced, plan.certified)
+        entry = None if p.measured is None else LogEntry(p.node, outcomes, p.recipients)
         yield NodeStep(p.node, state, entry)
 
 

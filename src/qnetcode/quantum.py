@@ -7,7 +7,8 @@ the input's. Coding relabels basis states, so `code_rows` appends output
 columns to the rows. Every live cut still determines the input, so measuring
 a register in the Fourier basis leaves the phase chi(y, z) on each row, each
 outcome at probability exactly 1/d (`measure_rows`); where rows interfere,
-in a scheme that is not a solution, it sums them exactly.
+in a scheme that is not a solution, it sums them exactly. A caller that
+certifies that none do (on a solution) skips looking for them.
 
 The dense engine, `StateVector`, keeps one amplitude axis per live register.
 It holds the input and the final target state (d^k amplitudes), and its
@@ -250,13 +251,21 @@ def apply_coding_unitary(state: StateVector, in_regs, out_regs, table) -> StateV
     return StateVector(state.ring, state.q, reg_ids, new.reshape(new.shape[:-1] + (dim,) * n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def fourier_matrix(ring: RingSpec, q: int) -> np.ndarray:
     """The group Fourier transform on one register: F[z, y] = chi(y, z) / sqrt(d)
     (the character is symmetric)."""
     labels = np.arange(ring.cardinality**q)
     turns = pairing(ring, q, labels, labels) / ring.exponent
     mat = np.exp(2j * np.pi * turns) / math.sqrt(len(labels))
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=16)
+def _scaled_fourier(ring: RingSpec, q: int) -> np.ndarray:
+    """F sqrt(d), read-only: at label y, row z is the phase outcome z leaves."""
+    mat = fourier_matrix(ring, q) * math.sqrt(ring.cardinality**q)
     mat.flags.writeable = False
     return mat
 
@@ -276,7 +285,7 @@ def _cdf(marginal: np.ndarray) -> np.ndarray:
     return cdf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _uniform(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform marginal 1/d and its `_cdf`, read-only."""
     marginal = np.full(d, 1 / d)
@@ -328,36 +337,49 @@ def measure(
 
 
 def measure_rows(
-    state: SupportState, reg: str, rng=None, forced=None
-) -> tuple[MeasurementOutcome, SupportState]:
-    """`apply_fourier` and `measure` of a live register on the support.
+    state: SupportState, regs, rng=None, forced=None, certified: bool = False
+) -> tuple[tuple[MeasurementOutcome, ...], SupportState]:
+    """`apply_fourier` and `measure` of live registers in turn on the support,
+    each outcome sampled from `rng` or taken from `forced`, one per register.
 
     Each row is keyed by its other columns. If no two rows share a key, they
     fix the register's label y: outcome z has probability exactly 1/d and
     multiplies each row by F[z, y] sqrt(d). Otherwise each key's rows are
-    summed with F[z, .], and z is drawn from the exact marginal.
+    summed with F[z, .], and z is drawn from the exact marginal. A
+    `certified` call (`protocol.SchemePlan.certified`) skips the key check
+    and drops the measured columns at once, as a view where they lead.
     """
-    fourier = fourier_matrix(state.ring, state.q)
-    d = len(fourier)
-    gather, _, roster, weights = _layout(state.reg_ids, (reg,), (), d)
-    y = state.labels[:, gather[0]]
-    # after coding, the measured inputs lead and the other columns are a view
-    rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
-    keys = rest @ weights
-    ordered = np.sort(keys)
-    if (ordered[1:] != ordered[:-1]).all():
-        marginal, cdf = _uniform(d)
-        label, p = _draw(marginal, reg, rng, forced, cdf)
-        amps = state.amps * (fourier[label] * math.sqrt(d))[y]
-    else:
-        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-        rows = np.zeros((len(first), d), dtype=complex)
-        rows[group, y] = state.amps
-        coeffs = rows @ fourier  # F is symmetric: coeffs[g, z] = sum_y F[z, y] rows[g, y]
-        label, p = _draw((np.abs(coeffs) ** 2).sum(axis=0), reg, rng, forced)
-        amps, rest = coeffs[:, label] / math.sqrt(p), rest[first]
-    outcome = MeasurementOutcome(register=reg, label=label, probability=p)
-    return outcome, SupportState(state.ring, state.q, roster[1:], rest, amps)
+    regs, m = tuple(regs), len(regs)
+    forced = (None,) * m if forced is None else tuple(forced)
+    scaled = _scaled_fourier(state.ring, state.q)
+    d = len(scaled)
+    if not certified:
+        outcomes = ()
+        for reg, label in zip(regs, forced, strict=True):
+            gather, _, roster, weights = _layout(state.reg_ids, (reg,), (), d)
+            rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
+            keys = rest @ weights
+            if (np.diff(np.sort(keys)) != 0).all():
+                outcome, state = measure_rows(state, (reg,), rng, (label,), certified=True)
+            else:
+                _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+                rows = np.zeros((len(first), d), dtype=complex)
+                rows[group, state.labels[:, gather[0]]] = state.amps
+                coeffs = rows @ fourier_matrix(state.ring, state.q)  # F is symmetric
+                label, p = _draw((np.abs(coeffs) ** 2).sum(axis=0), reg, rng, label)
+                outcome = (MeasurementOutcome(reg, label, p),)
+                state = SupportState(state.ring, state.q, roster[1:], rest[first], coeffs[:, label] / math.sqrt(p))
+            outcomes += outcome
+        return outcomes, state
+    marginal, cdf = _uniform(d)
+    gather, _, roster, _ = _layout(state.reg_ids, regs, (), d)
+    amps, outcomes = state.amps, ()
+    for col, reg, label in zip(gather[:m], regs, forced, strict=True):
+        label, p = _draw(marginal, reg, rng, label, cdf)
+        amps = amps * scaled[label][state.labels[:, col]]
+        outcomes += (MeasurementOutcome(reg, label, p),)
+    rest = state.labels[:, m:] if state.reg_ids[:m] == regs else state.labels[:, gather[m:]]
+    return outcomes, SupportState(state.ring, state.q, roster[m:], rest, amps)
 
 
 def apply_phase(state: StateVector, reg: str, turns) -> StateVector:

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 from functools import cache
 from pathlib import Path
@@ -42,6 +43,16 @@ def random_input_state(scheme, k, seed):
     amps = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     amps /= np.linalg.norm(amps)
     return init_state(scheme.ring, scheme.q, k, amps)
+
+
+def choi_state(scheme, k):
+    """src:i maximally entangled with an untouched ref:i, for every pair."""
+    d = scheme.register_dim
+    amps = np.zeros((d,) * (2 * k), dtype=complex)
+    for x in itertools.product(range(d), repeat=k):
+        amps[x + x] = d ** (-k / 2)
+    regs = tuple(f"src:{i}" for i in range(1, k + 1)) + tuple(f"ref:{i}" for i in range(1, k + 1))
+    return init_state(scheme.ring, scheme.q, 2 * k, amps, reg_ids=regs)
 
 
 def butterfly_with_isolated_node() -> dict:

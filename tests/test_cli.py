@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import INSTANCES, butterfly_with_isolated_node
 from qnetcode.cli import build_parser, main
 from qnetcode.network import InstanceError, parse_network
+from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix
 from qnetcode.rings import RingError, parse_ring_spec
 
 BUTTERFLY = str(INSTANCES / "butterfly_f2.json")
@@ -632,6 +633,21 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, flags, 
         assert code in (0, 1, 2), argv
         if code == 2:
             _assert_one_line_error(err.getvalue())
+
+
+def test_in_process_runs_keep_the_ring_caches_bounded(capsys):
+    # each ring measured leaves a d x d matrix behind; more rings than the bound evict
+    caches = (fourier_matrix, _scaled_fourier, _uniform)
+    for cache in caches:
+        cache.cache_clear()
+    doc = json.loads(Path(SINGLE).read_text())
+    for m in range(2, 20):
+        doc["ring"] = f"Z({m})"
+        assert main(["simulate", json.dumps(doc), "--seed", "1"]) == 0
+    capsys.readouterr()
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses == 18 and info.currsize <= info.maxsize == 16
 
 
 def test_reused_parser_leaks_nothing_between_calls():

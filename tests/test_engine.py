@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCES, PARALLEL_EDGES, generated_butterfly, load_instance, random_input_state
+import qnetcode.protocol
+from conftest import (
+    INSTANCES,
+    PARALLEL_EDGES,
+    choi_state,
+    generated_butterfly,
+    load_instance,
+    random_input_state,
+)
 from qnetcode.network import parse_network, scheme_with_alternate_phi, target_edge
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
 from qnetcode.quantum import (
@@ -19,9 +27,11 @@ from qnetcode.quantum import (
     apply_fourier,
     apply_phase,
     basis_state,
+    code_rows,
     fidelity,
     init_state,
     measure,
+    measure_rows,
 )
 
 BUNDLED = [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")]
@@ -184,3 +194,93 @@ class TestBrokenButterfly:
                     if o.probability != 1 / 2:
                         seen.add((entry.node, o.register))
         assert seen == {("t2", "R6")}
+
+
+def per_register_steps(plan, state, rng=None, branch=None):
+    """`protocol.node_steps` with each register measured alone, its rows
+    checked for interference: (node, state, outcomes)."""
+    labels = itertools.repeat(None) if branch is None else iter(branch)
+    rows = SupportState.of(state)
+    for p in plan.nodes:
+        if p.kept is not None:
+            rows = rows.renamed({p.kept[0]: p.kept[1]})
+        if p.adjoined:
+            rows = code_rows(rows, p.coded_from, p.adjoined, plan.coding(p))
+        outcomes = ()
+        for reg in p.measured or ():
+            label = next(labels)
+            forced = None if label is None else (label,)
+            outcome, rows = measure_rows(rows, (reg,), rng, forced, certified=False)
+            outcomes += outcome
+        yield p.node, rows, outcomes
+
+
+VALID = [name for name in BUNDLED if name != "butterfly_f2_broken.json"]
+POLICY_GRID = list(itertools.product((False, True), repeat=2))  # (prune, copy_skip)
+
+
+class TestCertifiedPath:
+    """A certified plan measures each node's registers in one step; the
+    per-register path, with its row-key check, must give the same bits."""
+
+    @pytest.mark.parametrize("spectators", [False, True], ids=["plain-input", "choi"])
+    @pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
+    @pytest.mark.parametrize("name", VALID)
+    def test_matches_the_per_register_path(self, name, alt_phi, spectators):
+        net, scheme = load_instance(name)
+        if alt_phi:
+            scheme = scheme_with_alternate_phi(scheme)
+        state = choi_state(scheme, net.k) if spectators else random_input_state(scheme, net.k, 3)
+        for (prune, copy_skip), forced in itertools.product(POLICY_GRID, (False, True)):
+            plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
+            assert plan.certified
+            rng = np.random.default_rng([prune, copy_skip])
+            if forced:
+                branch = tuple(int(v) for v in rng.integers(plan.register_dim, size=plan.measurement_count))
+                runs = (node_steps(plan, state, branch=branch), per_register_steps(plan, state, branch=branch))
+            else:
+                seed = int(rng.integers(2**31))
+                runs = (
+                    node_steps(plan, state, np.random.default_rng(seed)),
+                    per_register_steps(plan, state, np.random.default_rng(seed)),
+                )
+            for step, (node, rows, outcomes) in itertools.zip_longest(*runs):
+                assert step.node == node
+                assert (step.entry.outcomes if step.entry is not None else ()) == outcomes
+                assert step.state.reg_ids == rows.reg_ids
+                assert np.array_equal(step.state.labels, rows.labels)
+                assert step.state.amps.tobytes() == rows.amps.tobytes()
+
+    @pytest.mark.parametrize(
+        "case",
+        [c for c in CASES if c[1] != "butterfly_f2_broken.json"]
+        + [("generated", (k, ring, q)) for k in (2, 6) for ring in ("Z(5)", "GF(4)") for q in (1, 2)],
+        ids=lambda c: str(c[1]),
+    )
+    def test_plans_of_solutions_are_certified(self, case):
+        net, scheme = _instance(case)
+        for prune, copy_skip in POLICY_GRID:
+            assert plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip).certified
+
+    @pytest.mark.parametrize("prune, copy_skip", POLICY_GRID)
+    def test_the_broken_butterfly_is_not_certified(self, prune, copy_skip):
+        net, scheme = load_instance("butterfly_f2_broken.json")
+        assert not plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip).certified
+
+    @pytest.mark.parametrize("name", ["butterfly_f2.json", "butterfly_f2_broken.json"])
+    def test_the_plan_picks_the_path(self, monkeypatch, name):
+        # one call per measuring node, certified exactly when the plan is
+        seen = []
+
+        def counted(state, regs, rng=None, forced=None, certified=False):
+            seen.append((len(regs), certified))
+            return measure_rows(state, regs, rng, forced, certified)
+
+        monkeypatch.setattr(qnetcode.protocol, "measure_rows", counted)
+        net, scheme = load_instance(name)
+        plan = plan_scheme(net, scheme)
+        state = random_input_state(scheme, net.k, 1)
+        finish_run(plan, state, node_steps(plan, state, np.random.default_rng(0)))
+        assert len(seen) == 6
+        assert sum(m for m, _ in seen) == plan.measurement_count == 9
+        assert {certified for _, certified in seen} == {plan.certified}

@@ -12,10 +12,12 @@ from conftest import (
     INSTANCES,
     PARALLEL_EDGES,
     butterfly_with_isolated_node,
+    choi_state,
     load_instance,
     random_input_state,
 )
 import qnetcode.protocol
+from qnetcode.cli import main
 from qnetcode.network import (
     CapExceededError,
     InstanceError,
@@ -597,6 +599,18 @@ class TestPlanMemo:
         assert len(calls) == 1
         assert all(r.plan is results[0].plan for r in results)
 
+    def test_policies_share_the_transfer_map(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(net, scheme):
+            calls.append(scheme)
+            return transfer_coefficients(net, scheme)
+
+        monkeypatch.setattr(qnetcode.protocol, "transfer_coefficients", counted)
+        assert main(["cost", str(INSTANCES / "butterfly_f2.json")]) == 0
+        assert "prune" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_plan_dies_with_its_scheme(self):
         # no reference cycle and no module-level cache keeps a plan alive
         net, scheme = load_instance("butterfly_z2_q2.json")
@@ -635,16 +649,6 @@ class TestPlanMemo:
             for got, want in [(memo.state, fresh.state), (memo.pre_correction, fresh.pre_correction)]:
                 assert got.reg_ids == want.reg_ids
                 assert got.amps.tobytes() == want.amps.tobytes()
-
-
-def choi_state(scheme, k):
-    """src:i maximally entangled with an untouched ref:i, for every pair."""
-    d = scheme.register_dim
-    amps = np.zeros((d,) * (2 * k), dtype=complex)
-    for x in itertools.product(range(d), repeat=k):
-        amps[x + x] = d ** (-k / 2)
-    regs = tuple(f"src:{i}" for i in range(1, k + 1)) + tuple(f"ref:{i}" for i in range(1, k + 1))
-    return init_state(scheme.ring, scheme.q, 2 * k, amps, reg_ids=regs)
 
 
 class TestSpectators:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qnetcode.quantum import (
     _draw,
     _layout,
+    _scaled_fourier,
     _uniform,
     DimensionCapError,
     QuantumError,
@@ -287,7 +288,7 @@ class TestDraw:
 
 def test_cached_tables_are_read_only():
     gather, weights, _, keys = _layout(("a", "b"), ("b",), ("c",), 4)
-    for table in (fourier_matrix(GF4, 1), *_uniform(4), gather, weights, keys):
+    for table in (fourier_matrix(GF4, 1), _scaled_fourier(GF4, 1), *_uniform(4), gather, weights, keys):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 
@@ -361,7 +362,8 @@ def coding_cases(draw):
 
 def support_code_measure(state, ins, outs, table, reg, rng=None, forced=None):
     coded = code_rows(SupportState.of(state), ins, outs, table)
-    return measure_rows(coded, reg, rng=rng, forced=forced)
+    (outcome,), rest = measure_rows(coded, (reg,), rng=rng, forced=None if forced is None else (forced,))
+    return outcome, rest
 
 
 def dense_code_measure(state, ins, outs, table, reg, rng=None, forced=None):
@@ -415,17 +417,37 @@ class TestSupportState:
         # |00> + |11>: the other register fixes y, so each outcome has p = 1/d exactly
         rows = SupportState.of(init_state(Z3, 1, 2, [0.6, 0, 0, 0, 0.8, 0, 0, 0, 0]))
         for z in range(3):
-            outcome, rest = measure_rows(rows, "src:1", forced=z)
+            (outcome,), rest = measure_rows(rows, ("src:1",), forced=(z,))
             assert outcome.probability == 1 / 3
             assert rest.labels.tolist() == [[0], [1]]
             assert np.allclose(rest.amps, [0.6, 0.8 * np.exp(2j * np.pi * z / 3)], atol=1e-15)
+
+    @pytest.mark.parametrize("regs", [("a", "b"), ("c", "a"), ("b", "c")])
+    def test_certified_call_equals_the_checked_one(self, regs):
+        # |x, 2x, x + 1> over Z(3): any register fixes the others, whether it leads or not
+        x, amps = np.arange(3), np.zeros((3, 3, 3), dtype=complex)
+        cols = {"a": x, "b": 2 * x % 3, "c": (x + 1) % 3}
+        amps[cols["a"], cols["b"], cols["c"]] = [0.6, 0.48j, -0.64]
+        rows = SupportState.of(init_state(Z3, 1, 3, amps, reg_ids=("a", "b", "c")))
+        (left,) = [r for r in "abc" if r not in regs]
+        for forced in [(2, 1), None]:
+            (checked, want), (got, state) = [
+                measure_rows(rows, regs, None if forced else np.random.default_rng(9), forced, certified)
+                for certified in (False, True)
+            ]
+            assert got == checked and all(o.probability == 1 / 3 for o in got)
+            turns = sum(cols[o.register] * o.label for o in got) / 3
+            assert state.reg_ids == want.reg_ids == (left,)
+            assert state.labels.tolist() == want.labels.tolist() == [[v] for v in cols[left]]
+            assert np.allclose(state.amps, amps[amps != 0] * np.exp(2j * np.pi * turns), atol=1e-15)
+            assert state.amps.tobytes() == want.amps.tobytes()
 
     def test_rows_that_share_the_others_interfere(self):
         # (|0> + |1>)|0> / sqrt 2 measured in the Fourier basis: outcome 1 never happens
         half = math.sqrt(0.5)
         rows = SupportState.of(init_state(Z2, 1, 2, [half, 0, half, 0]))
-        outcome, rest = measure_rows(rows, "src:1", forced=0)
+        (outcome,), rest = measure_rows(rows, ("src:1",), forced=(0,))
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
         assert rest.labels.tolist() == [[0]] and rest.amps == pytest.approx([1.0], abs=1e-12)
         with pytest.raises(ZeroProbabilityError):
-            measure_rows(rows, "src:1", forced=1)
+            measure_rows(rows, ("src:1",), forced=(1,))
