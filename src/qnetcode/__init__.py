@@ -13,8 +13,6 @@ from .network import (
     InstanceError,
     Network,
     TransferMap,
-    evaluate_classical,
-    find_counterexample,
     parse_network,
     scheme_with_alternate_phi,
     source_edge,
@@ -41,19 +39,14 @@ from .quantum import (
     MeasurementOutcome,
     StateVector,
     ZeroProbabilityError,
-    apply_coding_unitary,
-    apply_fourier,
     apply_phase,
     basis_state,
     fidelity,
     init_state,
-    measure,
 )
 from .rings import (
-    RingElem,
     RingError,
     RingSpec,
-    character,
     coefficient_matrix,
     parse_ring_spec,
 )

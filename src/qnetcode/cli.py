@@ -12,8 +12,8 @@ order and input edges in declared order; a plain digit string works for
 register dimensions up to 10, comma-separated labels always. Input states
 are either a comma-separated list of per-register basis labels or a JSON
 file holding a list of [label, real, imag] triples, where a label lists one
-entry per register: a basis index, or per-coordinate ring labels, or
-coordinate lists.
+entry per register: a basis index, or the register's q ring entries, each an
+element label or a coordinate list (`network.parse_entry`).
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ import numpy as np
 from .network import (
     CapExceededError,
     InstanceError,
-    _is_coords,
-    _parse_entry,
     load_json,
+    parse_entry,
     parse_network,
     scheme_with_alternate_phi,
     target_edge,
@@ -75,9 +74,9 @@ def _register_index(obj, ring, q) -> int:
             raise InstanceError(f"basis label {obj} out of range (dimension {d})")
         return obj
     if isinstance(obj, list) and len(obj) == q:
-        return register_label([_parse_entry(item, ring) for item in obj])
-    if _is_coords(obj) and q == 1:
-        return _parse_entry(obj, ring).to_int()
+        return register_label(ring, [parse_entry(item, ring) for item in obj])
+    if q == 1 and isinstance(obj, list):
+        return parse_entry(obj, ring)  # a coordinate list
     raise InstanceError(f"bad basis label {obj!r}")
 
 

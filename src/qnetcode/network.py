@@ -28,9 +28,12 @@ coordinate list. For q = 1 a bare entry may stand for the whole matrix.
 The declared input order is significant: it fixes the argument order of the
 node map and, downstream, the order in which registers are measured.
 
+Entries are read straight to element labels (`parse_entry`, which the CLI's
+input-state reader shares), and each matrix to its integer form
+(`rings.coefficient_matrix`).
+
 Verification reads the transfer map (`transfer_coefficients`): a scheme is a
 solution iff target i's row is the identity at pair i and zero elsewhere.
-`evaluate_classical`, which pushes inputs through the nodes, is the reference.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rings import RingSpec, coefficient_matrix, combine, decimal, linear_map, parse_ring_spec
+from .rings import RingSpec, coefficient_matrix, combine, coords_label, decimal, parse_ring_spec
 
 
 class InstanceError(ValueError):
@@ -128,10 +131,6 @@ class TransferMap:
     q: int
     gammas: dict[str, np.ndarray] = field(repr=False)
 
-    def evaluate(self, edge: str, inputs) -> np.ndarray:
-        """The edge's label for the pair input labels (broadcast together)."""
-        return linear_map(self.ring, self.q, [self.gammas[edge]], inputs)[..., 0]
-
     def counterexample(self, k: int):
         """First input label tuple (first pair most significant) the k targets
         do not receive, or None. Tuples below the unit digit vector u_t, for t
@@ -159,11 +158,12 @@ def _is_coords(obj) -> bool:
     return isinstance(obj, list) and all(type(c) is int for c in obj)
 
 
-def _parse_entry(obj, spec: RingSpec):
+def parse_entry(obj, spec: RingSpec) -> int:
+    """Element label of a ring entry written as a label or a coordinate list."""
     if type(obj) is int:
         if not 0 <= obj < spec.cardinality:
             raise InstanceError(f"entry label {obj} out of range for {spec}")
-        return spec.from_int(obj)
+        return obj
     if _is_coords(obj):
         if len(obj) != len(spec.moduli):
             raise InstanceError(
@@ -172,7 +172,7 @@ def _parse_entry(obj, spec: RingSpec):
         for c, m in zip(obj, spec.moduli):
             if not 0 <= c < m:
                 raise InstanceError(f"entry coordinate {c} out of range for {spec}")
-        return spec.element(obj)
+        return coords_label(spec, obj)
     raise InstanceError(f"bad ring entry {obj!r}")
 
 
@@ -181,7 +181,7 @@ def _parse_matrix(obj, spec: RingSpec, q: int) -> np.ndarray:
         if isinstance(obj, list) and len(obj) == 1 and isinstance(obj[0], list) and len(obj[0]) == 1:
             obj = obj[0][0]  # accept the explicit 1x1 nesting
         if type(obj) is int or _is_coords(obj):
-            return coefficient_matrix(spec, [[_parse_entry(obj, spec)]])
+            return coefficient_matrix(spec, [[parse_entry(obj, spec)]])
         raise InstanceError(f"bad 1x1 coefficient {obj!r}")
 
     if not (isinstance(obj, list) and len(obj) == q):
@@ -190,7 +190,7 @@ def _parse_matrix(obj, spec: RingSpec, q: int) -> np.ndarray:
     for row in obj:
         if not (isinstance(row, list) and len(row) == q):
             raise InstanceError(f"coefficient must be a {q}x{q} matrix, got {obj!r}")
-        rows.append([_parse_entry(e, spec) for e in row])
+        rows.append([parse_entry(e, spec) for e in row])
     return coefficient_matrix(spec, rows)
 
 
@@ -375,48 +375,10 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
     return net, scheme
 
 
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def evaluate_classical(
-    net: Network,
-    scheme: CodingScheme,
-    inputs,
-    collect_edges: bool = False,
-):
-    """Propagate input labels through the scheme in topological order.
-
-    `inputs` holds one register label, or one array of labels, per pair;
-    arrays are broadcast together and pushed through each node at once.
-    Returns the k virtual-output labels in pair order; with
-    `collect_edges=True` returns (outputs, labels-by-edge) instead.
-    """
-    inputs = tuple(inputs)
-    if len(inputs) != net.k:
-        raise InstanceError(f"expected {net.k} inputs, got {len(inputs)}")
-    values = {source_edge(i + 1): np.asarray(x) for i, x in enumerate(inputs)}
-    for v in net.topo_order:
-        if net.node_outputs[v]:
-            ins = [values[e] for e in net.node_inputs[v]]
-            outs = linear_map(scheme.ring, scheme.q, scheme.coeffs[v], ins)
-            for n, eid in enumerate(net.node_outputs[v]):
-                values[eid] = outs[..., n]
-    outputs = tuple(values[target_edge(i + 1)] for i in range(net.k))
-    if collect_edges:
-        return outputs, values
-    return outputs
-
-
-def find_counterexample(net: Network, scheme: CodingScheme):
-    """First input label tuple the scheme fails to deliver, or None if it is a
-    solution; read from the transfer map (`TransferMap.counterexample`)."""
-    return transfer_coefficients(net, scheme).counterexample(net.k)
-
-
 def verify_solution(net: Network, scheme: CodingScheme) -> bool:
-    """Whether every input tuple is delivered in pair order."""
-    return find_counterexample(net, scheme) is None
+    """Whether every input tuple is delivered in pair order, read from the
+    transfer map (`TransferMap.counterexample`)."""
+    return transfer_coefficients(net, scheme).counterexample(net.k) is None
 
 
 def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:

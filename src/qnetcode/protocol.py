@@ -43,7 +43,6 @@ touches; they come after `tgt:1..k` in the output.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -467,7 +466,7 @@ def classical_cost(plan: SchemePlan) -> CostReport:
     and M is the largest fan-in, so it never exceeds the bound.
     """
     net, q = plan.net, plan.tmap.q
-    bits = max(1, math.ceil(math.log2(plan.tmap.ring.cardinality)))
+    bits = max(1, (plan.tmap.ring.cardinality - 1).bit_length())
     bound = net.k * net.max_fan_in * len(net.nodes) * q
     per_node = []
     for p in plan.nodes:

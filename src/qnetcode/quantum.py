@@ -10,15 +10,13 @@ outcome at probability exactly 1/d (`measure_rows`); where rows interfere,
 in a scheme that is not a solution, it sums them exactly. A caller that
 certifies that none do (on a solution) skips looking for them.
 
-The dense engine, `StateVector`, keeps one amplitude axis per live register.
-It holds the input and the final target state (d^k amplitudes), and its
-kernels `apply_coding_unitary`, `apply_fourier` and `measure` are the
-reference the support engine is tested against. Both engines' kernels take
-the same arguments, register names, and leave the same rosters: coding puts
-the inputs first, then the other registers, then the outputs, and a
-measurement drops its register. Only this module knows where a register sits
-among the support's columns (`_layout`). Global phase is kept, never
-quotiented out.
+A `StateVector` is the dense form, one amplitude axis per register. It holds
+the input and the final target state (d^k amplitudes), which `apply_phase`
+corrects and `fidelity` compares. The support kernels take register names;
+coding puts the inputs first, then the other registers, then the outputs,
+and a measurement drops its register. Only this module knows where a
+register sits among the support's columns (`_layout`). Global phase is kept,
+never quotiented out.
 
 A configurable cap bounds the amplitude count so a malformed instance fails
 fast instead of exhausting memory. `check_growth` is the one check against
@@ -195,11 +193,11 @@ def output_columns(ring: RingSpec, q: int, coeffs) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _layout(reg_ids, in_regs, out_regs, d: int):
-    """The layout of both engines' coding, worked out here only: the gather
-    order of columns or axes (inputs first, then the other registers), the
-    place values of the inputs' joint label, the new roster (gathered, then
-    the outputs), and the place values that key a row by all its columns but
-    one. Arrays are read-only."""
+    """The layout of coding, worked out here only: the gather order of
+    columns (inputs first, then the other registers), the place values of
+    the inputs' joint label, the new roster (gathered, then the outputs), and
+    the place values that key a row by all its columns but one. Arrays are
+    read-only."""
     for r in in_regs:
         if r not in reg_ids:
             raise RegisterError(f"unknown register {r!r}")
@@ -215,40 +213,14 @@ def _layout(reg_ids, in_regs, out_regs, d: int):
 
 
 def code_rows(state: SupportState, in_regs, out_regs, table) -> SupportState:
-    """`apply_coding_unitary` on the support: every row keeps its amplitude
-    and gains the outputs' labels, row `inputs @ weights` of `table`
-    (`output_columns`). The columns go as the dense engine's axes go."""
+    """The coding unitary |y>|0..0> -> |y>|f(y)> on the support: every row
+    keeps its amplitude and gains the outputs' labels, row `inputs @ weights`
+    of `table` (`output_columns`). The inputs lead the new columns."""
     d = state.ring.cardinality**state.q
     gather, weights, roster, _ = _layout(state.reg_ids, tuple(in_regs), tuple(out_regs), d)
     labels = state.labels[:, gather]
     labels = np.concatenate((labels, table[labels[:, : len(weights)] @ weights]), axis=1)
     return SupportState(state.ring, state.q, roster, labels, state.amps)
-
-
-def apply_coding_unitary(state: StateVector, in_regs, out_regs, table) -> StateVector:
-    """Adjoin fresh output registers holding the coded combination of inputs.
-
-    `table` comes from `output_columns`: basis states map as
-    |y_1..y_m>|0..0> -> |y_1..y_m>|f(y)>. A pure relabeling of basis states:
-    the nonzero amplitudes are moved, never mixed, in one scatter into the
-    new tensor. Its axes are the inputs in `in_regs` order, the other live
-    registers in their current order, then the outputs.
-    """
-    in_regs = tuple(in_regs)
-    out_regs = tuple(out_regs)
-    m, n = len(in_regs), len(out_regs)
-    dim = state.dim
-    if np.shape(table) != (dim**m, n):
-        raise QuantumError(f"coding table must have shape {(dim**m, n)}")
-    order, _, reg_ids, _ = _layout(state.reg_ids, in_regs, out_regs, dim)
-
-    # input combination y sends the amplitudes at y to the outputs' joint
-    # label on one last axis
-    moved = state.amps.transpose(order)
-    joint = (table @ place_values((dim,) * n)).reshape((dim,) * m)
-    new = np.zeros(moved.shape + (dim**n,), dtype=complex)
-    new[(*np.indices((dim,) * m, sparse=True), ..., joint)] = moved
-    return StateVector(state.ring, state.q, reg_ids, new.reshape(new.shape[:-1] + (dim,) * n))
 
 
 @lru_cache(maxsize=16)
@@ -268,13 +240,6 @@ def _scaled_fourier(ring: RingSpec, q: int) -> np.ndarray:
     mat = fourier_matrix(ring, q) * math.sqrt(ring.cardinality**q)
     mat.flags.writeable = False
     return mat
-
-
-def apply_fourier(state: StateVector, reg: str) -> StateVector:
-    """The Fourier matrix applied along the register's axis."""
-    ax = state.axis(reg)
-    out = np.tensordot(fourier_matrix(state.ring, state.q), state.amps, axes=([1], [ax]))
-    return StateVector(state.ring, state.q, state.reg_ids, np.moveaxis(out, 0, ax))
 
 
 def _cdf(marginal: np.ndarray) -> np.ndarray:
@@ -316,31 +281,12 @@ def _draw(marginal: np.ndarray, reg: str, rng, forced, cdf=None) -> tuple[int, f
     return label, p
 
 
-def measure(
-    state: StateVector,
-    reg: str,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> tuple[MeasurementOutcome, StateVector]:
-    """Computational-basis measurement; the register is dropped afterwards.
-
-    Exactly one of `rng` (sample from the exact marginal) and `forced`
-    (condition on a given outcome label) must be provided.
-    """
-    ax = state.axis(reg)
-    others = tuple(i for i in range(state.amps.ndim) if i != ax)
-    label, p = _draw((np.abs(state.amps) ** 2).sum(axis=others), reg, rng, forced)
-    collapsed = state.amps[(slice(None),) * ax + (label,)] / math.sqrt(p)
-    outcome = MeasurementOutcome(register=reg, label=label, probability=p)
-    rest = state.reg_ids[:ax] + state.reg_ids[ax + 1 :]
-    return outcome, StateVector(state.ring, state.q, rest, collapsed)
-
-
 def measure_rows(
     state: SupportState, regs, rng=None, forced=None, certified: bool = False
 ) -> tuple[tuple[MeasurementOutcome, ...], SupportState]:
-    """`apply_fourier` and `measure` of live registers in turn on the support,
-    each outcome sampled from `rng` or taken from `forced`, one per register.
+    """Fourier-transform and measure live registers in turn on the support,
+    each outcome sampled from `rng` or taken from `forced`, one per register;
+    a measured register is dropped.
 
     Each row is keyed by its other columns. If no two rows share a key, they
     fix the register's label y: outcome z has probability exactly 1/d and

@@ -23,26 +23,26 @@ of degree k whose coefficient tuple is smallest as a base-p integer is used
 are supported: p is tested by Miller-Rabin, irreducibility by Ben-Or's test,
 and the search stops after GF_SEARCH_LIMIT candidates.
 
-Elements also carry a small-integer label: the mixed-radix value of the
-coordinate tuple with the first coordinate most significant. For GF(4) the
-labels 0, 1, 2, 3 name the elements 0, t, 1, t + 1. Note that for rings with
+An element is its label, a small integer: the mixed-radix value of the
+coordinate tuple with the first coordinate most significant (`coords_label`,
+inverted by `entry_coords`). For GF(4) the labels 0, 1, 2, 3 name the
+elements 0, t, 1, t + 1. Note that for rings with
 more than one coordinate the label 1 is not the ring one; coordinate lists
 are the unambiguous spelling in instance files.
 
 The additive group A = Z(r_1) x ... x Z(r_l) comes with the coordinate map
 phi(x) = coords(x) and the bi-additive pairing
 
-    character(y, z) = sum_i phi_i(y) * phi_i(z) / r_i   (mod 1),
+    character(y, z) = sum_i phi_i(y) * phi_i(z) / r_i   (mod 1).
 
-returned as an exact fraction. A ring spec may carry a twisted phi: the
-coordinate map composed with a fixed automorphism of A, stored as an integer
-matrix that is block diagonal over equal-modulus positions.
-`with_alternate_phi` builds one (a shift-and-shear on multi-coordinate
-blocks, a unit scaling on singletons). The twist changes the pairing but
-never the ring arithmetic itself.
+A ring spec may carry a twisted phi: the coordinate map composed with a
+fixed automorphism of A, stored as an integer matrix that is block diagonal
+over equal-modulus positions. `with_alternate_phi` builds one (a
+shift-and-shear on multi-coordinate blocks, a unit scaling on singletons).
+The twist changes the pairing but never the ring arithmetic itself.
 
-`RingElem` is the scalar form, used for parsing and as the reference
-arithmetic. Past the parser every value is a plain integer array:
+Every value is a plain integer or integer array. The factors multiply
+coordinate tuples (`mul`) only to build each coefficient block once:
 
 - A width-q register value (q entries) is its basis label, the mixed-radix
   integer over the digit moduli `moduli * q` whose digits are the entries'
@@ -59,12 +59,10 @@ arithmetic. Past the parser every value is a plain integer array:
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -76,11 +74,6 @@ GF_SEARCH_LIMIT = 4096
 
 class RingError(ValueError):
     """Bad ring descriptor, or operands from different rings."""
-
-
-def frac_mod1(x: Fraction | int) -> Fraction:
-    """Reduce an exact rational into [0, 1)."""
-    return Fraction(x) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -280,49 +273,6 @@ class RingSpec:
             start += width
         return tuple(out)
 
-    # -- element constructors
-
-    def element(self, coords) -> "RingElem":
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(self.moduli):
-            raise RingError(
-                f"expected {len(self.moduli)} coordinates, got {len(coords)}"
-            )
-        coords = tuple(c % m for c, m in zip(coords, self.moduli))
-        return RingElem(self, coords)
-
-    def zero(self) -> "RingElem":
-        return RingElem(self, (0,) * len(self.moduli))
-
-    def one(self) -> "RingElem":
-        coords = tuple(c for f in self.factors for c in f.one_coords)
-        return RingElem(self, coords)
-
-    def from_int(self, label: int) -> "RingElem":
-        """Element whose mixed-radix label (first coordinate most significant) is `label`."""
-        if not 0 <= label < self.cardinality:
-            raise RingError(f"label {label} out of range for {self}")
-        coords = []
-        for m in reversed(self.moduli):
-            coords.append(label % m)
-            label //= m
-        return RingElem(self, tuple(reversed(coords)))
-
-    def elements(self):
-        for coords in itertools.product(*(range(m) for m in self.moduli)):
-            yield RingElem(self, coords)
-
-    # -- additive coordinate map
-
-    def phi(self, x: "RingElem") -> tuple[int, ...]:
-        if x.spec != self:
-            raise RingError("element belongs to a different ring")
-        c = x.coords
-        return tuple(
-            sum(t * cj for t, cj in zip(row, c)) % m
-            for row, m in zip(self.phi_rows, self.moduli)
-        )
-
     def with_alternate_phi(self) -> "RingSpec":
         """Twist phi by a fixed automorphism of the additive group.
 
@@ -356,67 +306,6 @@ class RingSpec:
 
     def __str__(self) -> str:
         return self.describe()
-
-
-@dataclass(frozen=True)
-class RingElem:
-    """A ring element in canonical coordinate form."""
-
-    spec: RingSpec
-    coords: tuple[int, ...]
-
-    def _check(self, other: "RingElem") -> None:
-        if not isinstance(other, RingElem) or other.spec != self.spec:
-            raise RingError("operands belong to different rings")
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        coords = tuple(
-            (a + b) % m for a, b, m in zip(self.coords, other.coords, self.spec.moduli)
-        )
-        return RingElem(self.spec, coords)
-
-    def __neg__(self) -> "RingElem":
-        coords = tuple((-a) % m for a, m in zip(self.coords, self.spec.moduli))
-        return RingElem(self.spec, coords)
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        self._check(other)
-        out: list[int] = []
-        for f, sl in zip(self.spec.factors, self.spec._factor_slices):
-            out.extend(f.mul(self.coords[sl], other.coords[sl]))
-        return RingElem(self.spec, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def to_int(self) -> int:
-        label = 0
-        for c, m in zip(self.coords, self.spec.moduli):
-            label = label * m + c
-        return label
-
-    def __repr__(self) -> str:
-        return f"RingElem{self.coords}"
-
-
-def character(y: RingElem, z: RingElem) -> Fraction:
-    """Additive-group pairing of y and z, an exact rational mod 1.
-
-    Bi-additive and symmetric; the denominator divides lcm of the moduli.
-    """
-    if y.spec != z.spec:
-        raise RingError("operands belong to different rings")
-    spec = y.spec
-    py, pz = spec.phi(y), spec.phi(z)
-    total = Fraction(0)
-    for cy, cz, m in zip(py, pz, spec.moduli):
-        if cy and cz:
-            total += Fraction(cy * cz, m)
-    return frac_mod1(total)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +342,33 @@ def label_digits(spec: RingSpec, q: int, labels) -> np.ndarray:
     return out
 
 
-def register_label(entries) -> int:
-    """Label of the register holding these RingElems, first entry most significant."""
+def coords_label(spec: RingSpec, coords) -> int:
+    """Label of the element with these coordinates, first coordinate most significant."""
+    label = 0
+    for c, m in zip(coords, spec.moduli, strict=True):
+        label = label * m + int(c)
+    return label
+
+
+def entry_coords(spec: RingSpec, label: int) -> tuple[int, ...]:
+    """Coordinates of the element with this label."""
+    label = int(label)
+    if not 0 <= label < spec.cardinality:
+        raise RingError(f"element label {label} out of range for {spec}")
+    coords = []
+    for m in reversed(spec.moduli):
+        label, c = divmod(label, m)
+        coords.append(c)
+    return tuple(reversed(coords))
+
+
+def register_label(spec: RingSpec, entries) -> int:
+    """Label of the register holding these element labels, first entry most significant."""
     label = 0
     for e in entries:
-        label = label * e.spec.cardinality + e.to_int()
+        if not 0 <= e < spec.cardinality:
+            raise RingError(f"element label {e} out of range for {spec}")
+        label = label * spec.cardinality + int(e)
     return label
 
 
@@ -477,18 +388,22 @@ def add_labels(spec: RingSpec, q: int, a, b) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _entry_block(spec: RingSpec, entry: RingElem) -> np.ndarray:
+def _entry_block(spec: RingSpec, label: int) -> np.ndarray:
     """Read-only width x width block of one entry: row t holds the
-    coordinates of entry times the t-th coordinate unit."""
-    width = len(spec.moduli)
-    units = [spec.element([int(s == t) for s in range(width)]) for t in range(width)]
-    block = np.array([(entry * u).coords for u in units], dtype=_dtype(spec))
+    coordinates of the entry times the t-th coordinate unit."""
+    entry, width = entry_coords(spec, label), len(spec.moduli)
+    units = np.eye(width, dtype=np.int64).tolist()
+    rows = [
+        [c for f, sl in zip(spec.factors, spec._factor_slices) for c in f.mul(entry[sl], tuple(u[sl]))]
+        for u in units
+    ]
+    block = np.array(rows, dtype=_dtype(spec))
     block.flags.writeable = False
     return block
 
 
 def coefficient_matrix(spec: RingSpec, rows) -> np.ndarray:
-    """Integer matrix G of a q x q matrix B of RingElems, acting on register digits.
+    """Integer matrix G of a q x q matrix B of element labels, acting on register digits.
 
     Row (j, t) holds the digits of B applied to the t-th coordinate unit in
     slot j, so B x has the digits of digits(x) @ G reduced mod the radix.
@@ -501,9 +416,10 @@ def coefficient_matrix(spec: RingSpec, rows) -> np.ndarray:
 def matrix_entries(spec: RingSpec, g: np.ndarray) -> list[list[int]]:
     """Element labels of B's entries: B[i][j] is slot i of B applied to one in slot j."""
     width, q = len(spec.moduli), len(g) // len(spec.moduli)
-    one = np.array(spec.one().coords)
+    one = np.array([c for f in spec.factors for c in f.one_coords])
     block = lambda j, i: g[j * width : (j + 1) * width, i * width : (i + 1) * width]
-    return [[spec.element(one @ block(j, i)).to_int() for j in range(q)] for i in range(q)]
+    entry = lambda j, i: [c % m for c, m in zip(one @ block(j, i), spec.moduli)]
+    return [[coords_label(spec, entry(j, i)) for j in range(q)] for i in range(q)]
 
 
 def is_zero(g: np.ndarray) -> bool:

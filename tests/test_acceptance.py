@@ -10,16 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import INSTANCES, load_instance, random_input_state
+from oracles import evaluate, evaluate_classical, frac_mod1
 from qnetcode.cli import main as cli_main
 from qnetcode.network import (
-    evaluate_classical,
     scheme_with_alternate_phi,
     transfer_coefficients,
     verify_solution,
 )
 from qnetcode.protocol import enumerate_branches, run_protocol
 from qnetcode.quantum import basis_state, fidelity
-from qnetcode.rings import frac_mod1
 
 TOL = 1e-9
 
@@ -158,7 +157,7 @@ def test_criterion_07_transfer_oracle_equivalence():
         for inputs in itertools.product(range(scheme.register_dim), repeat=net.k):
             _, values = evaluate_classical(net, scheme, inputs, collect_edges=True)
             for edge, value in values.items():
-                assert tmap.evaluate(edge, inputs) == value
+                assert evaluate(tmap, edge, inputs) == value
     print(f"criterion 7: PASS (transfer rows match brute-force values on {len(names)} instances)")
 
 

@@ -266,6 +266,18 @@ class TestCost:
         assert code == 0
         assert "broadcast: 18 elements" in out
 
+    @pytest.mark.parametrize(
+        "modulus, bits", [(3, 2), (5, 3), (2**53 + 1, 54), (2**60 + 1, 61), (2**64 + 1, 65)]
+    )
+    def test_bits_per_element_are_exact_for_large_rings(self, capsys, tmp_path, modulus, bits):
+        # a float log2 rounds 2^53 + 1 down to 2^53, one bit short
+        path = tmp_path / "edge.json"
+        path.write_bytes(_copy_with(SINGLE, ring=f"Z({modulus})"))
+        code, out, _ = run_cli(capsys, "cost", str(path), "--format", "json")
+        doc = json.loads(out)
+        assert (code, doc["bound_elements"], doc["broadcast_elements"]) == (0, 2, 2)
+        assert (doc["bound_bits"], doc["broadcast_bits"], doc["prune_bits"]) == (2 * bits, 2 * bits, bits)
+
 
 def test_node_without_inputs_announces(capsys, tmp_path):
     # it measures no registers, yet it announces: to every pair, or under

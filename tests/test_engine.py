@@ -1,5 +1,5 @@
 """The support engine (`protocol.node_steps`) against a dense reference loop
-built from the `quantum` kernels, node by node."""
+built from the dense kernels of `oracles`, node by node."""
 
 import itertools
 
@@ -17,20 +17,18 @@ from conftest import (
     load_instance,
     random_input_state,
 )
+from oracles import apply_coding_unitary, apply_fourier, measure
 from qnetcode.network import parse_network, scheme_with_alternate_phi, target_edge
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
 from qnetcode.quantum import (
     StateVector,
     SupportState,
     ZeroProbabilityError,
-    apply_coding_unitary,
-    apply_fourier,
     apply_phase,
     basis_state,
     code_rows,
     fidelity,
     init_state,
-    measure,
     measure_rows,
 )
 

@@ -3,21 +3,30 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import element, elements, evaluate, evaluate_classical, from_int, to_labels
 from qnetcode.network import (
     InstanceError,
-    evaluate_classical,
-    find_counterexample,
+    parse_entry,
     parse_network,
     source_edge,
     target_edge,
     transfer_coefficients,
     verify_solution,
 )
-from qnetcode.rings import is_identity, is_zero, parse_ring_spec
+from qnetcode.rings import (
+    coefficient_matrix,
+    is_identity,
+    is_zero,
+    linear_map,
+    matrix_entries,
+    parse_ring_spec,
+    register_label,
+)
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -187,7 +196,7 @@ class TestVerify:
     def test_broken_butterfly_rejected_with_counterexample(self):
         net, scheme = load("butterfly_f2_broken.json")
         assert not verify_solution(net, scheme)
-        bad = find_counterexample(net, scheme)
+        bad = transfer_coefficients(net, scheme).counterexample(net.k)
         assert bad is not None
         assert evaluate_classical(net, scheme, bad) != bad
         # the first failing tuple in order, found by one scalar run per tuple
@@ -214,7 +223,7 @@ class TestTransfer:
         for inputs in itertools.product(range(scheme.register_dim), repeat=net.k):
             _, values = evaluate_classical(net, scheme, inputs, collect_edges=True)
             for edge, value in values.items():
-                assert tmap.evaluate(edge, inputs) == value
+                assert evaluate(tmap, edge, inputs) == value
 
     @pytest.mark.parametrize("name", VALID_INSTANCES + ["butterfly_f2_broken.json"])
     def test_identity_rows_characterize_solutions(self, name):
@@ -290,5 +299,45 @@ def test_oracle_templates_solve_their_instances():
 def test_transfer_verdict_matches_exhaustive_scan(doc):
     net, scheme = parse_network(doc)
     expected = first_failing_tuple(net, scheme)
-    assert find_counterexample(net, scheme) == expected
+    assert transfer_coefficients(net, scheme).counterexample(net.k) == expected
     assert verify_solution(net, scheme) == (expected is None)
+
+
+def _single_edge(ring, q, coeff):
+    """One pair over one edge whose source and target each multiply by `coeff`."""
+    doc = json.loads((INSTANCES / "single_edge_f2.json").read_text())
+    doc["ring"], doc["q"] = ring, q
+    for block in doc["coding"].values():
+        block["outputs"][0]["coeffs"] = [coeff]
+    return doc
+
+
+@pytest.mark.parametrize("ring", ["Z(6)", "Z(8)", "Z(2)xZ(3)", "GF(4)xZ(2)"])
+class TestEntrySpellings:
+    """Labels and coordinate lists, zero divisors included, against the object ring."""
+
+    def test_every_element(self, ring):
+        spec = parse_ring_spec(ring)
+        units = [element(spec, row) for row in np.eye(len(spec.moduli), dtype=int)]
+        for x in elements(spec):
+            label, coords = x.to_int(), list(x.coords)
+            assert parse_entry(label, spec) == parse_entry(coords, spec) == label
+            # row t of the block holds the coordinates of x times unit t
+            block = [list((x * u).coords) for u in units]
+            for spelling in (label, coords, [[label]], [[coords]]):
+                g = parse_network(_single_edge(ring, 1, spelling))[1].coeffs["s"][0][0]
+                assert g.tolist() == coefficient_matrix(spec, [[label]]).tolist() == block
+                assert matrix_entries(spec, g) == [[label]]
+
+    def test_mixed_matrices(self, ring):
+        spec = parse_ring_spec(ring)
+        rng = np.random.default_rng(len(ring))
+        for _ in range(20):
+            B = [[from_int(spec, int(rng.integers(spec.cardinality))) for _ in range(2)] for _ in range(2)]
+            spelt = [[e.to_int() if rng.random() < 0.5 else list(e.coords) for e in row] for row in B]
+            g = parse_network(_single_edge(ring, 2, spelt))[1].coeffs["s"][0][0]
+            assert matrix_entries(spec, g) == to_labels(B)
+            v = [from_int(spec, int(rng.integers(spec.cardinality))) for _ in range(2)]
+            Bv = [B[i][0] * v[0] + B[i][1] * v[1] for i in range(2)]
+            got = linear_map(spec, 2, [[g]], [register_label(spec, to_labels(v))])
+            assert got[0] == register_label(spec, to_labels(Bv))

@@ -16,6 +16,7 @@ from conftest import (
     load_instance,
     random_input_state,
 )
+from oracles import frac_mod1
 import qnetcode.protocol
 from qnetcode.cli import main
 from qnetcode.network import (
@@ -38,7 +39,7 @@ from qnetcode.protocol import (
     run_protocol,
 )
 from qnetcode.quantum import DimensionCapError, basis_state, fidelity, init_state
-from qnetcode.rings import frac_mod1, parse_ring_spec
+from qnetcode.rings import parse_ring_spec
 
 VALID_INSTANCES = [
     p.name
@@ -695,3 +696,43 @@ class TestSpectators:
             match=r"run left registers \('src:1', 'src:2'\), expected exactly \('tgt:1', 'tgt:2'\)",
         ):
             finish_run(plan_scheme(net, scheme), state, [])
+
+
+# Z(2)xZ(3), every entry a coordinate list: one is (1, 1) and minus one (1, 2),
+# so t1 receives x1 + x2 - x2 on R7 and R3, and t2 likewise
+ONE, MINUS_ONE = [1, 1], [1, 2]
+BUTTERFLY_Z2XZ3 = {
+    "ring": "Z(2)xZ(3)",
+    "q": 1,
+    "nodes": ["s1", "s2", "n1", "n2", "t1", "t2"],
+    "edges": [
+        {"id": e, "from": a, "to": b}
+        for e, a, b in [
+            ("R1", "s1", "t2"), ("R2", "s1", "n1"), ("R3", "s2", "t1"), ("R4", "s2", "n1"),
+            ("R5", "n1", "n2"), ("R6", "n2", "t2"), ("R7", "n2", "t1"),
+        ]
+    ],
+    "pairs": [{"source": "s1", "target": "t1"}, {"source": "s2", "target": "t2"}],
+    "coding": {
+        "s1": {"inputs": ["src:1"], "outputs": [{"edge": "R1", "coeffs": [ONE]}, {"edge": "R2", "coeffs": [ONE]}]},
+        "s2": {"inputs": ["src:2"], "outputs": [{"edge": "R3", "coeffs": [ONE]}, {"edge": "R4", "coeffs": [ONE]}]},
+        "n1": {"inputs": ["R2", "R4"], "outputs": [{"edge": "R5", "coeffs": [ONE, ONE]}]},
+        "n2": {"inputs": ["R5"], "outputs": [{"edge": "R6", "coeffs": [ONE]}, {"edge": "R7", "coeffs": [ONE]}]},
+        "t1": {"inputs": ["R3", "R7"], "outputs": [{"edge": "tgt:1", "coeffs": [MINUS_ONE, ONE]}]},
+        "t2": {"inputs": ["R1", "R6"], "outputs": [{"edge": "tgt:2", "coeffs": [MINUS_ONE, ONE]}]},
+    },
+}
+
+
+@pytest.mark.parametrize("alt_phi", [False, True], ids=["plain-phi", "alt-phi"])
+def test_product_ring_butterfly_delivers_random_and_choi_inputs(alt_phi):
+    net, scheme = parse_network(BUTTERFLY_Z2XZ3)
+    assert verify_solution(net, scheme)
+    if alt_phi:
+        scheme = scheme_with_alternate_phi(scheme)
+        assert scheme.ring.phi_rows != ((1, 0), (0, 1))
+    choi = choi_state(scheme, net.k)
+    for seed in range(20):
+        for state in (random_input_state(scheme, net.k, seed), choi):
+            result = run_protocol(net, scheme, state, seed=seed)
+            assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-9)

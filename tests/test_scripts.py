@@ -17,16 +17,18 @@ COMMANDS = [shlex.split(line) for line in WORKED_EXAMPLES.splitlines()]
 COMMANDS += [["qnetcode", cmd, "--help"] for cmd in ("verify", "simulate", "enumerate", "cost")] + [["qnetcode", "--help"]]
 
 
-def run_python(*args, check=True):
-    """A fresh Python process in the repository root that imports this checkout."""
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+def run_python(*args, check=True, cwd=ROOT, src_only=False):
+    """A fresh Python process in `cwd` (the repository root) that imports this
+    checkout: src/ comes first on its path, and with `src_only` nothing else
+    from PYTHONPATH follows it."""
+    paths = [str(ROOT / "src"), "" if src_only else os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
-        cwd=ROOT,
+        cwd=cwd,
         timeout=300,
         check=check,
     )
@@ -42,6 +44,35 @@ def test_readme_examples_and_help_run_in_a_fresh_process(argv):
     assert argv[0] in ("qnetcode", "python3")
     proc = run_python(*(["-m", "qnetcode.cli"] if argv[0] == "qnetcode" else []), *argv[1:], check=False)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+
+
+STANDALONE_CHECK = """
+import importlib, pathlib, pkgutil, sys
+import qnetcode
+assert pathlib.Path(qnetcode.__file__).parent == pathlib.Path(sys.argv[1]), qnetcode.__file__
+for module in pkgutil.iter_modules(qnetcode.__path__):
+    importlib.import_module(f"qnetcode.{module.name}")
+assert not hasattr(qnetcode.rings, "RingElem")
+try:
+    import oracles
+except ImportError:
+    pass
+else:
+    sys.exit(f"the test oracles are importable from {oracles.__file__}")
+"""
+
+
+def test_src_stands_alone(tmp_path):
+    # only src/ on the path and a working directory outside the checkout: the
+    # package needs nothing from tests/ or the repository root
+    alone = dict(cwd=tmp_path, src_only=True, check=False)
+    proc = run_python("-c", STANDALONE_CHECK, str(ROOT / "src" / "qnetcode"), **alone)
+    assert proc.returncode == 0, proc.stderr
+    instance = str(INSTANCES / "butterfly_f2.json")
+    for argv in (["verify", instance], ["cost", instance], ["simulate", instance, "--seed", "1"]):
+        proc = run_python("-m", "qnetcode.cli", *argv, **alone)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.startswith(f"instance: {instance}\n")
 
 
 def test_walkthrough_delivers_the_input():
