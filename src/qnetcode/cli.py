@@ -9,11 +9,12 @@ no inputs and needs no cap.
 
 Forced branches list one outcome label per measurement, nodes in topological
 order and input edges in declared order; a plain digit string works for
-register dimensions up to 10, comma-separated labels always. Input states
-are either a comma-separated list of per-register basis labels or a JSON
-file holding a list of [label, real, imag] triples, where a label lists one
-entry per register: a basis index, or the register's q ring entries, each an
-element label or a coordinate list (`network.parse_entry`).
+register dimensions up to 10, comma-separated labels always. Input states are
+either a comma-separated list of per-register basis labels or a JSON file
+holding a list of [label, real, imag] triples, where a label lists one entry
+per register: a basis index, or the register's q ring entries, each an
+element label or a coordinate list (`network.parse_entry`). No label of
+either literal may be empty.
 """
 
 from __future__ import annotations
@@ -93,10 +94,12 @@ def _input_triples(arg, k) -> list:
         return triples
     text = arg.strip()
     if all(ch.isdigit() or ch in ", " for ch in text) and any(ch.isdigit() for ch in text):
-        labels = [decimal(tok) for tok in text.replace(" ", "").split(",") if tok]
+        labels = text.replace(" ", "").split(",")
+        if not all(labels):
+            raise InstanceError(f"input literal has an empty label: {arg!r}")
         if len(labels) != k:
             raise InstanceError(f"input literal must give {k} labels, got {len(labels)}")
-        return [[labels, 1.0, 0.0]]
+        return [[[decimal(tok) for tok in labels], 1.0, 0.0]]
     raise InstanceError(f"input state file not found: {arg}")
 
 
@@ -130,8 +133,11 @@ def _parse_branch(text, dim) -> tuple[int, ...]:
         raise InstanceError(
             "branch must be comma-separated labels (or a digit string for dimensions up to 10)"
         )
+    tokens = text.split(",") if "," in text else text
+    if not all(tok.strip() for tok in tokens):
+        raise InstanceError(f"branch has an empty label: {text!r}")
     try:
-        return tuple(int(tok) for tok in (text.split(",") if "," in text else text) if tok.strip())
+        return tuple(int(tok) for tok in tokens)
     except ValueError:
         raise InstanceError(f"branch labels must be integers, got {text!r}") from None
 

@@ -26,7 +26,7 @@ What depends only on the scheme and the policy is fixed once in a
 `SchemePlan`; the message cost is read from it without simulation. Plans
 are memoised per scheme, network and policy: `plan_scheme` keeps each on its
 scheme, with one transfer map for all policies, so runs of one parsed scheme
-share the map, coding tables and correction rows; a plan lives with its scheme.
+share the map, coding tables and corrections; a plan lives with its scheme.
 
 Every run, sampled or forced, goes through the one node loop, `node_steps`,
 which reads no policy, is the only place a node is coded or measured and the
@@ -166,8 +166,8 @@ class SchemePlan:
     """The transfer map and one NodePlan per node in topological order, under
     the announcement policy named by `policy` ("broadcast" or "prune").
 
-    The tables of size |R|^q and more (coding tables, label digits,
-    correction rows) are built on first use, so planning and cost stay cheap
+    The tables of size |R|^q and more (coding tables, label digits, the
+    correction matrix) are built on first use, so planning and cost stay cheap
     on any ring. Every run of the scheme shares them, so they are read-only.
     The ring and width are the transfer map's: a plan holds no reference to
     its scheme, which holds the plan (`plan_scheme`).
@@ -214,20 +214,31 @@ class SchemePlan:
         return digits
 
     @cached_property
-    def correction_rows(self) -> dict[str, np.ndarray]:
-        """Per register e, matrices P[j] with exponent * character(a, gamma_ej x)
-        = digits(x) @ P[j] @ digits(a) mod exponent: outcome a on e adds the
-        row digits @ P[j] @ digits(a) to pair j's correction."""
-        ring, q = self.tmap.ring, self.tmap.q
-        form = character_form(ring, q)
-        rows = {e: g @ form % ring.exponent for e, g in self.tmap.gammas.items()}
-        for r in rows.values():
-            r.flags.writeable = False
-        return rows
+    def measured(self) -> tuple[str, ...]:
+        """The registers the plan's nodes measure, in measurement order."""
+        return tuple(r for p in self.nodes if p.measured for r in p.measured)
+
+    @cached_property
+    def corrections(self) -> np.ndarray:
+        """The corrections as one linear map: row (n, b), column (j, x) holds
+        L * character(u_b, gamma_ej x) mod L, for e measurement n's register,
+        u_b the b-th digit unit and L the ring's exponent. A branch's outcome
+        digits times it give every pair's correction at every label."""
+        ring, form = self.tmap.ring, character_form(self.tmap.ring, self.tmap.q)
+        blocks = [np.zeros((0, self.net.k * self.register_dim), dtype=np.int64)]
+        for e in self.measured:
+            if e not in self.tmap.gammas:
+                raise InstanceError(f"measured register {e!r} has no transfer coefficients")
+            # (x, a) @ (j, a, b) -> (j, x, b): digits(x) @ gamma_ej @ K, then a row per b
+            rows = self.digits @ (self.tmap.gammas[e] @ form % ring.exponent) % ring.exponent
+            blocks.append(rows.transpose(2, 0, 1).reshape(len(form), -1))
+        matrix = np.concatenate(blocks)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def measurement_count(self) -> int:
-        return sum(len(p.measured) for p in self.nodes if p.measured is not None)
+        return len(self.measured)
 
     @property
     def branch_count(self) -> int:
@@ -333,7 +344,7 @@ def node_steps(
         if p.adjoined:
             # d^(live + adjoined), the dense coded state, not the support's rows: at
             # least d^2 and d^m * n, it bounds the d x d Fourier matrix (cached,
-            # uncapped), the coding table built next, and keeps row keys below 2^63
+            # uncapped) and the coding table built next
             check_growth(d ** (len(state.reg_ids) + len(p.adjoined)), max_entries)
             state = code_rows(state, p.coded_from, p.adjoined, plan.coding(p))
         outcomes = ()
@@ -421,26 +432,15 @@ def run_protocol(
 
 
 def compute_corrections(log: MessageLog, plan: SchemePlan) -> PhaseTable:
-    """Tabulate the per-pair phase corrections from the logged outcomes.
-
-    Measuring outcome a on a register whose content is sum_j gamma_j x_j
-    contributes the pairing of a with gamma_j x_j to pair j's phase; the
-    table for pair j is the sum of those integer rows mod the ring's
-    exponent, evaluated at each basis label.
-    """
-    ring, q = plan.tmap.ring, plan.tmap.q
+    """The per-pair phase corrections of a logged branch: its outcome digits
+    times `plan.corrections`, mod the ring's exponent L. The log must measure
+    `plan.measured`, in that order."""
     outcomes = log.all_outcomes()
-    for outcome in outcomes:
-        if outcome.register not in plan.tmap.gammas:
-            raise InstanceError(
-                f"measured register {outcome.register!r} has no transfer coefficients"
-            )
-    digits = plan.digits
-    weights = np.zeros((plan.net.k, digits.shape[1]), dtype=np.int64)
-    if outcomes:
-        rows = np.stack([plan.correction_rows[o.register] for o in outcomes])
-        weights = np.einsum("njab,nb->ja", rows, digits[[o.label for o in outcomes]])
-    return PhaseTable(ring, q, weights % ring.exponent @ digits.T % ring.exponent)
+    if tuple(o.register for o in outcomes) != plan.measured:
+        raise InstanceError(f"the log does not measure the plan's registers {plan.measured}")
+    ring, digits = plan.tmap.ring, plan.digits[[o.label for o in outcomes]].ravel()
+    numerators = digits @ plan.corrections % ring.exponent
+    return PhaseTable(ring, plan.tmap.q, numerators.reshape(plan.net.k, plan.register_dim))
 
 
 @dataclass(frozen=True)

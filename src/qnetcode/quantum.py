@@ -195,9 +195,8 @@ def output_columns(ring: RingSpec, q: int, coeffs) -> np.ndarray:
 def _layout(reg_ids, in_regs, out_regs, d: int):
     """The layout of coding, worked out here only: the gather order of
     columns (inputs first, then the other registers), the place values of
-    the inputs' joint label, the new roster (gathered, then the outputs), and
-    the place values that key a row by all its columns but one. Arrays are
-    read-only."""
+    the inputs' joint label, and the new roster (gathered, then the outputs).
+    Arrays are read-only."""
     for r in in_regs:
         if r not in reg_ids:
             raise RegisterError(f"unknown register {r!r}")
@@ -206,10 +205,9 @@ def _layout(reg_ids, in_regs, out_regs, d: int):
         raise RegisterError("duplicate input register, or outputs that collide with live registers")
     gather = np.array(ins + [c for c in range(len(reg_ids)) if c not in ins])
     roster = tuple(reg_ids[c] for c in gather) + out_regs
-    weights, keys = place_values((d,) * len(ins)), place_values((d,) * (len(roster) - 1))
-    for a in (gather, weights, keys):
-        a.flags.writeable = False
-    return gather, weights, roster, keys
+    weights = place_values((d,) * len(ins))
+    gather.flags.writeable = weights.flags.writeable = False
+    return gather, weights, roster
 
 
 def code_rows(state: SupportState, in_regs, out_regs, table) -> SupportState:
@@ -217,7 +215,7 @@ def code_rows(state: SupportState, in_regs, out_regs, table) -> SupportState:
     keeps its amplitude and gains the outputs' labels, row `inputs @ weights`
     of `table` (`output_columns`). The inputs lead the new columns."""
     d = state.ring.cardinality**state.q
-    gather, weights, roster, _ = _layout(state.reg_ids, tuple(in_regs), tuple(out_regs), d)
+    gather, weights, roster = _layout(state.reg_ids, tuple(in_regs), tuple(out_regs), d)
     labels = state.labels[:, gather]
     labels = np.concatenate((labels, table[labels[:, : len(weights)] @ weights]), axis=1)
     return SupportState(state.ring, state.q, roster, labels, state.amps)
@@ -288,12 +286,12 @@ def measure_rows(
     each outcome sampled from `rng` or taken from `forced`, one per register;
     a measured register is dropped.
 
-    Each row is keyed by its other columns. If no two rows share a key, they
-    fix the register's label y: outcome z has probability exactly 1/d and
-    multiplies each row by F[z, y] sqrt(d). Otherwise each key's rows are
-    summed with F[z, .], and z is drawn from the exact marginal. A
-    `certified` call (`protocol.SchemePlan.certified`) skips the key check
-    and drops the measured columns at once, as a view where they lead.
+    Rows are grouped by their other columns, in lexicographic order. If no
+    two share them, they fix the register's label y: outcome z has
+    probability exactly 1/d and multiplies each row by F[z, y] sqrt(d).
+    Otherwise each group's rows are summed with F[z, .], and z is drawn from
+    the exact marginal. A `certified` call (`protocol.SchemePlan.certified`)
+    skips grouping, dropping the measured columns at once (a view if they lead).
     """
     regs, m = tuple(regs), len(regs)
     forced = (None,) * m if forced is None else tuple(forced)
@@ -302,13 +300,12 @@ def measure_rows(
     if not certified:
         outcomes = ()
         for reg, label in zip(regs, forced, strict=True):
-            gather, _, roster, weights = _layout(state.reg_ids, (reg,), (), d)
+            gather, _, roster = _layout(state.reg_ids, (reg,), (), d)
             rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
-            keys = rest @ weights
-            if (np.diff(np.sort(keys)) != 0).all():
+            _, first, group = np.unique(rest, axis=0, return_index=True, return_inverse=True)
+            if len(first) == len(rest):
                 outcome, state = measure_rows(state, (reg,), rng, (label,), certified=True)
             else:
-                _, first, group = np.unique(keys, return_index=True, return_inverse=True)
                 rows = np.zeros((len(first), d), dtype=complex)
                 rows[group, state.labels[:, gather[0]]] = state.amps
                 coeffs = rows @ fourier_matrix(state.ring, state.q)  # F is symmetric
@@ -318,7 +315,7 @@ def measure_rows(
             outcomes += outcome
         return outcomes, state
     marginal, cdf = _uniform(d)
-    gather, _, roster, _ = _layout(state.reg_ids, regs, (), d)
+    gather, _, roster = _layout(state.reg_ids, regs, (), d)
     amps, outcomes = state.amps, ()
     for col, reg, label in zip(gather[:m], regs, forced, strict=True):
         label, p = _draw(marginal, reg, rng, label, cdf)

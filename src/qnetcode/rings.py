@@ -477,24 +477,6 @@ _Z_RE = re.compile(r"^Z\((\d+)\)$")
 _GF_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)(?:\[((?:\d+,)*\d+)\])?$")
 
 
-def _split_factors(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "x" and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def decimal(digits: str, error: type[ValueError] = RingError) -> int:
     """int() of a decimal literal, raising `error` when it is longer than
     Python converts (`sys.get_int_max_str_digits`)."""
@@ -553,7 +535,7 @@ def parse_ring_spec(text: str) -> RingSpec:
     compact = "".join(text.split())
     if not compact:
         raise RingError("empty ring descriptor")
-    factors = tuple(_parse_factor(tok) for tok in _split_factors(compact))
+    factors = tuple(_parse_factor(tok) for tok in compact.split("x"))  # no factor holds an x
     width = sum(len(f.moduli) for f in factors)
     identity_rows = tuple(
         tuple(1 if i == j else 0 for j in range(width)) for i in range(width)

@@ -168,7 +168,7 @@ def apply_coding_unitary(state: StateVector, in_regs, out_regs, table) -> StateV
     dim = state.dim
     if np.shape(table) != (dim**m, n):
         raise QuantumError(f"coding table must have shape {(dim**m, n)}")
-    order, _, reg_ids, _ = _layout(state.reg_ids, in_regs, out_regs, dim)
+    order, _, reg_ids = _layout(state.reg_ids, in_regs, out_regs, dim)
 
     # input combination y sends the amplitudes at y to the outputs' joint
     # label on one last axis

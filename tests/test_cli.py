@@ -341,8 +341,19 @@ def _fan_out(n: int) -> dict:
     }
 
 
+def _with_file(argv, file_doc, tmp_path) -> list:
+    """`argv`, with the path of `file_doc` written out appended, if one is given."""
+    if file_doc is None:
+        return argv
+    path = tmp_path / "doc.json"
+    if isinstance(file_doc, bytes):
+        path.write_bytes(file_doc)
+    else:
+        path.write_text(json.dumps(file_doc))
+    return argv + [str(path)]
+
+
 class TestErrorContract:
-    # a given file document is written out and its path appended to argv
     @pytest.mark.parametrize(
         "argv, file_doc",
         [
@@ -437,17 +448,99 @@ class TestErrorContract:
         ],
     )
     def test_runtime_errors_exit_2(self, capsys, tmp_path, argv, file_doc):
-        if file_doc is not None:
-            path = tmp_path / "doc.json"
-            if isinstance(file_doc, bytes):
-                path.write_bytes(file_doc)
-            else:
-                path.write_text(json.dumps(file_doc))
-            argv = argv + [str(path)]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *_with_file(argv, file_doc, tmp_path))
         assert code == 2
         assert out == ""
         _assert_one_line_error(err)
+
+    @pytest.mark.parametrize(
+        "argv, file_doc, message",
+        [
+            pytest.param(
+                ["simulate", BUTTERFLY, "--branch", "1,,1,1,1,1,1,1,1,1"],
+                None,
+                "branch has an empty label: '1,,1,1,1,1,1,1,1,1'",
+                id="branch-empty-token",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--branch", "1,1,1,1,1,1,1,1,1,"],
+                None,
+                "branch has an empty label: '1,1,1,1,1,1,1,1,1,'",
+                id="branch-trailing-comma",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input", " 1 , , 0 "],
+                None,
+                "input literal has an empty label: ' 1 , , 0 '",
+                id="input-empty-token",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input", "1,0,"],
+                None,
+                "input literal has an empty label: '1,0,'",
+                id="input-trailing-comma",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input", "1,0,1"],
+                None,
+                "input literal must give 2 labels, got 3",
+                id="input-literal-length",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input", "no_such_state.json"],
+                None,
+                "input state file not found: no_such_state.json",
+                id="input-file-missing",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[5, 0], 1.0, 0.0]],
+                "basis label 5 out of range (dimension 2)",
+                id="basis-label-out-of-range",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[0], 1.0, 0.0]],
+                "basis label must list 2 registers, got [0]",
+                id="basis-label-register-count",
+            ),
+            # for q = 1 an unnested list is one entry's coordinates
+            pytest.param(
+                ["simulate", BUTTERFLY, "--seed", "1", "--input"],
+                [[[[1, 0], 0], 1.0, 0.0]],
+                "entry [1, 0] has 2 coordinates, expected 1",
+                id="q1-coordinate-list-count",
+            ),
+            pytest.param(
+                ["simulate", "--branch", "000000000"],
+                _butterfly_with(ring="Z(11)"),
+                "branch must be comma-separated labels (or a digit string for dimensions up to 10)",
+                id="digit-branch-above-10",
+            ),
+            pytest.param(
+                ["verify"], _butterfly_with(ring="Z(2x3)"), "cannot parse ring factor 'Z(2'", id="x-in-modulus"
+            ),
+            pytest.param(
+                ["verify"],
+                _butterfly_with(ring="GF(4)[1,x,1]"),
+                "cannot parse ring factor 'GF(4)[1,'",
+                id="x-in-polynomial",
+            ),
+        ],
+    )
+    def test_input_errors_name_the_fault(self, capsys, tmp_path, argv, file_doc, message):
+        assert run_cli(capsys, *_with_file(argv, file_doc, tmp_path)) == (2, "", f"error: {message}\n")
+
+    def test_q1_coordinate_list_entry_is_accepted(self, capsys, tmp_path):
+        # GF(4) has two coordinates: [0, 1] is one entry, the same as [[0, 1]]
+        reports = []
+        for label in ([[0, 1], [1, 1]], [[[0, 1]], [[1, 1]]]):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps([[label, 1.0, 0.0]]))
+            gf4 = str(INSTANCES / "butterfly_gf4.json")
+            reports.append(run_cli(capsys, "simulate", gf4, "--seed", "1", "--input", str(path)))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0 and "fidelity: 1.000000000000" in reports[0][1]
 
     def test_branch_and_seed_together_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--branch", "000000000")
@@ -559,6 +652,38 @@ class TestErrorContract:
                 "entry coordinate 5 out of range for Z(2)",
                 id="coordinate-out-of-range",
             ),
+            pytest.param(
+                lambda d: d["coding"]["s1"]["outputs"][0].update(coeffs=[[1, 0]]),
+                "entry [1, 0] has 2 coordinates, expected 1",
+                id="coordinate-count",
+            ),
+            pytest.param(lambda d: d["nodes"].append("s1"), "duplicate node id", id="duplicate-node"),
+            pytest.param(
+                lambda d: d["edges"].append({"id": "src:3", "from": "n1", "to": "n2"}),
+                "edge id 'src:3' collides with virtual edge names",
+                id="edge-named-src",
+            ),
+            pytest.param(
+                lambda d: d["edges"].append({"id": "tgt:1", "from": "n1", "to": "n2"}),
+                "edge id 'tgt:1' collides with virtual edge names",
+                id="edge-named-tgt",
+            ),
+            pytest.param(
+                lambda d: d["pairs"].append({"source": "s1", "target": "ghost"}),
+                "pair ('s1', 'ghost') names an unknown node",
+                id="pair-unknown-node",
+            ),
+            pytest.param(
+                lambda d: d["coding"].update(ghost={"inputs": [], "outputs": []}),
+                "coding block names unknown node 'ghost'",
+                id="coding-unknown-node",
+            ),
+            pytest.param(lambda d: d["coding"].pop("t1"), "node 't1' has no coding block", id="no-coding"),
+            pytest.param(
+                lambda d: d["coding"]["n2"]["outputs"].pop(),
+                "node 'n2': declared outputs ['R6'] do not match its outgoing edges ['R6', 'R7']",
+                id="outputs-mismatch",
+            ),
         ],
     )
     def test_malformed_document_exit_2(self, capsys, tmp_path, mutate, field):
@@ -584,7 +709,7 @@ RING_DESCRIPTORS = [
     "Z(3)", "GF(8)", "GF(2^20)", f"Z({2**40})", f"Z(2)xZ({2**40})", f"Z({2**70})",
     "GF(2^40)", "GF(3^30)", f"GF({2**40})", f"GF({2**61 - 1})", "GF(2^65)", f"GF({2**70})",
     f"Z({MODULUS_4000})", f"Z({LONG_LITERAL})", f"GF({LONG_LITERAL})", f"GF(2^{LONG_LITERAL})",
-    f"GF(4)[1,{LONG_LITERAL},1]",
+    f"GF(4)[1,{LONG_LITERAL},1]", "Z(2x3)", "GF(4)[1,x,1]",
 ]
 
 

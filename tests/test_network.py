@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,21 @@ class TestParse:
             {"edge": "R7", "coeffs": [1, 0]},
         ]
         with pytest.raises(InstanceError, match="not a source"):
+            parse_network(doc)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(lambda c: c.update(coeffs=[[[1, "x"], [0, 1]]]), "bad ring entry 'x'", id="bad-entry"),
+            pytest.param(lambda c: c.update(coeffs=[[[1, 0]]]), "must be a 2x2 matrix", id="too-few-rows"),
+            pytest.param(lambda c: c.update(coeffs=[[[1, 0], [1]]]), "must be a 2x2 matrix", id="short-row"),
+        ],
+    )
+    def test_malformed_q2_coefficients(self, mutate, message):
+        with open(INSTANCES / "butterfly_z2_q2.json") as fh:
+            doc = json.load(fh)
+        mutate(doc["coding"]["s1"]["outputs"][0])
+        with pytest.raises(InstanceError, match=re.escape(message)):
             parse_network(doc)
 
     def test_parallel_edges_allowed(self):

@@ -192,6 +192,13 @@ class TestRunProtocol:
         with pytest.raises(Exception, match="seed"):
             run_protocol(net, scheme, state)
 
+    @pytest.mark.parametrize("ring, q", [("Z(3)", 1), ("Z(2)", 2)])
+    def test_input_ring_or_width_mismatch(self, ring, q):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(parse_ring_spec(ring), q, (0, 0))
+        with pytest.raises(InstanceError, match="ring or width does not match"):
+            run_protocol(net, scheme, state, seed=0)
+
     @pytest.mark.parametrize(
         "name", ["butterfly_z3.json", "butterfly_z4.json", "butterfly_gf4.json"]
     )
@@ -246,6 +253,26 @@ class TestCorrections:
         state = basis_state(scheme.ring, 1, (0, 0))
         result = run_protocol(net, scheme, state, branch=(0,) * 9)
         assert all(v == 0 for t in result.phase_table.tables for v in t)
+
+    def test_one_correction_matrix_per_plan(self):
+        net, scheme = load_instance("butterfly_z2_q2.json")
+        state = random_input_state(scheme, net.k, 2)
+        plans = [run_protocol(net, scheme, state, seed=s, copy_skip=True).plan for s in range(3)]
+        plan = plans[0]
+        width = len(scheme.ring.moduli) * scheme.q
+        assert plan.measured == ("R2", "R4", "R3", "R7", "R1", "R6")  # sources and n2 only copy
+        assert plan.corrections.shape == (len(plan.measured) * width, net.k * scheme.register_dim)
+        assert all(p.corrections is plan.corrections for p in plans)
+
+    def test_corrections_refuse_another_plans_log(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (1, 0))
+        result = run_protocol(net, scheme, state, branch=(1,) * 9)
+        reordered = dataclasses.replace(result.log, entries=result.log.entries[::-1])
+        with pytest.raises(InstanceError, match="the log does not measure the plan's registers"):
+            compute_corrections(reordered, result.plan)
+        with pytest.raises(InstanceError, match="the log does not measure the plan's registers"):
+            compute_corrections(result.log, plan_scheme(net, scheme, copy_skip=True))
 
     def test_homomorphism_check_rejects_non_additive_tables(self):
         ring = parse_ring_spec("Z(4)")
@@ -630,11 +657,11 @@ class TestPlanMemo:
     def test_shared_plan_tables_are_read_only(self):
         net, scheme = load_instance("butterfly_f2.json")
         plan = run_protocol(net, scheme, basis_state(scheme.ring, 1, (1, 0)), seed=0).plan
-        tables = [plan.digits, *plan.tmap.gammas.values(), *plan.correction_rows.values()]
+        tables = [plan.digits, *plan.tmap.gammas.values(), plan.corrections]
         tables += [plan.coding(p) for p in plan.nodes if p.adjoined]
         assert all(not t.flags.writeable for t in tables)
         with pytest.raises(ValueError, match="read-only"):
-            plan.correction_rows["R1"][...] = 0
+            plan.corrections[...] = 0
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_memoised_runs_equal_fresh_runs(self, name):

@@ -105,6 +105,10 @@ class TestInit:
         with pytest.raises(QuantumError):
             init_state(Z2, 1, 2, [1.0, 0.0])
 
+    def test_rejects_wrong_register_id_count(self):
+        with pytest.raises(RegisterError, match="expected 2 register ids, got 1"):
+            init_state(Z2, 1, 2, [1.0, 0.0, 0.0, 0.0], reg_ids=("a",))
+
     def test_cap_message_names_an_unprintable_count(self):
         # d^2 has 8000 digits, more than Python converts to text
         ring = parse_ring_spec(f"Z({'9' * 4000})")
@@ -285,8 +289,8 @@ class TestDraw:
 
 
 def test_cached_tables_are_read_only():
-    gather, weights, _, keys = _layout(("a", "b"), ("b",), ("c",), 4)
-    for table in (fourier_matrix(GF4, 1), _scaled_fourier(GF4, 1), *_uniform(4), gather, weights, keys):
+    gather, weights, _ = _layout(("a", "b"), ("b",), ("c",), 4)
+    for table in (fourier_matrix(GF4, 1), _scaled_fourier(GF4, 1), *_uniform(4), gather, weights):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 
@@ -301,6 +305,10 @@ class TestPhase:
         state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
         out = apply_phase(state, "src:1", [-Fraction(x, 2) for x in range(2)])
         assert np.allclose(out.amps, [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-12)
+
+    def test_wrong_phase_count(self):
+        with pytest.raises(QuantumError, match="need 2 phases, got 3"):
+            apply_phase(basis_state(Z2, 1, (0,)), "src:1", [0, 0, 0])
 
     def test_sign_pair_inverts(self):
         state = random_state("GF(4)", 1, 2, seed=9)
@@ -439,6 +447,30 @@ class TestSupportState:
             assert state.labels.tolist() == want.labels.tolist() == [[v] for v in cols[left]]
             assert np.allclose(state.amps, amps[amps != 0] * np.exp(2j * np.pi * turns), atol=1e-15)
             assert state.amps.tobytes() == want.amps.tobytes()
+
+    # a certified call is never made on interfering rows
+    @pytest.mark.parametrize(
+        "amps, certified",
+        [([0.6, 0, 0, 0.8], False), ([0.6, 0, 0, 0.8], True), ([0.6, 0, 0.8, 0], False)],
+        ids=["distinct", "certified", "interfering"],
+    )
+    def test_forced_label_out_of_range(self, amps, certified):
+        rows = SupportState.of(init_state(Z2, 1, 2, amps))
+        with pytest.raises(QuantumError, match="outcome label 2 out of range"):
+            measure_rows(rows, ("src:1",), forced=(2,), certified=certified)
+
+    def test_groups_keep_the_lexicographic_order_of_the_other_columns(self):
+        # over Z(3), rows 0 and 1 share their other columns (1, 0) and interfere;
+        # the survivors are listed as (0, 2), (1, 0), (2, 1), first column leading
+        amps = np.zeros((3, 3, 3), dtype=complex)
+        amps[0, 1, 0], amps[1, 1, 0], amps[2, 0, 2], amps[0, 2, 1] = 0.5, 0.5j, -0.5, 0.5
+        state = init_state(Z3, 1, 3, amps, reg_ids=("a", "b", "c"))
+        for z in range(3):
+            want_outcome, want = measure(apply_fourier(state, "a"), "a", forced=z)
+            (outcome,), rest = measure_rows(SupportState.of(state), ("a",), forced=(z,))
+            assert outcome.probability == pytest.approx(want_outcome.probability, abs=1e-12)
+            assert rest.labels.tolist() == [[0, 2], [1, 0], [2, 1]]
+            assert np.allclose(rest.dense(("b", "c")).amps, want.amps, atol=1e-12)
 
     def test_rows_that_share_the_others_interfere(self):
         # (|0> + |1>)|0> / sqrt 2 measured in the Fourier basis: outcome 1 never happens

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,22 @@ class TestParse:
             parse_ring_spec("GF(4)[1,0,1]")  # (t+1)^2, reducible
         with pytest.raises(RingError):
             parse_ring_spec("Q(2)")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("GF(4)[1,1,0]", "polynomial for GF(2^2) must be monic of degree 2"),
+            ("GF(4)[1,1]", "polynomial for GF(2^2) must be monic of degree 2"),
+            ("GF(8)[1,1,0,1,1]", "polynomial for GF(2^3) must be monic of degree 3"),
+            ("GF(9)[2,5,1]", "polynomial coefficients must lie in [0, 3)"),
+            ("GF(2^0)", "GF exponent must be positive"),
+            ("", "empty ring descriptor"),
+            (" \t\n", "empty ring descriptor"),
+        ],
+    )
+    def test_bad_descriptors_name_the_fault(self, text, message):
+        with pytest.raises(RingError, match=re.escape(message)):
+            parse_ring_spec(text)
 
     @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 3), (7, 2)])
     def test_supplied_poly_accepted_iff_irreducible(self, p, k):
