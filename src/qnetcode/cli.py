@@ -14,7 +14,7 @@ either a comma-separated list of per-register basis labels or a JSON file
 holding a list of [label, real, imag] triples, where a label lists one entry
 per register: a basis index, or the register's q ring entries, each an
 element label or a coordinate list (`network.parse_entry`). No label of
-either literal may be empty.
+either literal may be empty, and no basis label may hold a space.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .network import (
     parse_network,
     scheme_with_alternate_phi,
     target_edge,
-    transfer_coefficients,
 )
 from .protocol import (
     BRANCH_CAP_DEFAULT,
@@ -94,9 +93,11 @@ def _input_triples(arg, k) -> list:
         return triples
     text = arg.strip()
     if all(ch.isdigit() or ch in ", " for ch in text) and any(ch.isdigit() for ch in text):
-        labels = text.replace(" ", "").split(",")
+        labels = [tok.strip() for tok in text.split(",")]
         if not all(labels):
             raise InstanceError(f"input literal has an empty label: {arg!r}")
+        if any(" " in tok for tok in labels):
+            raise InstanceError(f"input literal labels are separated by commas, not spaces: {arg!r}")
         if len(labels) != k:
             raise InstanceError(f"input literal must give {k} labels, got {len(labels)}")
         return [[[decimal(tok) for tok in labels], 1.0, 0.0]]
@@ -179,8 +180,8 @@ def _cost_payload(report) -> dict:
 
 def cmd_verify(args) -> int:
     net, scheme = parse_network(args.instance)
-    tmap = transfer_coefficients(net, scheme)
-    counterexample = tmap.counterexample(net.k)
+    plan = plan_scheme(net, scheme)  # memoised: its map and verdict are built once
+    tmap, counterexample = plan.tmap, plan.counterexample
     rows = {
         target_edge(i + 1): [_gamma_name(scheme.ring, g) for g in tmap.gammas[target_edge(i + 1)]]
         for i in range(net.k)

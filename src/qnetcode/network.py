@@ -34,13 +34,21 @@ input-state reader shares), and each matrix to its integer form
 
 Verification reads the transfer map (`transfer_coefficients`): a scheme is a
 solution iff target i's row is the identity at pair i and zero elsewhere.
+
+What depends only on an instance is memoised by its content, not by object:
+a `Network` and a `CodingScheme` each compute a content `key` once, so two
+parses of one document share the transfer map (`transfer_map`) and the
+plans built from it (`protocol.plan_scheme`). The memo keeps the MEMO_SIZE
+most recently used values (`memoised`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +86,8 @@ class Network:
     """A directed acyclic graph with k source-target pairs.
 
     `node_inputs` / `node_outputs` hold the per-node ordered edge lists,
-    virtual edges included, exactly as declared by the coding scheme.
+    virtual edges included, exactly as declared by the coding scheme. A
+    network is not to be changed once its `key` is read.
     """
 
     nodes: tuple[str, ...]
@@ -98,6 +107,12 @@ class Network:
             return 0
         return max(len(self.node_inputs[v]) for v in self.nodes)
 
+    @cached_property
+    def key(self) -> str:
+        """Content key: equal for networks parsed from equal documents."""
+        fields = (self.nodes, self.edges, self.pairs, self.node_inputs, self.node_outputs, self.topo_order)
+        return repr(fields)
+
 
 @dataclass(frozen=True, eq=False)
 class CodingScheme:
@@ -105,19 +120,24 @@ class CodingScheme:
     coeffs[node][output_idx][input_idx].
 
     A scheme is immutable once parsed (`parse_network` makes its arrays
-    read-only): it keeps the plans built from it (`protocol.plan_scheme`),
-    one per network and policy, and their transfer maps, one per network.
+    read-only). Its transfer maps and plans are memoised under its content
+    `key` (`memoised`), so equal schemes share them and the scheme holds none.
     """
 
     ring: RingSpec
     q: int
     coeffs: dict[str, tuple[tuple[np.ndarray, ...], ...]] = field(repr=False)
-    _plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _transfer: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def register_dim(self) -> int:
         return self.ring.cardinality**self.q
+
+    @cached_property
+    def key(self) -> str:
+        """Content key: the full ring (twisted phi included), q and every
+        coefficient by value; `tolist`, as object arrays' bytes are pointers."""
+        coeffs = {v: [[g.tolist() for g in row] for row in rows] for v, rows in self.coeffs.items()}
+        return repr((self.ring, self.q, coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,10 +395,36 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
     return net, scheme
 
 
+# ---------------------------------------------------------------------------
+# the memo of what depends only on an instance
+
+MEMO_SIZE = 64
+_memo: OrderedDict = OrderedDict()
+
+
+def memoised(key, build):
+    """The value kept under `key`, from `build()` on a miss. The MEMO_SIZE
+    most recently used values are kept, so a value is freed once MEMO_SIZE
+    others have been used since."""
+    value = _memo.get(key)
+    if value is None:
+        value = _memo[key] = build()
+        if len(_memo) > MEMO_SIZE:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return value
+
+
+def transfer_map(net: Network, scheme: CodingScheme) -> TransferMap:
+    """The instance's transfer map (`transfer_coefficients`), memoised by content."""
+    return memoised((net.key, scheme.key), lambda: transfer_coefficients(net, scheme))
+
+
 def verify_solution(net: Network, scheme: CodingScheme) -> bool:
     """Whether every input tuple is delivered in pair order, read from the
     transfer map (`TransferMap.counterexample`)."""
-    return transfer_coefficients(net, scheme).counterexample(net.k) is None
+    return transfer_map(net, scheme).counterexample(net.k) is None
 
 
 def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:
@@ -390,7 +436,8 @@ def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:
 
 
 def transfer_coefficients(net: Network, scheme: CodingScheme) -> TransferMap:
-    """Express every edge value as a left-linear combination of the pair inputs."""
+    """Express every edge value as a left-linear combination of the pair
+    inputs, in read-only arrays."""
     ring, q, k = scheme.ring, scheme.q, net.k
     width = q * len(ring.moduli)
     eye = np.eye(width, dtype=np.int64)
@@ -399,4 +446,6 @@ def transfer_coefficients(net: Network, scheme: CodingScheme) -> TransferMap:
         in_rows = [gammas[e] for e in net.node_inputs[v]]
         for eid, row in zip(net.node_outputs[v], scheme.coeffs[v]):
             gammas[eid] = combine(ring, q, row, in_rows)
+    for g in gammas.values():
+        g.flags.writeable = False
     return TransferMap(ring=ring, q=q, gammas=gammas)

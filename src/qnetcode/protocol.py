@@ -24,9 +24,10 @@ as one outcome label per measurement in that order.
 
 What depends only on the scheme and the policy is fixed once in a
 `SchemePlan`; the message cost is read from it without simulation. Plans
-are memoised per scheme, network and policy: `plan_scheme` keeps each on its
-scheme, with one transfer map for all policies, so runs of one parsed scheme
-share the map, coding tables and corrections; a plan lives with its scheme.
+are memoised by the content keys of the network and scheme, and the policy,
+in the bounded memo of `network.memoised`, with one transfer map for all
+policies (`network.transfer_map`): every run of an equal instance, parsed
+once or many times, shares the map, coding tables and corrections.
 
 Every run, sampled or forced, goes through the one node loop, `node_steps`,
 which reads no policy, is the only place a node is coded or measured and the
@@ -55,9 +56,10 @@ from .network import (
     InstanceError,
     Network,
     TransferMap,
+    memoised,
     source_edge,
     target_edge,
-    transfer_coefficients,
+    transfer_map,
 )
 from .quantum import (
     MAX_STATE_ENTRIES,
@@ -170,7 +172,7 @@ class SchemePlan:
     correction matrix) are built on first use, so planning and cost stay cheap
     on any ring. Every run of the scheme shares them, so they are read-only.
     The ring and width are the transfer map's: a plan holds no reference to
-    its scheme, which holds the plan (`plan_scheme`).
+    its scheme, and none to itself, so the memo frees it (`plan_scheme`).
     """
 
     net: Network
@@ -248,16 +250,14 @@ class SchemePlan:
 def plan_scheme(
     net: Network, scheme: CodingScheme, prune: bool = False, copy_skip: bool = False
 ) -> SchemePlan:
-    """The scheme's plan under a policy, nodes in `net.topo_order`, built on
-    the first call for this network and policy and kept on the scheme."""
-    key = (net, prune, copy_skip)
-    if key in scheme._plans:
-        return scheme._plans[key]
-    tmap = scheme._transfer.get(net)
-    if tmap is None:  # one per network: the policies share it
-        tmap = scheme._transfer[net] = transfer_coefficients(net, scheme)
-        for g in tmap.gammas.values():
-            g.flags.writeable = False
+    """The scheme's plan under a policy, nodes in `net.topo_order`, memoised
+    by the content of the network and scheme (`network.memoised`)."""
+    key = (net.key, scheme.key, prune, copy_skip)
+    return memoised(key, lambda: _plan(net, scheme, prune, copy_skip))
+
+
+def _plan(net: Network, scheme: CodingScheme, prune: bool, copy_skip: bool) -> SchemePlan:
+    tmap = transfer_map(net, scheme)  # one per instance: the policies share it
     everyone = tuple(range(1, net.k + 1))
     nodes = []
     for v in net.topo_order:
@@ -276,8 +276,7 @@ def plan_scheme(
                 if net.pairs[j][1] != v and any(not is_zero(tmap.gammas[e][j]) for e in ins)
             )
         nodes.append(NodePlan(v, None, ins, outs, coeffs, ins, told))
-    plan = scheme._plans[key] = SchemePlan(net, tmap, tuple(nodes), "prune" if prune else "broadcast")
-    return plan
+    return SchemePlan(net, tmap, tuple(nodes), "prune" if prune else "broadcast")
 
 
 @dataclass

@@ -279,6 +279,19 @@ def _draw(marginal: np.ndarray, reg: str, rng, forced, cdf=None) -> tuple[int, f
     return label, p
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each group of equal rows and each row's group, the
+    groups in lexicographic order: `np.unique(rows, axis=0, return_index=True,
+    return_inverse=True)[1:]`, without its structured-dtype sort."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group  # lexsort is stable: a group's first row leads it
+
+
 def measure_rows(
     state: SupportState, regs, rng=None, forced=None, certified: bool = False
 ) -> tuple[tuple[MeasurementOutcome, ...], SupportState]:
@@ -302,7 +315,7 @@ def measure_rows(
         for reg, label in zip(regs, forced, strict=True):
             gather, _, roster = _layout(state.reg_ids, (reg,), (), d)
             rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
-            _, first, group = np.unique(rest, axis=0, return_index=True, return_inverse=True)
+            first, group = _group_rows(rest)
             if len(first) == len(rest):
                 outcome, state = measure_rows(state, (reg,), rng, (label,), certified=True)
             else:

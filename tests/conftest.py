@@ -1,12 +1,14 @@
 import importlib.util
 import itertools
 import json
+from collections import OrderedDict
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnetcode.network
 from qnetcode.network import parse_network
 from qnetcode.quantum import init_state
 
@@ -31,6 +33,15 @@ PARALLEL_EDGES = {
 @pytest.fixture(scope="session")
 def instances_dir():
     return INSTANCES
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty plan memo for one test (`network.memoised`): what the test
+    plans is built anew, whatever other tests planned before."""
+    memo = OrderedDict()
+    monkeypatch.setattr(qnetcode.network, "_memo", memo)
+    return memo
 
 
 def load_instance(name):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import INSTANCES, butterfly_with_isolated_node
 from qnetcode.cli import build_parser, main
-from qnetcode.network import InstanceError, parse_network
+from qnetcode.network import MEMO_SIZE, InstanceError, parse_network
 from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix
 from qnetcode.rings import RingError, parse_ring_spec
 
@@ -542,6 +542,20 @@ class TestErrorContract:
         assert reports[0] == reports[1]
         assert reports[0][0] == 0 and "fidelity: 1.000000000000" in reports[0][1]
 
+    def test_input_labels_are_split_on_commas_only(self, capsys):
+        # over Z(11), "1 0" is no label: it once ran the basis state |10>
+        single = json.dumps({**json.loads(Path(SINGLE).read_text()), "ring": "Z(11)"})
+        code, out, err = run_cli(capsys, "simulate", single, "--seed", "1", "--input", "1 0")
+        assert (code, out) == (2, "")
+        assert err == "error: input literal labels are separated by commas, not spaces: '1 0'\n"
+        code, out, _ = run_cli(capsys, "simulate", single, "--seed", "1", "--input", " 10 ")
+        assert code == 0 and "fidelity: 1.000000000000" in out
+        reports = [
+            run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--input", arg)
+            for arg in ("1,0", "1, 0", " 1 ,0 ")
+        ]
+        assert reports[0][0] == 0 and reports[0] == reports[1] == reports[2]
+
     def test_branch_and_seed_together_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--branch", "000000000")
         assert (code, out, err) == (2, "", "error: give either a branch or a seed, not both\n")
@@ -772,19 +786,22 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, flags, 
             _assert_one_line_error(err.getvalue())
 
 
-def test_in_process_runs_keep_the_ring_caches_bounded(capsys):
-    # each ring measured leaves a d x d matrix behind; more rings than the bound evict
+def test_in_process_runs_keep_the_ring_caches_bounded(capsys, fresh_memo):
+    # each ring measured leaves a d x d matrix, a transfer map and a plan behind;
+    # more rings than the bounds evict
     caches = (fourier_matrix, _scaled_fourier, _uniform)
     for cache in caches:
         cache.cache_clear()
     doc = json.loads(Path(SINGLE).read_text())
-    for m in range(2, 20):
+    rings = range(2, 4 + MEMO_SIZE // 2)
+    for m in rings:
         doc["ring"] = f"Z({m})"
         assert main(["simulate", json.dumps(doc), "--seed", "1"]) == 0
     capsys.readouterr()
     for cache in caches:
         info = cache.cache_info()
-        assert info.misses == 18 and info.currsize <= info.maxsize == 16
+        assert info.misses == len(rings) and info.currsize <= info.maxsize == 16
+    assert 2 * len(rings) > MEMO_SIZE == len(fresh_memo)
 
 
 def test_reused_parser_leaks_nothing_between_calls():

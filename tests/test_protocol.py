@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import weakref
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,12 @@ from conftest import (
     random_input_state,
 )
 from oracles import frac_mod1
-import qnetcode.protocol
+import qnetcode.network
 from qnetcode.cli import main
 from qnetcode.network import (
+    MEMO_SIZE,
     CapExceededError,
+    CodingScheme,
     InstanceError,
     parse_network,
     scheme_with_alternate_phi,
@@ -131,7 +134,7 @@ class TestEncodeNode:
         with pytest.raises(InstanceError, match="give either a branch or an rng, not both"):
             next(node_steps(plan, state, np.random.default_rng(3), branch=(1,) * 9))
 
-    def test_node_steps_checks_the_cap_before_coding(self):
+    def test_node_steps_checks_the_cap_before_coding(self, fresh_memo):
         # s1 codes the 4-amplitude input into two outputs: 4 * 2^2 amplitudes
         net, scheme = load_instance("butterfly_f2.json")
         plan, state = plan_scheme(net, scheme), basis_state(scheme.ring, 1, (0, 0))
@@ -599,8 +602,21 @@ BUNDLED = [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.starts
 POLICIES = list(itertools.product((False, True), repeat=2))  # (prune, copy_skip)
 
 
+@pytest.fixture
+def transfer_calls(fresh_memo, monkeypatch):
+    """The schemes `transfer_coefficients` is called for, planning from an empty memo."""
+    calls = []
+
+    def counted(net, scheme):
+        calls.append(scheme)
+        return transfer_coefficients(net, scheme)
+
+    monkeypatch.setattr(qnetcode.network, "transfer_coefficients", counted)
+    return calls
+
+
 class TestPlanMemo:
-    def test_one_plan_per_scheme_network_and_policy(self):
+    def test_one_plan_per_scheme_network_and_policy(self, fresh_memo):
         net, scheme = load_instance("butterfly_gf4.json")
         assert plan_scheme(net, scheme) is plan_scheme(net, scheme)
         plans = [plan_scheme(net, scheme, prune=p, copy_skip=c) for p, c in POLICIES]
@@ -610,49 +626,107 @@ class TestPlanMemo:
         plan = plan_scheme(net, twisted)
         assert plan is not plans[0] and plan is plan_scheme(net, twisted)
         assert plan.tmap.ring == twisted.ring != scheme.ring
-        other_net, _ = load_instance("butterfly_gf4.json")
-        assert plan_scheme(other_net, scheme) is not plans[0]
+        # a second parse of the file is the same instance
+        again = load_instance("butterfly_gf4.json")
+        assert all(plan_scheme(*again, p, c) is plan for (p, c), plan in zip(POLICIES, plans))
 
-    def test_runs_reuse_the_transfer_map(self, monkeypatch):
-        calls = []
+    def test_changed_instances_get_their_own_plans(self, fresh_memo):
+        doc = json.loads((INSTANCES / "butterfly_gf4.json").read_text())
+        net, scheme = parse_network(doc)
+        plan = plan_scheme(net, scheme)
+        coefficient = json.loads(json.dumps(doc))
+        coefficient["coding"]["n1"]["outputs"][0]["coeffs"][1] = [1, 1]
+        renamed = json.loads(json.dumps(doc).replace('"R5"', '"R8"'))
+        other_net, same_coeffs = parse_network(renamed)
+        assert same_coeffs.key == scheme.key and other_net.key != net.key
+        others = [
+            plan_scheme(net, scheme_with_alternate_phi(scheme)),
+            plan_scheme(*parse_network(coefficient)),
+            plan_scheme(other_net, scheme),
+        ]
+        assert len({id(p) for p in [plan, *others]}) == 4
+        assert len({id(p.tmap) for p in [plan, *others]}) == 4
+        assert plan.counterexample is None and others[1].counterexample is not None
+        assert plan_scheme(net, scheme) is plan
 
-        def counted(net, scheme):
-            calls.append(scheme)
-            return transfer_coefficients(net, scheme)
+    def test_object_coefficients_are_keyed_by_value(self, fresh_memo):
+        # from modulus 2^24 on, coefficients are object arrays, whose bytes are pointers
+        doc = json.loads((INSTANCES / "single_edge_f2.json").read_text())
+        doc["ring"] = f"Z({2**24})"
 
-        monkeypatch.setattr(qnetcode.protocol, "transfer_coefficients", counted)
+        def single_edge(c):
+            doc["coding"]["s"]["outputs"][0]["coeffs"] = [c]
+            return parse_network(doc)
+
+        net, scheme = single_edge(2**24 - 1)
+        assert scheme.coeffs["s"][0][0].dtype == object
+        plan = plan_scheme(net, scheme)
+        other = plan_scheme(*single_edge(2**24 - 3))
+        assert other is not plan and other.tmap is not plan.tmap
+        assert other.tmap.gammas["tgt:1"].tolist() != plan.tmap.gammas["tgt:1"].tolist()
+        assert plan_scheme(*single_edge(2**24 - 1)) is plan
+        # equal values held by other int objects: the same scheme
+        fresh = lambda g: np.array([[int(str(x)) for x in row] for row in g.tolist()], dtype=object)
+        coeffs = {v: tuple(tuple(map(fresh, row)) for row in rows) for v, rows in scheme.coeffs.items()}
+        assert coeffs["s"][0][0][0, 0] is not scheme.coeffs["s"][0][0][0, 0]
+        assert plan_scheme(net, CodingScheme(scheme.ring, scheme.q, coeffs)) is plan
+
+    def test_reparsed_documents_share_one_plan_across_commands(
+        self, fresh_memo, transfer_calls, capsys, tmp_path
+    ):
+        path = INSTANCES / "butterfly_f2.json"
+        doc = json.loads(path.read_text())
+        spaced = tmp_path / "spaced.json"
+        spaced.write_text(json.dumps(doc, indent=7))
+        assert main(["verify", str(path)]) == 0
+        assert main(["cost", str(spaced)]) == 0
+        assert main(["simulate", str(path), "--seed", "3"]) == 0
+        assert main(["simulate", json.dumps(doc, separators=(",", ":")), "--seed", "4"]) == 0
+        capsys.readouterr()
+        assert len(transfer_calls) == 1
+        assert len(fresh_memo) == 3  # the map, then the broadcast and prune plans
+        assert plan_scheme(*parse_network(spaced)) is plan_scheme(*load_instance("butterfly_f2.json"))
+
+    def test_runs_reuse_the_transfer_map(self, transfer_calls):
         net, scheme = load_instance("butterfly_z4.json")
         state = random_input_state(scheme, net.k, 3)
         results = [run_protocol(net, scheme, state, seed=s) for s in range(50)]
-        assert len(calls) == 1
+        assert len(transfer_calls) == 1
         assert all(r.plan is results[0].plan for r in results)
 
-    def test_policies_share_the_transfer_map(self, monkeypatch, capsys):
-        calls = []
-
-        def counted(net, scheme):
-            calls.append(scheme)
-            return transfer_coefficients(net, scheme)
-
-        monkeypatch.setattr(qnetcode.protocol, "transfer_coefficients", counted)
+    def test_policies_share_the_transfer_map(self, transfer_calls, capsys):
         assert main(["cost", str(INSTANCES / "butterfly_f2.json")]) == 0
         assert "prune" in capsys.readouterr().out
-        assert len(calls) == 1
+        assert len(transfer_calls) == 1
 
-    def test_plan_dies_with_its_scheme(self):
-        # no reference cycle and no module-level cache keeps a plan alive
-        net, scheme = load_instance("butterfly_z2_q2.json")
-        state = random_input_state(scheme, net.k, 4)
-        result = run_protocol(net, scheme, state, seed=1, prune=True)
-        refs = [weakref.ref(result.plan), weakref.ref(scheme)]
+    def test_memo_frees_the_least_recently_used_plan(self, fresh_memo):
+        # no reference cycle keeps an evicted plan alive: it is freed with gc off
+        doc = json.loads((INSTANCES / "single_edge_f2.json").read_text())
+
+        def plan_over(m):
+            doc["ring"] = f"Z({m})"
+            return plan_scheme(*parse_network(doc))
+
+        net, scheme = parse_network(doc)
+        result = run_protocol(net, scheme, random_input_state(scheme, net.k, 4), seed=1)
+        first = weakref.ref(result.plan)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            del scheme, result
-            assert [r() for r in refs] == [None, None]
+            del net, scheme, result
+            m = 3
+            while len(fresh_memo) < MEMO_SIZE:
+                plan_over(m)
+                m += 1
+            assert first() is not None
+            while m < MEMO_SIZE + 3:  # MEMO_SIZE + 1 distinct schemes in all
+                plan_over(m)
+                m += 1
+            assert first() is None
         finally:
             if enabled:
                 gc.enable()
+        assert len(fresh_memo) == MEMO_SIZE
 
     def test_shared_plan_tables_are_read_only(self):
         net, scheme = load_instance("butterfly_f2.json")
@@ -664,13 +738,16 @@ class TestPlanMemo:
             plan.corrections[...] = 0
 
     @pytest.mark.parametrize("name", BUNDLED)
-    def test_memoised_runs_equal_fresh_runs(self, name):
+    def test_memoised_runs_equal_fresh_runs(self, name, monkeypatch):
         net, scheme = load_instance(name)
         state = random_input_state(scheme, net.k, 7)
         for (prune, copy_skip), seed in itertools.product(POLICIES, range(25)):
             kwargs = dict(seed=seed, prune=prune, copy_skip=copy_skip, check_classical=False)
             memo = run_protocol(net, scheme, state, **kwargs)
-            fresh = run_protocol(*load_instance(name), state, **kwargs)
+            with monkeypatch.context() as m:  # planned anew, from a second parse
+                m.setattr(qnetcode.network, "_memo", OrderedDict())
+                fresh = run_protocol(*load_instance(name), state, **kwargs)
+            assert fresh.plan is not memo.plan
             assert memo.plan is plan_scheme(net, scheme, prune, copy_skip)
             assert memo.log.entries == fresh.log.entries
             assert memo.phase_table.numerators.tobytes() == fresh.phase_table.numerators.tobytes()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import apply_coding_unitary, apply_fourier, element, measure, one
 from qnetcode.quantum import (
     _draw,
+    _group_rows,
     _layout,
     _scaled_fourier,
     _uniform,
@@ -471,6 +472,18 @@ class TestSupportState:
             assert outcome.probability == pytest.approx(want_outcome.probability, abs=1e-12)
             assert rest.labels.tolist() == [[0, 2], [1, 0], [2, 1]]
             assert np.allclose(rest.dense(("b", "c")).amps, want.amps, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(40, 3), (40, 1), (1, 4), (1, 1), (7, 6), (3, 0)])
+    def test_grouping_matches_numpy_unique(self, shape):
+        # first rows and groups as np.unique's, so seeded and forced runs do not move
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for high in (2, 3, 2**40):
+            rows = rng.integers(0, high, size=shape)
+            rows[shape[0] // 2 :] = rows[: shape[0] - shape[0] // 2]  # duplicate rows
+            _, first, group = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+            got_first, got_group = _group_rows(rows)
+            assert got_first.tolist() == first.tolist()
+            assert got_group.tolist() == group.reshape(-1).tolist()
 
     def test_rows_that_share_the_others_interfere(self):
         # (|0> + |1>)|0> / sqrt 2 measured in the Fourier basis: outcome 1 never happens
