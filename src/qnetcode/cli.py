@@ -2,7 +2,9 @@
 
 Exit statuses: 0 on success, 1 when a property fails (the scheme is not a
 solution, or a run falls short of fidelity one), 2 on input or configuration
-errors.
+errors, and 141 (128 + SIGPIPE, as a shell reports a process killed by it)
+when standard output is closed before the report is written, e.g. by
+`qnetcode cost X | head -1`; then nothing is printed on stderr.
 
 `verify` reads its verdict from the transfer map it prints, so it enumerates
 no inputs and needs no cap.
@@ -427,7 +429,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_caps(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, whatever the buffering
+        return code
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the interpreter's
+        # last flush does not fail too (the SIGPIPE note of Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InvalidSchemeError, ZeroProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

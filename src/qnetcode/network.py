@@ -35,11 +35,16 @@ input-state reader shares), and each matrix to its integer form
 Verification reads the transfer map (`transfer_coefficients`): a scheme is a
 solution iff target i's row is the identity at pair i and zero elsewhere.
 
-What depends only on an instance is memoised by its content, not by object:
-a `Network` and a `CodingScheme` each compute a content `key` once, so two
-parses of one document share the transfer map (`transfer_map`) and the
-plans built from it (`protocol.plan_scheme`). The memo keeps the MEMO_SIZE
-most recently used values (`memoised`).
+What depends only on an instance is memoised by its content, not by object,
+in one memo that keeps the MEMO_SIZE most recently used values (`memoised`).
+The parse of a document is keyed by its text: `parse_network` reads a
+file's text on every call, so an edited file is parsed anew, while a text
+seen before returns the objects parsed from it, whatever the path. A dict is
+checked on every call and never memoised. A `Network` and a `CodingScheme`
+each compute a content `key` once, so two parses of one document, whatever
+its whitespace, share the transfer map (`transfer_map`) and the plans built
+from it (`protocol.plan_scheme`). Parsed objects are shared, so their
+mappings are read-only (`types.MappingProxyType`) and their arrays too.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ from __future__ import annotations
 import json
 import math
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,6 +81,15 @@ def target_edge(pair_index: int) -> str:
     return f"tgt:{pair_index}"
 
 
+def _read_only(obj, *names) -> None:
+    """Replace each named mapping field of a frozen dataclass by a read-only
+    view of a copy, unless it is one already."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, MappingProxyType):
+            object.__setattr__(obj, name, MappingProxyType(dict(value)))
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -85,17 +101,20 @@ class Edge:
 class Network:
     """A directed acyclic graph with k source-target pairs.
 
-    `node_inputs` / `node_outputs` hold the per-node ordered edge lists,
-    virtual edges included, exactly as declared by the coding scheme. A
-    network is not to be changed once its `key` is read.
+    `node_inputs` / `node_outputs` are read-only mappings of the per-node
+    ordered edge lists, virtual edges included, exactly as declared by the
+    coding scheme.
     """
 
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
     pairs: tuple[tuple[str, str], ...]
-    node_inputs: dict[str, tuple[str, ...]] = field(repr=False)
-    node_outputs: dict[str, tuple[str, ...]] = field(repr=False)
+    node_inputs: Mapping[str, tuple[str, ...]] = field(repr=False)
+    node_outputs: Mapping[str, tuple[str, ...]] = field(repr=False)
     topo_order: tuple[str, ...] = field(repr=False)
+
+    def __post_init__(self):
+        _read_only(self, "node_inputs", "node_outputs")
 
     @property
     def k(self) -> int:
@@ -119,14 +138,18 @@ class CodingScheme:
     """Per-node coefficient matrices (see `rings.coefficient_matrix`):
     coeffs[node][output_idx][input_idx].
 
-    A scheme is immutable once parsed (`parse_network` makes its arrays
-    read-only). Its transfer maps and plans are memoised under its content
-    `key` (`memoised`), so equal schemes share them and the scheme holds none.
+    A scheme is immutable: `coeffs` is a read-only mapping, and
+    `parse_network` makes its arrays read-only. Its transfer maps and plans
+    are memoised under its content `key` (`memoised`), so equal schemes share
+    them and the scheme holds none.
     """
 
     ring: RingSpec
     q: int
-    coeffs: dict[str, tuple[tuple[np.ndarray, ...], ...]] = field(repr=False)
+    coeffs: Mapping[str, tuple[tuple[np.ndarray, ...], ...]] = field(repr=False)
+
+    def __post_init__(self):
+        _read_only(self, "coeffs")
 
     @property
     def register_dim(self) -> int:
@@ -144,12 +167,17 @@ class CodingScheme:
 class TransferMap:
     """Edge contents as left-linear combinations of the k pair inputs.
 
-    gammas[edge][j] is the matrix applied to input j (0-based pair index).
+    gammas[edge][j] is the matrix applied to input j (0-based pair index);
+    `gammas` is a read-only mapping of read-only arrays, as a memoised map is
+    shared by every run of its instance.
     """
 
     ring: RingSpec
     q: int
-    gammas: dict[str, np.ndarray] = field(repr=False)
+    gammas: Mapping[str, np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        _read_only(self, "gammas")
 
     def counterexample(self, k: int):
         """First input label tuple (first pair most significant) the k targets
@@ -277,26 +305,45 @@ def _json_int(digits: str) -> int:
     return decimal(digits, InstanceError)
 
 
-def load_json(path):
-    """Read a JSON file; text that is not UTF-8, or an integer literal
-    longer than Python converts, is an InstanceError."""
+def _read_text(path) -> str:
+    """The text of a file; text that is not UTF-8 is an InstanceError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_int=_json_int)
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _decode(text: str):
+    """JSON text's value; an integer literal longer than Python converts is an
+    InstanceError."""
+    return json.loads(text, parse_int=_json_int)
+
+
+def load_json(path):
+    """The value of a JSON file (`_read_text`, then `_decode`)."""
+    return _decode(_read_text(path))
+
+
 def parse_network(source) -> tuple[Network, CodingScheme]:
-    """Load and validate an instance from a path, JSON string, or dict."""
-    if isinstance(source, (str, Path)) and not (
-        isinstance(source, str) and source.lstrip().startswith("{")
-    ):
-        doc = load_json(source)
-    elif isinstance(source, str):
-        doc = json.loads(source, parse_int=_json_int)
+    """Load and validate an instance from a path, JSON string, or dict.
+
+    A path's file is read on every call. Its text, or a JSON string, keys the
+    memo (`memoised`): a text seen before returns the objects parsed from it,
+    and a text that fails to parse is never kept. A dict is checked anew on
+    every call.
+    """
+    if not isinstance(source, (str, Path)):
+        return _parse_document(source)
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
     else:
-        doc = source
+        text = _read_text(source)
+    return memoised(("document", text), lambda: _parse_document(_decode(text)))
+
+
+def _parse_document(doc) -> tuple[Network, CodingScheme]:
+    """Check a decoded document and build its network and scheme."""
     _check_document(doc)
 
     ring = parse_ring_spec(doc["ring"])
@@ -428,11 +475,13 @@ def verify_solution(net: Network, scheme: CodingScheme) -> bool:
 
 
 def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:
-    """The same scheme over the ring with its twisted coordinate map.
+    """The same scheme over the ring with its twisted coordinate map,
+    memoised by the scheme's content `key`.
 
     The coefficient matrices are untouched; only the character pairing changes.
     """
-    return replace(scheme, ring=scheme.ring.with_alternate_phi())
+    twist = lambda: replace(scheme, ring=scheme.ring.with_alternate_phi())
+    return memoised(("alternate phi", scheme.key), twist)
 
 
 def transfer_coefficients(net: Network, scheme: CodingScheme) -> TransferMap:

@@ -37,8 +37,8 @@ def instances_dir():
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty plan memo for one test (`network.memoised`): what the test
-    plans is built anew, whatever other tests planned before."""
+    """An empty memo for one test (`network.memoised`): what the test parses
+    or plans is built anew, whatever other tests parsed or planned before."""
     memo = OrderedDict()
     monkeypatch.setattr(qnetcode.network, "_memo", memo)
     return memo

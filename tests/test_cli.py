@@ -787,7 +787,8 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path_factory, doc, flags, 
 
 
 def test_in_process_runs_keep_the_ring_caches_bounded(capsys, fresh_memo):
-    # each ring measured leaves a d x d matrix, a transfer map and a plan behind;
+    # each ring measured leaves a d x d matrix, a parsed document, a transfer
+    # map and a plan behind;
     # more rings than the bounds evict
     caches = (fourier_matrix, _scaled_fourier, _uniform)
     for cache in caches:
@@ -804,6 +805,45 @@ def test_in_process_runs_keep_the_ring_caches_bounded(capsys, fresh_memo):
     assert 2 * len(rings) > MEMO_SIZE == len(fresh_memo)
 
 
+def test_an_instance_rewritten_in_place_is_parsed_anew(capsys, tmp_path):
+    path = tmp_path / "instance.json"
+    for source, want in [(BUTTERFLY, 0), (BROKEN, 1), (BUTTERFLY, 0)]:
+        path.write_bytes(Path(source).read_bytes())
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == want and ("INVALID" in out) == bool(want)
+
+
+def test_files_that_are_not_utf8_name_the_byte(capsys, tmp_path):
+    # instances and input-state files share one reader, and one message
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"ring": "\xe9"}')
+    want = f"error: {path} is not UTF-8 text (invalid continuation byte at byte 10)\n"
+    for argv in (["verify", str(path)], ["simulate", BUTTERFLY, "--seed", "1", "--input", str(path)]):
+        assert run_cli(capsys, *argv) == (2, "", want)
+
+
+def _cli_env(**overrides):
+    root = INSTANCES.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **overrides)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_141_without_a_message(unbuffered):
+    # the reader is gone before the report is written, buffered or not
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnetcode.cli", "cost", BUTTERFLY],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+            env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_reused_parser_leaks_nothing_between_calls():
     # each in-process call prints and exits as the same argv in a fresh process
     sequence = [
@@ -815,8 +855,7 @@ def test_reused_parser_leaks_nothing_between_calls():
         ["verify", BUTTERFLY],
     ]
     root = INSTANCES.parent
-    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = _cli_env()
     fresh = [
         subprocess.Popen(
             [sys.executable, "-m", "qnetcode.cli", *argv],

@@ -3,6 +3,7 @@ import itertools
 import json
 import re
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from oracles import element, elements, evaluate, evaluate_classical, from_int, to_labels
 from qnetcode.network import (
+    CodingScheme,
     InstanceError,
+    Network,
     parse_entry,
     parse_network,
     source_edge,
@@ -174,6 +177,66 @@ def test_parsed_coefficients_are_read_only():
             assert all(not g.flags.writeable for g in row)
     with pytest.raises(ValueError, match="read-only"):
         scheme.coeffs["n1"][0][0][0, 0] = 0
+
+
+def test_shared_mappings_are_read_only():
+    # parses of one text, and runs of one instance, share these mappings
+    net, scheme = load("butterfly_f2.json")
+    tmap = transfer_coefficients(net, scheme)
+    mappings = [(net.node_inputs, "n1"), (net.node_outputs, "n1"), (scheme.coeffs, "n1")]
+    for mapping, key in mappings + [(tmap.gammas, "R1")]:
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+    # built by hand from plain dicts: proxies too, with the parsed objects' keys
+    fields = {f: getattr(net, f) for f in ("nodes", "edges", "pairs", "topo_order")}
+    other_net = Network(**fields, node_inputs=dict(net.node_inputs), node_outputs=dict(net.node_outputs))
+    other = CodingScheme(scheme.ring, scheme.q, dict(scheme.coeffs))
+    assert isinstance(other_net.node_inputs, MappingProxyType)
+    assert isinstance(other.coeffs, MappingProxyType)
+    assert (other_net.key, other.key) == (net.key, scheme.key)
+
+
+class TestDocumentMemo:
+    def test_one_text_is_parsed_once(self, fresh_memo, tmp_path):
+        path = INSTANCES / "butterfly_f2.json"
+        text = path.read_text()
+        moved = tmp_path / "moved.json"
+        moved.write_text(text)
+        net, scheme = parse_network(path)
+        for source in (path, str(path), moved, text):
+            again = parse_network(source)
+            assert again[0] is net and again[1] is scheme, source
+        assert len(fresh_memo) == 1
+
+    def test_malformed_text_raises_on_every_call(self, fresh_memo, tmp_path):
+        load("butterfly_f2.json")
+        missing = json.dumps({"ring": "Z(2)", "q": 1})
+        cyclic = butterfly_doc()
+        cyclic["edges"].append({"id": "R8", "from": "t1", "to": "s1"})
+        bad_file = tmp_path / "bad.json"
+        bad_file.write_text('{"ring": "Z(2)",')
+        for source, error in [
+            (missing, "missing field 'nodes'"),
+            (json.dumps(cyclic), "cycle"),
+            (bad_file, "Expecting property name"),
+        ]:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=error):
+                    parse_network(source)
+            assert len(fresh_memo) == 1
+
+    def test_dicts_are_checked_on_every_call(self, fresh_memo):
+        doc = butterfly_doc()
+        net, scheme = parse_network(json.dumps(doc))
+        from_dict = parse_network(doc)
+        assert from_dict[0] is not net and from_dict[1] is not scheme
+        assert (from_dict[0].key, from_dict[1].key) == (net.key, scheme.key)
+        assert len(fresh_memo) == 1
+        del doc["coding"]["n1"]
+        with pytest.raises(InstanceError, match="node 'n1' has no coding block"):
+            parse_network(doc)
 
 
 class TestEvaluate:

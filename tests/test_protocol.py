@@ -593,7 +593,8 @@ class TestTransferInteraction:
         state = basis_state(scheme.ring, 1, (0, 0))
         result = run_protocol(net, scheme, state, branch=(0,) * 9)
         tmap = transfer_coefficients(net, scheme)
-        del tmap.gammas["src:1"]
+        gammas = {e: g for e, g in tmap.gammas.items() if e != "src:1"}
+        tmap = dataclasses.replace(tmap, gammas=gammas)
         with pytest.raises(Exception, match="transfer"):
             compute_corrections(result.log, dataclasses.replace(result.plan, tmap=tmap))
 
@@ -684,7 +685,9 @@ class TestPlanMemo:
         assert main(["simulate", json.dumps(doc, separators=(",", ":")), "--seed", "4"]) == 0
         capsys.readouterr()
         assert len(transfer_calls) == 1
-        assert len(fresh_memo) == 3  # the map, then the broadcast and prune plans
+        # three texts (the file, its re-indented copy, the compact string), the
+        # map, then the broadcast and prune plans
+        assert len(fresh_memo) == 6
         assert plan_scheme(*parse_network(spaced)) is plan_scheme(*load_instance("butterfly_f2.json"))
 
     def test_runs_reuse_the_transfer_map(self, transfer_calls):
