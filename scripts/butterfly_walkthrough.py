@@ -17,7 +17,7 @@ import numpy as np
 from qnetcode.cli import _parse_branch
 from qnetcode.network import InstanceError, parse_network
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
-from qnetcode.quantum import SupportState, fidelity, init_state
+from qnetcode.quantum import fidelity, init_state
 
 INSTANCE = Path(__file__).resolve().parent.parent / "instances" / "butterfly_f2.json"
 
@@ -58,7 +58,7 @@ def main():
         parser.error(str(exc))
 
     print(f"instance: {INSTANCE.name}, branch {''.join(map(str, branch))}")
-    show_state(SupportState.of(state), "input on the source registers")
+    show_state(state, "input on the source registers")
     for step in steps:
         got = " ".join(f"{o.register}={o.label}" for o in step.entry.outcomes)
         show_state(step.state, f"after {step.node} (outcomes {got})")
@@ -67,7 +67,7 @@ def main():
     for i, table in enumerate(result.phase_table.tables, start=1):
         values = [str(table[x]) for x in range(scheme.register_dim)]
         print(f"  correction h_{i}: {values}")
-    show_state(SupportState.of(result.state), "after corrections")
+    show_state(result.state, "after corrections")
 
     print(f"fidelity with the input: {fidelity(state, result.state):.12f}")
 

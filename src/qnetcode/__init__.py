@@ -37,12 +37,12 @@ from .protocol import (
 from .quantum import (
     DimensionCapError,
     MeasurementOutcome,
-    StateVector,
+    SupportState,
     ZeroProbabilityError,
-    apply_phase,
     basis_state,
     fidelity,
     init_state,
+    state_from_rows,
 )
 from .rings import (
     RingError,

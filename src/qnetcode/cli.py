@@ -16,7 +16,9 @@ either a comma-separated list of per-register basis labels or a JSON file
 holding a list of [label, real, imag] triples, where a label lists one entry
 per register: a basis index, or the register's q ring entries, each an
 element label or a coordinate list (`network.parse_entry`). No label of
-either literal may be empty, and no basis label may hold a space.
+either literal may be empty, and no basis label may hold a space. The input
+is built as support rows, one per triple; a file whose norm is not one is
+rescaled, with one `warning:` line on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from .quantum import (
     check_growth,
     fidelity,
     init_state,
+    state_from_rows,
 )
 from .rings import (
     RingError,
@@ -107,27 +111,28 @@ def _input_triples(arg, k) -> list:
 
 
 def _load_input_state(arg, ring, q, k, max_entries):
-    """The input state: uniform when `arg` is None, else from `_input_triples`;
-    the cap is checked before any of it is allocated."""
+    """The input state's rows: the uniform superposition's d^k when `arg` is
+    None, else one per `_input_triples` triple. The cap counts d^k before any
+    of them is allocated. A normalisation warning is one line on stderr."""
     d = ring.cardinality**q
     check_growth(d**k, max_entries)
     if arg is None:
-        amps = np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex)
-    else:
-        triples = _input_triples(arg, k)
-        amps = np.zeros(d**k, dtype=complex)
-        seen = set()
-        for label, re_part, im_part in triples:
-            if not isinstance(label, list) or len(label) != k:
-                raise InstanceError(f"basis label must list {k} registers, got {label!r}")
-            flat = 0
-            for item in label:
-                flat = flat * d + _register_index(item, ring, q)
-            if flat in seen:
-                raise InstanceError(f"input state lists basis label {label!r} twice")
-            seen.add(flat)
-            amps[flat] = complex(float(re_part), float(im_part))
-    return init_state(ring, q, k, amps)
+        return init_state(ring, q, k, np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex))
+    labels, amps, seen = [], [], set()
+    for label, re_part, im_part in _input_triples(arg, k):
+        if not isinstance(label, list) or len(label) != k:
+            raise InstanceError(f"basis label must list {k} registers, got {label!r}")
+        labels.append(tuple(_register_index(item, ring, q) for item in label))
+        if labels[-1] in seen:
+            raise InstanceError(f"input state lists basis label {label!r} twice")
+        seen.add(labels[-1])
+        amps.append(complex(float(re_part), float(im_part)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = state_from_rows(ring, q, labels, amps)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return state
 
 
 def _parse_branch(text, dim) -> tuple[int, ...]:

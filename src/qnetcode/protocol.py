@@ -31,14 +31,15 @@ once or many times, shares the map, coding tables and corrections.
 
 Every run, sampled or forced, goes through the one node loop, `node_steps`,
 which reads no policy, is the only place a node is coded or measured and the
-only place a forced branch is checked. It runs on the state's support
-(`quantum.SupportState`), which on a solution keeps the input's size, and
-names registers only: where they sit among the support's columns is the
-`quantum` kernels' concern. A plan of a solution is certified
-(`SchemePlan.certified`): each of its measurements leaves only a phase, so
-the loop measures each node's registers in one step without checking rows.
-The input may carry spectator registers after `src:1..k`, which no node
-touches; they come after `tgt:1..k` in the output.
+only place a forced branch is checked. A run's state, from input to
+output, is its support rows (`quantum.SupportState`), which on a solution
+keep the input's size. The loop names registers only: where they sit among
+the rows' columns is the `quantum` kernels' concern. A plan of a solution is
+certified (`SchemePlan.certified`): each of its measurements leaves only a
+phase, so the loop measures each node's registers in one step without
+checking rows, and `finish_run` cancels the phases row by row. The input
+may carry spectator registers after `src:1..k`, which no node touches; they
+come after `tgt:1..k` in the output.
 """
 
 from __future__ import annotations
@@ -64,10 +65,8 @@ from .network import (
 from .quantum import (
     MAX_STATE_ENTRIES,
     MeasurementOutcome,
-    StateVector,
     SupportState,
     ZeroProbabilityError,
-    apply_phase,
     check_growth,
     code_rows,
     fidelity,
@@ -281,8 +280,8 @@ def _plan(net: Network, scheme: CodingScheme, prune: bool, copy_skip: bool) -> S
 
 @dataclass
 class RunResult:
-    state: StateVector  # corrected output on tgt:1..k in pair order, then the spectators
-    pre_correction: StateVector
+    state: SupportState  # corrected output on tgt:1..k in pair order, then the spectators
+    pre_correction: SupportState
     log: MessageLog
     phase_table: PhaseTable
     plan: SchemePlan
@@ -306,17 +305,17 @@ class NodeStep:
 
 def node_steps(
     plan: SchemePlan,
-    input_state: StateVector,
+    input_state: SupportState,
     rng: np.random.Generator | None = None,
     branch=None,
     max_entries: int = MAX_STATE_ENTRIES,
 ):
     """The node loop: run the plan's nodes in order, yielding a NodeStep after each.
 
-    The loop runs on the input's support (`quantum.SupportState`) and does
-    what each node's `NodePlan` says: a node that adjoins registers codes
-    them from its inputs (`quantum.code_rows`), then measures its registers in
-    the Fourier basis (`quantum.measure_rows`), unchecked if `plan.certified`.
+    The loop runs on the input's rows as given and does what each node's
+    `NodePlan` says: a node that adjoins registers codes them from its inputs
+    (`quantum.code_rows`), then measures its registers in the Fourier basis
+    (`quantum.measure_rows`), unchecked if `plan.certified`.
     Before a node codes, `quantum.check_growth` refuses a coded state above
     `max_entries` amplitudes, so nothing of that node is built.
 
@@ -336,7 +335,7 @@ def node_steps(
         if any(not 0 <= b < plan.register_dim for b in branch):
             raise InstanceError("branch labels out of range")
     pos, d = 0, plan.register_dim
-    state = SupportState.of(input_state)
+    state = input_state
     for p in plan.nodes:
         if p.kept is not None:
             state = state.renamed({p.kept[0]: p.kept[1]})
@@ -355,12 +354,14 @@ def node_steps(
         yield NodeStep(p.node, state, entry)
 
 
-def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
+def finish_run(plan: SchemePlan, input_state: SupportState, steps) -> RunResult:
     """Take a run's node steps in turn, log the announcements, and let the
-    targets cancel their phases on the dense state of the targets, then the
-    input's spectator registers (those after `src:1..k`, which no node
-    touches) in input order."""
-    state, entries = None, []
+    targets cancel their phases. The rows' columns are put in order: the
+    targets, then the input's spectator registers (those after `src:1..k`,
+    which no node touches) in input order. Each row's correction is one
+    integer, the sum mod L of every pair's numerator at the row's label on
+    its target, and one `exp` applies it."""
+    state, entries = input_state, []
     for step in steps:
         state = step.state
         if step.entry is not None:
@@ -368,20 +369,20 @@ def finish_run(plan: SchemePlan, input_state: StateVector, steps) -> RunResult:
     log = MessageLog(plan.tmap.q, entries)
     k = plan.net.k
     roster = tuple(target_edge(i + 1) for i in range(k)) + input_state.reg_ids[k:]
-    if state is None:  # no node ran
-        state = SupportState.of(input_state)
     if sorted(state.reg_ids) != sorted(roster):
         raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {roster}")
-    state = state.dense(roster)
-    pre_correction = state
+    labels = state.labels[:, [state.reg_ids.index(r) for r in roster]]
+    pre_correction = SupportState(state.ring, state.q, roster, labels, state.amps)
 
     phase_table = compute_corrections(log, plan)
-    for i in range(1, k + 1):
-        state = apply_phase(state, target_edge(i), -phase_table.turns(i))
-    return RunResult(state, pre_correction, log, phase_table, plan)
+    exponent = plan.tmap.ring.exponent
+    numerators = phase_table.numerators[np.arange(k), labels[:, :k]].sum(axis=1) % exponent
+    amps = state.amps * np.exp(-2j * np.pi * (numerators / exponent))
+    corrected = SupportState(state.ring, state.q, roster, labels, amps)
+    return RunResult(corrected, pre_correction, log, phase_table, plan)
 
 
-def _check_input(net: Network, scheme: CodingScheme, state: StateVector) -> None:
+def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> None:
     """The input lives on `src:1..k`, then on any spectator registers, which
     must not be named like an edge, so that no node touches them."""
     if state.ring != scheme.ring or state.q != scheme.q:
@@ -398,7 +399,7 @@ def _check_input(net: Network, scheme: CodingScheme, state: StateVector) -> None
 def run_protocol(
     net: Network,
     scheme: CodingScheme,
-    input_state: StateVector,
+    input_state: SupportState,
     seed: int | None = None,
     branch=None,
     prune: bool = False,
@@ -482,7 +483,7 @@ def classical_cost(plan: SchemePlan) -> CostReport:
 def enumerate_branches(
     net: Network,
     scheme: CodingScheme,
-    input_state: StateVector,
+    input_state: SupportState,
     max_branches: int = BRANCH_CAP_DEFAULT,
     prune: bool = False,
     copy_skip: bool = False,

@@ -1,29 +1,29 @@
-"""State engines over named registers of dimension d = |R|^q.
+"""The one state type over named registers of dimension d = |R|^q.
 
-The protocol runs on a support list, `SupportState`: the live register ids,
-an (S, live) integer array of basis labels with one row per nonzero
-amplitude, and the S amplitudes. On a solution the support never grows past
-the input's. Coding relabels basis states, so `code_rows` appends output
-columns to the rows. Every live cut still determines the input, so measuring
-a register in the Fourier basis leaves the phase chi(y, z) on each row, each
-outcome at probability exactly 1/d (`measure_rows`); where rows interfere,
-in a scheme that is not a solution, it sums them exactly. A caller that
-certifies that none do (on a solution) skips looking for them.
+A `SupportState` is a state's support: the live register ids, an (S, live)
+integer array of basis labels with one row per nonzero amplitude, and the S
+amplitudes. The paper's protocol does two things to a state, and both act on
+rows. Coding relabels basis states, so `code_rows` appends output columns to
+the rows. On a solution every live cut still determines the input, so
+measuring a register in the Fourier basis leaves the phase chi(y, z) on each
+row, each outcome at probability exactly 1/d (`measure_rows`); where rows
+interfere, in a scheme that is not a solution, it sums them exactly. A
+caller that certifies that none do (on a solution) skips looking for them.
+On a solution the support never grows past the input's.
 
-A `StateVector` is the dense form, one amplitude axis per register. It holds
-the input and the final target state (d^k amplitudes), which `apply_phase`
-corrects and `fidelity` compares. The support kernels take register names;
-coding puts the inputs first, then the other registers, then the outputs,
-and a measurement drops its register. Only this module knows where a
-register sits among the support's columns (`_layout`). Global phase is kept,
-never quotiented out.
+Inputs are built as rows by one routine, `state_from_rows`, which
+`init_state` (a flat amplitude array) and `basis_state` (one label per
+register) call too; `fidelity` matches two states' rows by label. The
+kernels take register names; coding puts the inputs first, then the other
+registers, then the outputs, and a measurement drops its register. Only this
+module knows where a register sits among the support's columns (`_layout`).
+Global phase is kept, never quotiented out.
 
 A configurable cap bounds the amplitude count so a malformed instance fails
 fast instead of exhausting memory. `check_growth` is the one check against
-it, made before anything is allocated: by the caller that builds the input
-state and by the node loop before each coding step. The kernels below take
-no cap; only `basis_state`, which allocates from its own arguments, checks
-at the default `MAX_STATE_ENTRIES`.
+it, made before anything is allocated: by the caller that builds a
+full-support input and by the node loop before each coding step. The
+kernels below take no cap.
 """
 
 from __future__ import annotations
@@ -67,31 +67,6 @@ class MeasurementOutcome:
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    ring: RingSpec
-    q: int
-    reg_ids: tuple[str, ...]
-    amps: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.ring.cardinality**self.q
-
-    def axis(self, reg: str) -> int:
-        try:
-            return self.reg_ids.index(reg)
-        except ValueError:
-            raise RegisterError(f"unknown register {reg!r}") from None
-
-    def amplitude(self, labels) -> complex:
-        """Amplitude of the basis state given by one label per register."""
-        return complex(self.amps[tuple(int(v) for v in labels)])
-
-    def dims_signature(self) -> tuple[int, ...]:
-        return (self.dim,) * len(self.reg_ids)
-
-
-@dataclass(frozen=True, eq=False)
 class SupportState:
     """A state as its support rows: row s has label labels[s, c] on register
     reg_ids[c] and amplitude amps[s]. Rows are distinct; every basis state
@@ -103,68 +78,69 @@ class SupportState:
     labels: np.ndarray  # (S, len(reg_ids)) int64
     amps: np.ndarray  # (S,) complex
 
-    @classmethod
-    def of(cls, state: StateVector) -> "SupportState":
-        """The nonzero amplitudes of a dense state, in label order."""
-        amps = state.amps.reshape(-1)[np.flatnonzero(state.amps)]
-        return cls(state.ring, state.q, state.reg_ids, np.argwhere(state.amps), amps)
-
     def renamed(self, mapping: dict[str, str]) -> "SupportState":
         ids = tuple(mapping.get(r, r) for r in self.reg_ids)
         return SupportState(self.ring, self.q, ids, self.labels, self.amps)
 
-    def dense(self, reg_ids) -> StateVector:
-        """The dense state with one axis per live register, in `reg_ids` order."""
-        reg_ids, d = tuple(reg_ids), self.ring.cardinality**self.q
-        if sorted(reg_ids) != sorted(self.reg_ids):
-            raise RegisterError("a dense state must use exactly the live registers")
-        columns = [self.reg_ids.index(r) for r in reg_ids]
-        amps = np.zeros(d ** len(columns), dtype=complex)
-        amps[self.labels[:, columns] @ place_values((d,) * len(columns))] = self.amps
-        return StateVector(self.ring, self.q, reg_ids, amps.reshape((d,) * len(columns)))
+    def amplitude(self, labels) -> complex:
+        """Amplitude of the basis state given by one label per register."""
+        (hit,) = np.nonzero((self.labels == np.asarray(labels)).all(axis=1))
+        return complex(self.amps[hit[0]]) if len(hit) else 0j
 
 
-def init_state(ring: RingSpec, q: int, k: int, amplitudes, reg_ids=None) -> StateVector:
-    """State of k registers from a flat amplitude array of length (|R|^q)^k.
+def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) -> SupportState:
+    """The state whose row s has basis labels labels[s], one per register,
+    and amplitude amplitudes[s]: in label order (first register most
+    significant), rows of amplitude zero dropped, on `src:1..n` unless
+    `reg_ids` names the n registers.
 
-    The flat index runs over basis labels with the first register most
-    significant. Non-normalized input is rescaled with a warning; an all-zero
-    array is rejected.
+    Amplitudes must be finite and not all zero; a norm other than one is
+    rescaled with a warning. Labels must be in range and distinct.
     """
-    dim = ring.cardinality**q
-    if reg_ids is None:
-        reg_ids = tuple(f"src:{i + 1}" for i in range(k))
-    else:
-        reg_ids = tuple(reg_ids)
-        if len(reg_ids) != k:
-            raise RegisterError(f"expected {k} register ids, got {len(reg_ids)}")
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if amps.size != dim**k:
-        raise QuantumError(
-            f"need {int_text(dim**k)} amplitudes for {k} registers of dimension {int_text(dim)}, "
-            f"got {amps.size}"
-        )
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum(np.abs(amps) ** 2)))
-    if not (np.isfinite(amps).all() and math.isfinite(norm)):
+    norm = math.sqrt(np.vdot(amps, amps).real)  # not finite if an amplitude is, or on overflow
+    if not math.isfinite(norm):
         raise QuantumError("state amplitudes and their norm must be finite")
     if norm == 0.0:
         raise QuantumError("state vector must not be all zero")
     if abs(norm - 1.0) > _NORM_TOL:
         warnings.warn(f"normalizing input state (norm was {norm:.6g})", stacklevel=2)
         amps = amps / norm
-    return StateVector(ring, q, reg_ids, amps.reshape((dim,) * k))
+    labels, d = np.asarray(labels, dtype=np.int64), ring.cardinality**q
+    if labels.ndim != 2 or len(labels) != len(amps):
+        raise QuantumError(f"need one row of labels per amplitude, got shape {labels.shape}")
+    n = labels.shape[1]
+    reg_ids = tuple(f"src:{i + 1}" for i in range(n)) if reg_ids is None else tuple(reg_ids)
+    if len(reg_ids) != n:
+        raise RegisterError(f"expected {n} register ids, got {len(reg_ids)}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < d:
+        raise QuantumError(f"basis label out of range (dimension {int_text(d)})")
+    order, starts = _lexsorted(labels)
+    if not starts.all():
+        raise QuantumError("the state lists a basis label twice")
+    keep = order[amps[order] != 0]
+    return SupportState(ring, q, reg_ids, labels[keep], amps[keep])
 
 
-def basis_state(ring: RingSpec, q: int, labels, reg_ids=None) -> StateVector:
-    """Computational basis state |labels[0], labels[1], ...>, refused above
-    `MAX_STATE_ENTRIES` amplitudes."""
-    labels = tuple(int(v) for v in labels)
+def init_state(ring: RingSpec, q: int, k: int, amplitudes, reg_ids=None) -> SupportState:
+    """State of k registers from a flat amplitude array of length (|R|^q)^k,
+    the flat index running over basis labels with the first register most
+    significant: its nonzero rows, checked as `state_from_rows` checks them."""
     dim = ring.cardinality**q
-    check_growth(dim ** len(labels), MAX_STATE_ENTRIES)
-    amps = np.zeros((dim,) * len(labels), dtype=complex)
-    amps[labels] = 1.0
-    return init_state(ring, q, len(labels), amps, reg_ids=reg_ids)
+    amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if amps.size != dim**k:
+        raise QuantumError(
+            f"need {int_text(dim**k)} amplitudes for {k} registers of dimension {int_text(dim)}, "
+            f"got {amps.size}"
+        )
+    flat = np.flatnonzero(amps)
+    labels = flat[:, None] // place_values((dim,) * k) % dim
+    return state_from_rows(ring, q, labels, amps[flat], reg_ids)
+
+
+def basis_state(ring: RingSpec, q: int, labels, reg_ids=None) -> SupportState:
+    """Computational basis state |labels[0], labels[1], ...>: one row."""
+    return state_from_rows(ring, q, [[int(v) for v in labels]], [1.0], reg_ids)
 
 
 def check_growth(entries: int, max_entries: int) -> None:
@@ -279,17 +255,24 @@ def _draw(marginal: np.ndarray, reg: str, rng, forced, cdf=None) -> tuple[int, f
     return label, p
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each group of equal rows and each row's group, the
-    groups in lexicographic order: `np.unique(rows, axis=0, return_index=True,
-    return_inverse=True)[1:]`, without its structured-dtype sort."""
+def _lexsorted(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows, first column most
+    significant, and where in it each run of equal rows starts."""
     order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
     ranked = rows[order]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, starts
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each group of equal rows and each row's group, the
+    groups in lexicographic order: `np.unique(rows, axis=0, return_index=True,
+    return_inverse=True)[1:]`, without its structured-dtype sort."""
+    order, starts = _lexsorted(rows)
     group = np.empty(len(rows), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
-    return order[starts], group  # lexsort is stable: a group's first row leads it
+    return order[starts], group  # the sort is stable: a group's first row leads it
 
 
 def measure_rows(
@@ -338,28 +321,19 @@ def measure_rows(
     return outcomes, SupportState(state.ring, state.q, roster[m:], rest, amps)
 
 
-def apply_phase(state: StateVector, reg: str, turns) -> StateVector:
-    """Multiply the amplitude at basis label x by exp(2 pi i * turns[x]).
-
-    `turns` lists one phase per basis label of the register, in turns.
-    """
-    ax = state.axis(reg)
-    diag = np.exp(2j * np.pi * np.asarray(turns, dtype=float))
-    if diag.shape != (state.dim,):
-        raise QuantumError(f"need {state.dim} phases, got {diag.size}")
-    shape = [1] * state.amps.ndim
-    shape[ax] = state.dim
-    return StateVector(state.ring, state.q, state.reg_ids, state.amps * diag.reshape(shape))
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
+def fidelity(a: SupportState, b: SupportState) -> float:
     """Squared overlap |<a|b>|^2 of two states with matching register shapes.
 
     Registers are matched by position, not id: a state transported onto new
-    registers compares against the original input directly.
+    registers compares against the original input directly. Rows are matched
+    by label, in one sort of both states' rows (`_lexsorted`), and summed in
+    label order whatever the order of either state's rows; a label only one
+    state lists adds nothing.
     """
-    if a.dims_signature() != b.dims_signature():
-        raise RegisterError(
-            f"register rosters differ: {a.dims_signature()} vs {b.dims_signature()}"
-        )
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+    shapes = [(s.ring.cardinality**s.q,) * len(s.reg_ids) for s in (a, b)]
+    if shapes[0] != shapes[1]:
+        raise RegisterError(f"register rosters differ: {shapes[0]} vs {shapes[1]}")
+    order, starts = _lexsorted(np.concatenate((a.labels, b.labels)))
+    pair = ~starts[1:]  # rows are distinct within a state, and a's come first
+    overlap = np.vdot(a.amps[order[:-1][pair]], b.amps[order[1:][pair] - len(a.amps)])
+    return float(abs(overlap) ** 2)

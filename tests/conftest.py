@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import json
 from collections import OrderedDict
 from functools import cache
@@ -10,7 +9,7 @@ import pytest
 
 import qnetcode.network
 from qnetcode.network import parse_network
-from qnetcode.quantum import init_state
+from qnetcode.quantum import init_state, state_from_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -57,13 +56,13 @@ def random_input_state(scheme, k, seed):
 
 
 def choi_state(scheme, k):
-    """src:i maximally entangled with an untouched ref:i, for every pair."""
+    """src:i maximally entangled with an untouched ref:i, for every pair: the
+    d^k rows |x, x>, built as rows (no d^(2k) array)."""
     d = scheme.register_dim
-    amps = np.zeros((d,) * (2 * k), dtype=complex)
-    for x in itertools.product(range(d), repeat=k):
-        amps[x + x] = d ** (-k / 2)
+    x = np.indices((d,) * k).reshape(k, -1).T
     regs = tuple(f"src:{i}" for i in range(1, k + 1)) + tuple(f"ref:{i}" for i in range(1, k + 1))
-    return init_state(scheme.ring, scheme.q, 2 * k, amps, reg_ids=regs)
+    amps = np.full(len(x), d ** (-k / 2))
+    return state_from_rows(scheme.ring, scheme.q, np.concatenate((x, x), axis=1), amps, reg_ids=regs)
 
 
 def butterfly_with_isolated_node() -> dict:

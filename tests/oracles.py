@@ -6,10 +6,14 @@ of them and imports nothing from here.
   `from_int`, `elements`), the coordinate map `phi` and the pairing
   `character` as an exact fraction. The integer labels, blocks and character
   form of `qnetcode.rings` are checked against it.
+- The dense state: a `StateVector` has one amplitude axis per live
+  register. `dense` and `support` convert between it and the package's
+  support rows, and `apply_phase` and `dense_fidelity` are the dense
+  corrections and overlap the row ones are checked against.
 - The dense kernels: `apply_coding_unitary`, `apply_fourier` and `measure`
-  on a `StateVector`, one amplitude axis per live register, written for
-  clarity rather than speed. They take the support kernels' arguments and
-  leave the same rosters, so the node loop is checked against them.
+  on a `StateVector`, written for clarity rather than speed. They take the
+  support kernels' arguments and leave the same rosters, so the node loop
+  is checked against them.
 - The simulated verdict: `evaluate_classical` pushes input labels through
   the nodes, and `evaluate` reads an edge's label off the transfer map.
 """
@@ -27,7 +31,8 @@ from qnetcode.network import InstanceError, source_edge, target_edge
 from qnetcode.quantum import (
     MeasurementOutcome,
     QuantumError,
-    StateVector,
+    RegisterError,
+    SupportState,
     _draw,
     _layout,
     fourier_matrix,
@@ -147,6 +152,72 @@ def character(y: RingElem, z: RingElem) -> Fraction:
         if cy and cz:
             total += Fraction(cy * cz, m)
     return frac_mod1(total)
+
+
+# ---------------------------------------------------------------------------
+# the dense state
+
+
+@dataclass(frozen=True, eq=False)
+class StateVector:
+    ring: object  # qnetcode.rings.RingSpec
+    q: int
+    reg_ids: tuple[str, ...]
+    amps: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.ring.cardinality**self.q
+
+    def axis(self, reg: str) -> int:
+        try:
+            return self.reg_ids.index(reg)
+        except ValueError:
+            raise RegisterError(f"unknown register {reg!r}") from None
+
+    def amplitude(self, labels) -> complex:
+        """Amplitude of the basis state given by one label per register."""
+        return complex(self.amps[tuple(int(v) for v in labels)])
+
+
+def support(state: StateVector) -> SupportState:
+    """The nonzero amplitudes of a dense state, in label order."""
+    amps = state.amps.reshape(-1)[np.flatnonzero(state.amps)]
+    return SupportState(state.ring, state.q, state.reg_ids, np.argwhere(state.amps), amps)
+
+
+def dense(rows: SupportState, reg_ids=None) -> StateVector:
+    """The dense state with one axis per live register, in `reg_ids` order
+    (the rows' own by default)."""
+    reg_ids = rows.reg_ids if reg_ids is None else tuple(reg_ids)
+    d = rows.ring.cardinality**rows.q
+    if sorted(reg_ids) != sorted(rows.reg_ids):
+        raise RegisterError("a dense state must use exactly the live registers")
+    columns = [rows.reg_ids.index(r) for r in reg_ids]
+    amps = np.zeros(d ** len(columns), dtype=complex)
+    amps[rows.labels[:, columns] @ place_values((d,) * len(columns))] = rows.amps
+    return StateVector(rows.ring, rows.q, reg_ids, amps.reshape((d,) * len(columns)))
+
+
+def apply_phase(state: StateVector, reg: str, turns) -> StateVector:
+    """Multiply the amplitude at basis label x by exp(2 pi i * turns[x]).
+
+    `turns` lists one phase per basis label of the register, in turns.
+    """
+    ax = state.axis(reg)
+    diag = np.exp(2j * np.pi * np.asarray(turns, dtype=float))
+    if diag.shape != (state.dim,):
+        raise QuantumError(f"need {state.dim} phases, got {diag.size}")
+    shape = [1] * state.amps.ndim
+    shape[ax] = state.dim
+    return StateVector(state.ring, state.q, state.reg_ids, state.amps * diag.reshape(shape))
+
+
+def dense_fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2 over the dense arrays, registers matched by position."""
+    if a.amps.shape != b.amps.shape:
+        raise RegisterError(f"register rosters differ: {a.amps.shape} vs {b.amps.shape}")
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,18 @@ class TestInputFormats:
         assert (code, out) == (2, "")
         assert err == f"error: input state lists basis label {triples[1][0]!r} twice\n"
 
+    def test_normalization_warning_is_one_line(self, capsys, tmp_path):
+        # rescaled with a one-line warning, not Python's warning format, and the
+        # run is that of the normalised state
+        reports = []
+        for amp in (1.0, 0.5**0.5):
+            path = tmp_path / f"state_{amp}.json"
+            path.write_text(json.dumps([[[0, 0], amp, 0.0], [[1, 1], amp, 0.0]]))
+            reports.append(run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--input", str(path)))
+        assert reports[0][2] == "warning: normalizing input state (norm was 1.41421)\n"
+        assert reports[0][:2] == reports[1][:2] and reports[0][0] == 0
+        assert reports[1][2] == ""
+
     def test_uniform_default_input(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "2")
         assert code == 0

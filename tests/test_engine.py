@@ -1,5 +1,6 @@
-"""The support engine (`protocol.node_steps`) against a dense reference loop
-built from the dense kernels of `oracles`, node by node."""
+"""The support engine (`protocol.node_steps`, `protocol.finish_run`) against
+a dense reference loop built from the dense kernels of `oracles`, node by
+node, and its per-row corrections against the dense `oracles.apply_phase`."""
 
 import itertools
 
@@ -17,14 +18,11 @@ from conftest import (
     load_instance,
     random_input_state,
 )
-from oracles import apply_coding_unitary, apply_fourier, measure
+from oracles import StateVector, apply_coding_unitary, apply_fourier, apply_phase, dense, measure, support
 from qnetcode.network import parse_network, scheme_with_alternate_phi, target_edge
 from qnetcode.protocol import finish_run, node_steps, plan_scheme
 from qnetcode.quantum import (
-    StateVector,
-    SupportState,
     ZeroProbabilityError,
-    apply_phase,
     basis_state,
     code_rows,
     fidelity,
@@ -41,6 +39,7 @@ POLICIES = {"broadcast": {}, "prune": {"prune": True}, "copy-skip": {"copy_skip"
 def dense_steps(plan, state, rng=None, branch=None):
     """`protocol.node_steps` on dense states, line for line: (node, state, outcomes)."""
     labels = itertools.repeat(None) if branch is None else iter(branch)
+    state = dense(state)
     for p in plan.nodes:
         if p.kept is not None:
             ids = tuple(p.kept[1] if r == p.kept[0] else r for r in state.reg_ids)
@@ -68,11 +67,11 @@ def compare_runs(plan, state, rng_seed=None, branch=None):
     """Run both loops in lockstep and check they agree; returns the support
     run's RunResult, or None where both refuse a forced outcome."""
     rngs = [None if rng_seed is None else np.random.default_rng(rng_seed) for _ in range(2)]
-    support = node_steps(plan, state, rngs[0], branch)
-    dense = dense_steps(plan, state, rngs[1], branch)
+    steps_of_rows = node_steps(plan, state, rngs[0], branch)
+    reference = dense_steps(plan, state, rngs[1], branch)
     steps = []
     while True:
-        got, want = _advance(support), _advance(dense)
+        got, want = _advance(steps_of_rows), _advance(reference)
         if got is None or got == "zero":
             assert want == got
             break
@@ -85,19 +84,24 @@ def compare_runs(plan, state, rng_seed=None, branch=None):
         ]
         for o, w in zip(got_outcomes, outcomes):
             assert o.probability == pytest.approx(w.probability, abs=1e-12)
-        assert np.allclose(
-            got.state.dense(dense_state.reg_ids).amps, dense_state.amps, rtol=0, atol=1e-12
-        )
+        assert np.allclose(dense(got.state, dense_state.reg_ids).amps, dense_state.amps, rtol=0, atol=1e-12)
         steps.append(got)
     if got == "zero":
         return None
     result = finish_run(plan, state, steps)
-    final = SupportState.of(dense_state).dense(result.state.reg_ids)
-    assert np.allclose(result.pre_correction.amps, final.amps, rtol=0, atol=1e-12)
-    for i in range(1, plan.net.k + 1):
-        final = apply_phase(final, target_edge(i), -result.phase_table.turns(i))
-    assert np.allclose(result.state.amps, final.amps, rtol=0, atol=1e-12)
+    final = dense(support(dense_state), result.state.reg_ids)
+    assert np.allclose(dense(result.pre_correction).amps, final.amps, rtol=0, atol=1e-12)
+    assert np.allclose(dense(result.state).amps, dense_corrections(result).amps, rtol=0, atol=1e-12)
     return result
+
+
+def dense_corrections(result) -> StateVector:
+    """The run's pre-correction state made dense and corrected pair by pair
+    with the dense `apply_phase`."""
+    final = dense(result.pre_correction)
+    for i in range(1, result.plan.net.k + 1):
+        final = apply_phase(final, target_edge(i), -result.phase_table.turns(i))
+    return final
 
 
 def _instance(case):
@@ -198,7 +202,7 @@ def per_register_steps(plan, state, rng=None, branch=None):
     """`protocol.node_steps` with each register measured alone, its rows
     checked for interference: (node, state, outcomes)."""
     labels = itertools.repeat(None) if branch is None else iter(branch)
-    rows = SupportState.of(state)
+    rows = state
     for p in plan.nodes:
         if p.kept is not None:
             rows = rows.renamed({p.kept[0]: p.kept[1]})
@@ -282,3 +286,31 @@ class TestCertifiedPath:
         assert len(seen) == 6
         assert sum(m for m, _ in seen) == plan.measurement_count == 9
         assert {certified for _, certified in seen} == {plan.certified}
+
+
+@pytest.mark.parametrize("spectators", [False, True], ids=["plain-input", "choi"])
+@pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_row_corrections_equal_dense_apply_phase(name, alt_phi, spectators):
+    # finish_run's one integer sum mod L and one exp per row, against a dense
+    # phase per pair, on sampled and forced runs under every policy
+    net, scheme = load_instance(name)
+    if alt_phi:
+        scheme = scheme_with_alternate_phi(scheme)
+    state = choi_state(scheme, net.k) if spectators else random_input_state(scheme, net.k, 11)
+    for (prune, copy_skip), forced in itertools.product(POLICY_GRID, (False, True)):
+        plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
+        rng = np.random.default_rng([prune, copy_skip, forced])
+        if forced:
+            branch = tuple(int(v) for v in rng.integers(plan.register_dim, size=plan.measurement_count))
+            steps = node_steps(plan, state, branch=branch)
+        else:
+            steps = node_steps(plan, state, rng)
+        try:
+            result = finish_run(plan, state, steps)
+        except ZeroProbabilityError:
+            continue  # only the broken butterfly has impossible branches
+        want = dense_corrections(result)
+        assert result.state.reg_ids == want.reg_ids == result.pre_correction.reg_ids
+        assert np.array_equal(result.state.labels, result.pre_correction.labels)
+        assert np.allclose(dense(result.state).amps, want.amps, rtol=0, atol=1e-12)

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from collections import OrderedDict
 from fractions import Fraction
@@ -14,6 +15,7 @@ from conftest import (
     PARALLEL_EDGES,
     butterfly_with_isolated_node,
     choi_state,
+    generated_butterfly,
     load_instance,
     random_input_state,
 )
@@ -76,7 +78,7 @@ def encode(state, node, net, scheme, forced):
     plan = plan_scheme(net, scheme)
     p = next(p for p in plan.nodes if p.node == node)
     (step,) = node_steps(dataclasses.replace(plan, nodes=(p,)), state, branch=forced)
-    return step.state.dense(step.state.reg_ids), step.entry.outcomes
+    return step.state, step.entry.outcomes
 
 
 class TestEncodeNode:
@@ -781,6 +783,20 @@ class TestSpectators:
         assert result.state.reg_ids == ("tgt:1", "tgt:2", "ref:1", "ref:2")
         assert result.pre_correction.reg_ids == result.state.reg_ids
         assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-9)
+
+    def test_choi_state_on_a_z4_k6_butterfly_is_4096_rows(self):
+        # the dense form would hold 4^12 = 16.8 M amplitudes, 268 MB
+        net, scheme = parse_network(generated_butterfly(6, "Z(4)", 1))
+        tracemalloc.start()
+        try:
+            state = choi_state(scheme, net.k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.labels.shape == (4096, 12) and state.amps.shape == (4096,)
+        assert peak < 4 * 2**20
+        assert np.array_equal(state.labels[:, :6], state.labels[:, 6:])
+        assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["R1", "src:3", "tgt:1"])
     def test_spectator_named_like_an_edge_is_refused(self, name):

@@ -7,27 +7,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_coding_unitary, apply_fourier, element, measure, one
+from oracles import (
+    StateVector,
+    apply_coding_unitary,
+    apply_fourier,
+    apply_phase,
+    dense,
+    dense_fidelity,
+    element,
+    measure,
+    one,
+    support,
+)
 from qnetcode.quantum import (
     _draw,
     _group_rows,
     _layout,
     _scaled_fourier,
     _uniform,
+    MAX_STATE_ENTRIES,
     DimensionCapError,
     QuantumError,
     RegisterError,
-    StateVector,
     SupportState,
     ZeroProbabilityError,
-    apply_phase,
     basis_state,
+    check_growth,
     code_rows,
     fidelity,
     fourier_matrix,
     init_state,
     measure_rows,
     output_columns,
+    state_from_rows,
 )
 from qnetcode.rings import coefficient_matrix, parse_ring_spec
 
@@ -43,7 +55,7 @@ def code(state, ins, outs, rows):
     ring = state.ring
     coeffs = [[coefficient_matrix(ring, [[one(ring).to_int() if c else 0]]) for c in row] for row in rows]
     table = output_columns(ring, state.q, coeffs)
-    return apply_coding_unitary(state, ins, outs, table)
+    return apply_coding_unitary(dense(state), ins, outs, table)
 
 
 def norm(state):
@@ -63,7 +75,7 @@ def product_state(spec, q, seed):
     factors = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in "abc"]
     factors = [f / np.linalg.norm(f) for f in factors]
     state = init_state(spec, q, 3, np.einsum("i,j,k->ijk", *factors), reg_ids=("a", "b", "c"))
-    return transposed(state, ("c", "a", "b")), factors
+    return transposed(dense(state), ("c", "a", "b")), factors
 
 
 def random_state(spec_text, q, n_regs, seed):
@@ -117,7 +129,10 @@ class TestInit:
             DimensionCapError,
             match=r"^the state would hold about 10\^\d+ amplitudes, above the cap 16777216$",
         ):
-            basis_state(ring, 1, (0, 0))
+            check_growth(ring.cardinality**2, MAX_STATE_ENTRIES)
+        # a basis state is one row on any ring: it needs no cap
+        state = basis_state(ring, 1, (0, 7))
+        assert state.labels.tolist() == [[0, 7]] and state.amps.tolist() == [1]
 
 
 class TestCodingUnitary:
@@ -152,7 +167,7 @@ class TestCodingUnitary:
     @pytest.mark.parametrize("ins, outs", [("ax", "o"), ("aa", "o"), ("ab", "b")])
     def test_register_errors_in_both_engines(self, ins, outs):
         state, table = basis_state(Z2, 1, (1, 0), reg_ids=("a", "b")), np.zeros((4, 1), dtype=np.int64)
-        for kernel in (apply_coding_unitary, lambda s, *args: code_rows(SupportState.of(s), *args)):
+        for kernel in (lambda s, *args: apply_coding_unitary(dense(s), *args), code_rows):
             with pytest.raises(RegisterError):
                 kernel(state, tuple(ins), tuple(outs), table)
 
@@ -170,12 +185,12 @@ class TestFourier:
         mat = fourier_matrix(Z2, 1)
         expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         assert np.allclose(mat, expected, atol=1e-12)
-        state = apply_fourier(basis_state(Z2, 1, (0,)), "src:1")
+        state = apply_fourier(dense(basis_state(Z2, 1, (0,))), "src:1")
         assert np.allclose(state.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
 
     def test_z3_phases(self):
         w = np.exp(2j * np.pi / 3)
-        state = apply_fourier(basis_state(Z3, 1, (1,)), "src:1")
+        state = apply_fourier(dense(basis_state(Z3, 1, (1,))), "src:1")
         expected = np.array([1, w, w**2]) / math.sqrt(3)
         assert np.allclose(state.amps, expected, atol=1e-12)
 
@@ -205,17 +220,17 @@ class TestFourier:
 
     def test_unknown_register(self):
         with pytest.raises(RegisterError):
-            apply_fourier(basis_state(Z2, 1, (0,)), "nope")
+            apply_fourier(dense(basis_state(Z2, 1, (0,))), "nope")
 
 
 class TestMeasure:
     def test_uniform_probabilities(self):
-        state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        state = dense(init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)]))
         for z in (0, 1):
             assert measure(state, "src:1", forced=z)[0].probability == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_on_basis_state(self):
-        state = basis_state(Z2, 1, (1, 0))
+        state = dense(basis_state(Z2, 1, (1, 0)))
         outcome, rest = measure(state, "src:1", rng=np.random.default_rng(0))
         assert outcome.label == 1
         assert rest.reg_ids == ("src:2",)
@@ -228,7 +243,7 @@ class TestMeasure:
         d = spec.cardinality
         assert d <= 9
         for y in range(d):
-            state = apply_fourier(basis_state(spec, 1, (y,)), "src:1")
+            state = apply_fourier(dense(basis_state(spec, 1, (y,))), "src:1")
             for z in range(d):
                 assert measure(state, "src:1", forced=z)[0].probability == pytest.approx(1 / d, abs=1e-12)
 
@@ -247,7 +262,7 @@ class TestMeasure:
                 assert np.allclose(transposed(rest, rest_ids).amps, expected, atol=1e-12)
 
     def test_seeded_reproducibility(self):
-        state = random_state("Z(4)", 1, 2, seed=11)
+        state = dense(random_state("Z(4)", 1, 2, seed=11))
         runs = []
         for _ in range(2):
             out, rest = measure(state, "r0", rng=np.random.default_rng(42))
@@ -256,7 +271,7 @@ class TestMeasure:
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_forced(self):
-        state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        state = dense(init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)]))
         outcome, rest = measure(state, "src:1", forced=1)
         assert outcome.label == 1
         assert rest.reg_ids == ()
@@ -264,12 +279,12 @@ class TestMeasure:
         assert abs(rest.amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_forced_zero_probability(self):
-        state = basis_state(Z2, 1, (0,))
+        state = dense(basis_state(Z2, 1, (0,)))
         with pytest.raises(ZeroProbabilityError):
             measure(state, "src:1", forced=1)
 
     def test_requires_exactly_one_mode(self):
-        state = basis_state(Z2, 1, (0,))
+        state = dense(basis_state(Z2, 1, (0,)))
         with pytest.raises(QuantumError):
             measure(state, "src:1")
 
@@ -297,25 +312,75 @@ def test_cached_tables_are_read_only():
 
 
 class TestPhase:
+    """The dense corrections of `oracles`, which `finish_run`'s per-row ones
+    are checked against (`test_engine`)."""
+
     def test_zero_phase_is_identity(self):
-        state = random_state("Z(3)", 1, 1, seed=3)
+        state = dense(random_state("Z(3)", 1, 1, seed=3))
         out = apply_phase(state, "r0", [Fraction(0)] * 3)
         assert np.array_equal(out.amps, state.amps)
 
     def test_z_gate(self):
-        state = init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        state = dense(init_state(Z2, 1, 1, [1 / math.sqrt(2), 1 / math.sqrt(2)]))
         out = apply_phase(state, "src:1", [-Fraction(x, 2) for x in range(2)])
         assert np.allclose(out.amps, [1 / math.sqrt(2), -1 / math.sqrt(2)], atol=1e-12)
 
     def test_wrong_phase_count(self):
         with pytest.raises(QuantumError, match="need 2 phases, got 3"):
-            apply_phase(basis_state(Z2, 1, (0,)), "src:1", [0, 0, 0])
+            apply_phase(dense(basis_state(Z2, 1, (0,))), "src:1", [0, 0, 0])
 
     def test_sign_pair_inverts(self):
-        state = random_state("GF(4)", 1, 2, seed=9)
+        state = dense(random_state("GF(4)", 1, 2, seed=9))
         fn = [Fraction(x, 7) for x in range(4)]
         out = apply_phase(apply_phase(state, "r1", fn), "r1", [-t for t in fn])
         assert np.allclose(out.amps, state.amps, atol=1e-12)
+
+
+class TestStateFromRows:
+    def test_rows_come_back_in_label_order_without_zeros(self):
+        state = state_from_rows(Z3, 1, [[2, 0], [0, 1], [1, 1]], [0.8j, 0.6, 0], reg_ids=("a", "b"))
+        assert state.reg_ids == ("a", "b")
+        assert state.labels.tolist() == [[0, 1], [2, 0]]
+        assert np.array_equal(state.amps, [0.6, 0.8j])
+        assert state.amplitude((2, 0)) == 0.8j and state.amplitude((1, 1)) == 0
+
+    def test_default_registers_are_the_sources(self):
+        assert state_from_rows(Z2, 1, [[1, 0, 1]], [1.0]).reg_ids == ("src:1", "src:2", "src:3")
+
+    def test_normalization_warns(self):
+        with pytest.warns(UserWarning, match=r"normalizing input state \(norm was 2\)"):
+            state = state_from_rows(Z2, 1, [[0], [1]], [math.sqrt(2), math.sqrt(2)])
+        assert np.allclose(state.amps, [math.sqrt(0.5)] * 2, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "labels, amps, message",
+        [
+            ([[0, 1], [0, 1]], [0.6, 0.8], "lists a basis label twice"),
+            ([[0, 1], [0, 1]], [1.0, 0.0], "lists a basis label twice"),
+            ([[0, 2]], [1.0], r"basis label out of range \(dimension 2\)"),
+            ([[-1, 0]], [1.0], "out of range"),
+            ([[0, 1]], [0.0], "must not be all zero"),
+            (np.zeros((0, 2)), [], "must not be all zero"),
+            ([[0, 1]], [np.nan], "must be finite"),
+            ([[0, 1], [1, 1]], [1.0], "one row of labels per amplitude"),
+            ([0, 1], [0.6, 0.8], "one row of labels per amplitude"),
+        ],
+    )
+    def test_bad_rows_are_refused(self, labels, amps, message):
+        with pytest.raises(QuantumError, match=message):
+            state_from_rows(Z2, 1, labels, amps)
+
+    def test_register_count_must_match(self):
+        with pytest.raises(RegisterError, match="expected 2 register ids, got 3"):
+            state_from_rows(Z2, 1, [[0, 1]], [1.0], reg_ids=("a", "b", "c"))
+
+    def test_init_state_gives_the_nonzero_rows(self):
+        amps = np.arange(27) % 4 * (1 + 1j)
+        state = init_state(Z3, 1, 3, amps / np.linalg.norm(amps))
+        nonzero = np.flatnonzero(amps)
+        assert state.labels.tolist() == [list(np.unravel_index(i, (3, 3, 3))) for i in nonzero]
+        assert np.allclose(state.amps, amps[nonzero] / np.linalg.norm(amps), atol=1e-15)
+        assert init_state(Z2, 1, 0, [1.0]).labels.shape == (1, 0)
 
 
 class TestFidelity:
@@ -358,7 +423,7 @@ def coding_cases(draw):
     amps = state.amps * (rng.random(state.amps.shape) < draw(st.sampled_from([0.3, 1.0])))
     if not amps.any():
         amps = state.amps
-    state = init_state(state.ring, q, m + extra, amps / np.linalg.norm(amps), reg_ids=state.reg_ids)
+    state = dense(init_state(state.ring, q, m + extra, amps / np.linalg.norm(amps), reg_ids=state.reg_ids))
     if draw(st.booleans()):
         state = transposed(state, draw(st.permutations(state.reg_ids)))
     ins = tuple(draw(st.permutations(state.reg_ids)))[:m]
@@ -368,7 +433,7 @@ def coding_cases(draw):
 
 
 def support_code_measure(state, ins, outs, table, reg, rng=None, forced=None):
-    coded = code_rows(SupportState.of(state), ins, outs, table)
+    coded = code_rows(support(state), ins, outs, table)
     (outcome,), rest = measure_rows(coded, (reg,), rng=rng, forced=None if forced is None else (forced,))
     return outcome, rest
 
@@ -399,7 +464,7 @@ def test_support_kernels_match_dense_kernels(case, seed):
         assert (got.register, got.label) == (want.register, want.label)
         assert got.probability == pytest.approx(want.probability, abs=1e-12)
         assert got_state.reg_ids == want_state.reg_ids
-        assert np.allclose(got_state.dense(want_state.reg_ids).amps, want_state.amps, atol=1e-12)
+        assert np.allclose(dense(got_state, want_state.reg_ids).amps, want_state.amps, atol=1e-12)
     for step in (dense_code_measure, support_code_measure):
         with pytest.raises(RegisterError, match="unknown register 'nope'"):
             step(state, ins, outs, table, "nope", forced=0)
@@ -407,22 +472,24 @@ def test_support_kernels_match_dense_kernels(case, seed):
 
 class TestSupportState:
     def test_round_trip_in_label_order(self):
-        state = init_state(Z3, 1, 2, [0, 0.6, 0, 0, 0, 0, 0.8j, 0, 0], reg_ids=("a", "b"))
-        rows = SupportState.of(state)
+        amps = [0, 0.6, 0, 0, 0, 0, 0.8j, 0, 0]
+        rows = init_state(Z3, 1, 2, amps, reg_ids=("a", "b"))
         assert rows.labels.tolist() == [[0, 1], [2, 0]]
         assert np.array_equal(rows.amps, [0.6, 0.8j])
-        back = rows.dense(("b", "a"))
+        back = dense(rows, ("b", "a"))
         assert back.reg_ids == ("b", "a")
-        assert np.array_equal(back.amps, state.amps.T)
+        assert np.array_equal(back.amps, np.reshape(amps, (3, 3)).T)
+        again = support(dense(rows))
+        assert np.array_equal(again.labels, rows.labels) and np.array_equal(again.amps, rows.amps)
 
     def test_dense_needs_the_live_registers(self):
-        rows = SupportState.of(basis_state(Z2, 1, (1, 0)))
+        rows = basis_state(Z2, 1, (1, 0))
         with pytest.raises(RegisterError):
-            rows.dense(("src:1",))
+            dense(rows, ("src:1",))
 
     def test_measuring_a_determined_register_leaves_a_phase(self):
         # |00> + |11>: the other register fixes y, so each outcome has p = 1/d exactly
-        rows = SupportState.of(init_state(Z3, 1, 2, [0.6, 0, 0, 0, 0.8, 0, 0, 0, 0]))
+        rows = init_state(Z3, 1, 2, [0.6, 0, 0, 0, 0.8, 0, 0, 0, 0])
         for z in range(3):
             (outcome,), rest = measure_rows(rows, ("src:1",), forced=(z,))
             assert outcome.probability == 1 / 3
@@ -435,7 +502,7 @@ class TestSupportState:
         x, amps = np.arange(3), np.zeros((3, 3, 3), dtype=complex)
         cols = {"a": x, "b": 2 * x % 3, "c": (x + 1) % 3}
         amps[cols["a"], cols["b"], cols["c"]] = [0.6, 0.48j, -0.64]
-        rows = SupportState.of(init_state(Z3, 1, 3, amps, reg_ids=("a", "b", "c")))
+        rows = init_state(Z3, 1, 3, amps, reg_ids=("a", "b", "c"))
         (left,) = [r for r in "abc" if r not in regs]
         for forced in [(2, 1), None]:
             (checked, want), (got, state) = [
@@ -456,7 +523,7 @@ class TestSupportState:
         ids=["distinct", "certified", "interfering"],
     )
     def test_forced_label_out_of_range(self, amps, certified):
-        rows = SupportState.of(init_state(Z2, 1, 2, amps))
+        rows = init_state(Z2, 1, 2, amps)
         with pytest.raises(QuantumError, match="outcome label 2 out of range"):
             measure_rows(rows, ("src:1",), forced=(2,), certified=certified)
 
@@ -467,11 +534,11 @@ class TestSupportState:
         amps[0, 1, 0], amps[1, 1, 0], amps[2, 0, 2], amps[0, 2, 1] = 0.5, 0.5j, -0.5, 0.5
         state = init_state(Z3, 1, 3, amps, reg_ids=("a", "b", "c"))
         for z in range(3):
-            want_outcome, want = measure(apply_fourier(state, "a"), "a", forced=z)
-            (outcome,), rest = measure_rows(SupportState.of(state), ("a",), forced=(z,))
+            want_outcome, want = measure(apply_fourier(dense(state), "a"), "a", forced=z)
+            (outcome,), rest = measure_rows(state, ("a",), forced=(z,))
             assert outcome.probability == pytest.approx(want_outcome.probability, abs=1e-12)
             assert rest.labels.tolist() == [[0, 2], [1, 0], [2, 1]]
-            assert np.allclose(rest.dense(("b", "c")).amps, want.amps, atol=1e-12)
+            assert np.allclose(dense(rest, ("b", "c")).amps, want.amps, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(40, 3), (40, 1), (1, 4), (1, 1), (7, 6), (3, 0)])
     def test_grouping_matches_numpy_unique(self, shape):
@@ -488,9 +555,41 @@ class TestSupportState:
     def test_rows_that_share_the_others_interfere(self):
         # (|0> + |1>)|0> / sqrt 2 measured in the Fourier basis: outcome 1 never happens
         half = math.sqrt(0.5)
-        rows = SupportState.of(init_state(Z2, 1, 2, [half, 0, half, 0]))
+        rows = init_state(Z2, 1, 2, [half, 0, half, 0])
         (outcome,), rest = measure_rows(rows, ("src:1",), forced=(0,))
         assert outcome.probability == pytest.approx(1.0, abs=1e-12)
         assert rest.labels.tolist() == [[0]] and rest.amps == pytest.approx([1.0], abs=1e-12)
         with pytest.raises(ZeroProbabilityError):
             measure_rows(rows, ("src:1",), forced=(1,))
+
+
+@st.composite
+def fidelity_cases(draw):
+    """Two random states on the same register shape: random supports, rows
+    that only one side lists, rows in any order, registers named apart and
+    spectators (registers beyond the first) alike."""
+    text, q = draw(st.sampled_from([("Z(2)", 1), ("Z(3)", 1), ("GF(4)", 1), ("Z(2)", 2)]))
+    spec, n = parse_ring_spec(text), draw(st.integers(0, 4))
+    d = spec.cardinality**q
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    shared = rng.random(d**n) < draw(st.sampled_from([0.2, 0.7, 1.0]))
+    states = []
+    for ids in [[f"src:{i}" for i in range(n)], [f"tgt:{i}" for i in range(n)]]:
+        amps = (rng.normal(size=d**n) + 1j * rng.normal(size=d**n)) * (shared | (rng.random(d**n) < 0.3))
+        if not amps.any():
+            amps[0] = 1.0
+        state = init_state(spec, q, n, amps / np.linalg.norm(amps), reg_ids=ids)
+        if draw(st.booleans()):
+            order = rng.permutation(len(state.amps))
+            state = SupportState(spec, q, state.reg_ids, state.labels[order], state.amps[order])
+        states.append(state)
+    return states
+
+
+@given(fidelity_cases())
+@settings(max_examples=150, deadline=None)
+def test_row_fidelity_equals_the_dense_oracle(case):
+    a, b = case
+    want = dense_fidelity(dense(a), dense(b))
+    assert fidelity(a, b) == pytest.approx(want, abs=1e-12)
+    assert fidelity(b, a) == pytest.approx(want, abs=1e-12)
