@@ -25,7 +25,7 @@ def census(path, full_enum, samples):
         return None  # input-state fixture, not an instance
     net, scheme = parse_network(path)
     plan = plan_scheme(net, scheme)
-    valid = plan.counterexample is None
+    valid = plan.tmap.counterexample is None
     rng = np.random.default_rng(2718)
     d = scheme.register_dim
     amps = rng.normal(size=d**net.k) + 1j * rng.normal(size=d**net.k)

@@ -24,6 +24,7 @@ rescaled, with one `warning:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -41,6 +42,7 @@ from .network import (
     parse_network,
     scheme_with_alternate_phi,
     target_edge,
+    transfer_map,
 )
 from .protocol import (
     BRANCH_CAP_DEFAULT,
@@ -170,25 +172,14 @@ def _phase_table_strings(table) -> list[list[str]]:
 
 
 def _cost_payload(report) -> dict:
-    return {
-        "k": report.k,
-        "max_fan_in": report.max_fan_in,
-        "nodes": report.node_count,
-        "edges": report.edge_count,
-        "q": report.q,
-        "bound_elements": report.bound_elements,
-        "bound_bits": report.bound_bits,
-        "elements_sent": report.elements_sent,
-        "bits_sent": report.bits_sent,
-        "quantum_registers_sent": report.quantum_registers_sent,
-        "policy": report.policy,
-    }
+    """The cost record's fields, in order, but `per_node`."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "per_node"}
 
 
 def cmd_verify(args) -> int:
     net, scheme = parse_network(args.instance)
-    plan = plan_scheme(net, scheme)  # memoised: its map and verdict are built once
-    tmap, counterexample = plan.tmap, plan.counterexample
+    tmap = transfer_map(net, scheme)
+    counterexample = tmap.counterexample
     rows = {
         target_edge(i + 1): [_gamma_name(scheme.ring, g) for g in tmap.gammas[target_edge(i + 1)]]
         for i in range(net.k)
@@ -324,29 +315,17 @@ def cmd_cost(args) -> int:
     net, scheme = parse_network(args.instance)
     base = classical_cost(plan_scheme(net, scheme))
     pruned = classical_cost(plan_scheme(net, scheme, prune=True))
-    payload = {
-        "command": "cost",
-        "instance": str(args.instance),
-        "k": base.k,
-        "max_fan_in": base.max_fan_in,
-        "nodes": base.node_count,
-        "edges": base.edge_count,
-        "q": base.q,
-        "bound_elements": base.bound_elements,
-        "bound_bits": base.bound_bits,
-        "quantum_registers_sent": base.quantum_registers_sent,
-        "broadcast_elements": base.elements_sent,
-        "broadcast_bits": base.bits_sent,
-        "prune_elements": pruned.elements_sent,
-        "prune_bits": pruned.bits_sent,
-        "per_node_broadcast": [
-            {"node": n, "measured": m, "recipients": r, "elements": el}
-            for n, m, r, el in base.per_node
-        ],
-    }
+    payload = {"command": "cost", "instance": str(args.instance), **_cost_payload(base)}
+    del payload["elements_sent"], payload["bits_sent"], payload["policy"]
+    for report in (base, pruned):
+        payload[f"{report.policy}_elements"] = report.elements_sent
+        payload[f"{report.policy}_bits"] = report.bits_sent
+    payload["per_node_broadcast"] = [
+        {"node": n, "measured": m, "recipients": r, "elements": el} for n, m, r, el in base.per_node
+    ]
     lines = [
         f"instance: {args.instance}",
-        f"k: {base.k}  max fan-in M: {base.max_fan_in}  nodes |V|: {base.node_count}",
+        f"k: {base.k}  max fan-in M: {base.max_fan_in}  nodes |V|: {base.nodes}",
         f"bound k*M*|V|: {base.bound_elements} elements ({base.bound_bits} bits)",
         f"broadcast: {base.elements_sent} elements ({base.bits_sent} bits)",
         f"prune: {pruned.elements_sent} elements ({pruned.bits_sent} bits)",

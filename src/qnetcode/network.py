@@ -28,12 +28,14 @@ coordinate list. For q = 1 a bare entry may stand for the whole matrix.
 The declared input order is significant: it fixes the argument order of the
 node map and, downstream, the order in which registers are measured.
 
-Entries are read straight to element labels (`parse_entry`, which the CLI's
-input-state reader shares), and each matrix to its integer form
-(`rings.coefficient_matrix`).
+A document is read in one pass, which checks each field's shape where it
+reads the field. Entries are read straight to element labels (`parse_entry`,
+which the CLI's input-state reader shares), and each matrix to its integer
+form (`rings.coefficient_matrix`).
 
 Verification reads the transfer map (`transfer_coefficients`): a scheme is a
 solution iff target i's row is the identity at pair i and zero elsewhere.
+The verdict is the map's, computed once per map (`TransferMap.counterexample`).
 
 What depends only on an instance is memoised by its content, not by object,
 in one memo that keeps the MEMO_SIZE most recently used values (`memoised`).
@@ -49,6 +51,7 @@ mappings are read-only (`types.MappingProxyType`) and their arrays too.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import OrderedDict
@@ -174,20 +177,23 @@ class TransferMap:
 
     ring: RingSpec
     q: int
+    k: int
     gammas: Mapping[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         _read_only(self, "gammas")
 
-    def counterexample(self, k: int):
-        """First input label tuple (first pair most significant) the k targets
-        do not receive, or None. Tuples below the unit digit vector u_t, for t
-        the least significant digit whose row of gamma - I is nonzero at some
-        target, use only digits with zero rows, so u_t is the first failure."""
+    @cached_property
+    def counterexample(self):
+        """The solution verdict, computed once per map: the first input label
+        tuple (first pair most significant) the k targets do not receive, or
+        None. Tuples below the unit digit vector u_t, for t the least
+        significant digit whose row of gamma - I is nonzero at some target,
+        use only digits with zero rows, so u_t is the first failure."""
         radix = self.ring.moduli * self.q
         eye = np.eye(len(radix), dtype=np.int64)
-        bad = np.zeros((k, len(radix)), dtype=bool)
-        for i in range(k):
+        bad = np.zeros((self.k, len(radix)), dtype=bool)
+        for i in range(self.k):
             for j, g in enumerate(self.gammas[target_edge(i + 1)]):
                 bad[j] |= (g != eye * (i == j)).any(axis=1)
         failing = np.flatnonzero(bad)
@@ -195,7 +201,7 @@ class TransferMap:
             return None
         pair, t = divmod(int(failing[-1]), len(radix))
         place = math.prod(radix[t + 1 :])
-        return tuple(place if j == pair else 0 for j in range(k))
+        return tuple(place if j == pair else 0 for j in range(self.k))
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +249,22 @@ def _parse_matrix(obj, spec: RingSpec, q: int) -> np.ndarray:
 
 
 def _topological_order(nodes: tuple[str, ...], edges: tuple[Edge, ...]) -> tuple[str, ...]:
-    order_index = {v: i for i, v in enumerate(nodes)}
-    indegree = {v: 0 for v in nodes}
-    successors: dict[str, list[str]] = {v: [] for v in nodes}
+    """Kahn's order, taking the ready node declared first each time."""
+    index = {v: i for i, v in enumerate(nodes)}
+    indegree = [0] * len(nodes)
+    successors: list[list[int]] = [[] for _ in nodes]
     for e in edges:
-        indegree[e.head] += 1
-        successors[e.tail].append(e.head)
-    ready = sorted((v for v in nodes if indegree[v] == 0), key=order_index.get)
+        indegree[index[e.head]] += 1
+        successors[index[e.tail]].append(index[e.head])
+    ready = [i for i, n in enumerate(indegree) if n == 0]  # ascending, so a heap
     out: list[str] = []
     while ready:
-        v = ready.pop(0)
-        out.append(v)
-        changed = False
-        for w in successors[v]:
-            indegree[w] -= 1
-            if indegree[w] == 0:
-                ready.append(w)
-                changed = True
-        if changed:
-            ready.sort(key=order_index.get)
+        i = heapq.heappop(ready)
+        out.append(nodes[i])
+        for j in successors[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
     if len(out) != len(nodes):
         raise InstanceError("graph has a cycle")
     return tuple(out)
@@ -278,27 +281,6 @@ def _need_fields(obj, where: str, keys) -> None:
     for key in keys:
         if key not in obj:
             raise InstanceError(f"{where}: missing field {key!r}")
-
-
-def _check_document(doc) -> None:
-    """Check the document's shape, so that parsing can index it freely."""
-    _need_fields(doc, "instance document", ("ring", "q", "nodes", "edges", "pairs", "coding"))
-    _need(isinstance(doc["ring"], str), "field 'ring'", "a string", doc["ring"])
-    _need(type(doc["q"]) is int and doc["q"] >= 1, "field 'q'", "a positive integer", doc["q"])
-    for key in ("nodes", "edges", "pairs"):
-        _need(isinstance(doc[key], list), f"field {key!r}", "a list", doc[key])
-    for i, edge in enumerate(doc["edges"]):
-        _need_fields(edge, f"edges[{i}]", ("id", "from", "to"))
-    for i, pair in enumerate(doc["pairs"]):
-        _need_fields(pair, f"pairs[{i}]", ("source", "target"))
-    _need_fields(doc["coding"], "field 'coding'", ())
-    for v, block in doc["coding"].items():
-        where = f"coding[{v!r}]"
-        _need_fields(block, where, ())
-        for key in ("inputs", "outputs"):
-            _need(isinstance(block.get(key, []), list), f"{where}.{key}", "a list", block.get(key))
-        for j, out in enumerate(block.get("outputs", [])):
-            _need_fields(out, f"{where}.outputs[{j}]", ("edge", "coeffs"))
 
 
 def _json_int(digits: str) -> int:
@@ -343,11 +325,17 @@ def parse_network(source) -> tuple[Network, CodingScheme]:
 
 
 def _parse_document(doc) -> tuple[Network, CodingScheme]:
-    """Check a decoded document and build its network and scheme."""
-    _check_document(doc)
-
-    ring = parse_ring_spec(doc["ring"])
+    """Check a decoded document and build its network and scheme. Each
+    field's shape is checked where the field is read."""
+    _need_fields(doc, "instance document", ("ring", "q", "nodes", "edges", "pairs", "coding"))
+    _need(isinstance(doc["ring"], str), "field 'ring'", "a string", doc["ring"])
     q = doc["q"]
+    _need(type(q) is int and q >= 1, "field 'q'", "a positive integer", q)
+    for key in ("nodes", "edges", "pairs"):
+        _need(isinstance(doc[key], list), f"field {key!r}", "a list", doc[key])
+    coding_doc = doc["coding"]
+    _need_fields(coding_doc, "field 'coding'", ())
+    ring = parse_ring_spec(doc["ring"])
 
     nodes = tuple(str(v) for v in doc["nodes"])
     if len(set(nodes)) != len(nodes):
@@ -355,7 +343,8 @@ def _parse_document(doc) -> tuple[Network, CodingScheme]:
 
     edges = []
     seen_edges = set()
-    for item in doc["edges"]:
+    for i, item in enumerate(doc["edges"]):
+        _need_fields(item, f"edges[{i}]", ("id", "from", "to"))
         eid, tail, head = str(item["id"]), str(item["from"]), str(item["to"])
         if eid in seen_edges:
             raise InstanceError(f"duplicate edge id {eid!r}")
@@ -370,7 +359,8 @@ def _parse_document(doc) -> tuple[Network, CodingScheme]:
     edges = tuple(edges)
 
     pairs = []
-    for item in doc["pairs"]:
+    for i, item in enumerate(doc["pairs"]):
+        _need_fields(item, f"pairs[{i}]", ("source", "target"))
         s, t = str(item["source"]), str(item["target"])
         if s not in nodes or t not in nodes:
             raise InstanceError(f"pair ({s!r}, {t!r}) names an unknown node")
@@ -388,7 +378,6 @@ def _parse_document(doc) -> tuple[Network, CodingScheme]:
         incoming[s].add(source_edge(i + 1))
         outgoing[t].add(target_edge(i + 1))
 
-    coding_doc = doc["coding"]
     unknown = set(coding_doc) - set(nodes)
     if unknown:
         raise InstanceError(f"coding block names unknown node {sorted(unknown)[0]!r}")
@@ -399,14 +388,19 @@ def _parse_document(doc) -> tuple[Network, CodingScheme]:
     for v in nodes:
         if v not in coding_doc:
             raise InstanceError(f"node {v!r} has no coding block")
-        block = coding_doc[v]
-        ins = tuple(str(e) for e in block.get("inputs", ()))
+        block, where = coding_doc[v], f"coding[{v!r}]"
+        _need_fields(block, where, ())
+        ins_doc, outs_doc = block.get("inputs", []), block.get("outputs", [])
+        _need(isinstance(ins_doc, list), f"{where}.inputs", "a list", ins_doc)
+        _need(isinstance(outs_doc, list), f"{where}.outputs", "a list", outs_doc)
+        ins = tuple(str(e) for e in ins_doc)
         if set(ins) != incoming[v] or len(ins) != len(incoming[v]):
             raise InstanceError(
                 f"node {v!r}: declared inputs {list(ins)} do not match its "
                 f"incoming edges {sorted(incoming[v])}"
             )
-        outs_doc = block.get("outputs", ())
+        for j, o in enumerate(outs_doc):
+            _need_fields(o, f"{where}.outputs[{j}]", ("edge", "coeffs"))
         outs = tuple(str(o["edge"]) for o in outs_doc)
         if set(outs) != outgoing[v] or len(outs) != len(outgoing[v]):
             raise InstanceError(
@@ -469,9 +463,9 @@ def transfer_map(net: Network, scheme: CodingScheme) -> TransferMap:
 
 
 def verify_solution(net: Network, scheme: CodingScheme) -> bool:
-    """Whether every input tuple is delivered in pair order, read from the
-    transfer map (`TransferMap.counterexample`)."""
-    return transfer_map(net, scheme).counterexample(net.k) is None
+    """Whether every input tuple is delivered in pair order: the transfer
+    map's verdict (`TransferMap.counterexample`)."""
+    return transfer_map(net, scheme).counterexample is None
 
 
 def scheme_with_alternate_phi(scheme: CodingScheme) -> CodingScheme:
@@ -497,4 +491,4 @@ def transfer_coefficients(net: Network, scheme: CodingScheme) -> TransferMap:
             gammas[eid] = combine(ring, q, row, in_rows)
     for g in gammas.values():
         g.flags.writeable = False
-    return TransferMap(ring=ring, q=q, gammas=gammas)
+    return TransferMap(ring=ring, q=q, k=k, gammas=gammas)

@@ -35,10 +35,12 @@ only place a forced branch is checked. A run's state, from input to
 output, is its support rows (`quantum.SupportState`), which on a solution
 keep the input's size. The loop names registers only: where they sit among
 the rows' columns is the `quantum` kernels' concern. A plan of a solution is
-certified (`SchemePlan.certified`): each of its measurements leaves only a
-phase, so the loop measures each node's registers in one step without
-checking rows, and `finish_run` cancels the phases row by row. The input
-may carry spectator registers after `src:1..k`, which no node touches; they
+certified (`SchemePlan.certified`, which reads the transfer map's verdict):
+each of its measurements leaves only a phase, so the loop measures each
+node's registers in one step without checking rows, and `finish_run`
+cancels the phases row by row. The input's rows are checked as
+`quantum.state_from_rows` checks them before any node runs. The input may
+carry spectator registers after `src:1..k`, which no node touches; they
 come after `tgt:1..k` in the output.
 """
 
@@ -72,6 +74,7 @@ from .quantum import (
     fidelity,
     measure_rows,
     output_columns,
+    state_from_rows,
 )
 from .rings import (
     RingSpec,
@@ -191,21 +194,16 @@ class SchemePlan:
     def register_dim(self) -> int:
         return self.tmap.ring.cardinality**self.tmap.q
 
-    @cached_property
-    def counterexample(self):
-        """The solution verdict: the first input tuple the scheme fails to
-        deliver, or None (`TransferMap.counterexample`)."""
-        return self.tmap.counterexample(self.net.k)
-
     @property
     def certified(self) -> bool:
-        """No measurement of a run interferes: true on a solution, under any
+        """No measurement of a run interferes: true on a solution (the
+        transfer map's verdict, `TransferMap.counterexample`), under any
         policy and with any spectators. A node measures only its own inputs,
         after adjoining its outputs, so the targets are computed from the
         other live registers. On a solution they hold x, which fixes each
         measured label gamma x: the rows' other columns are distinct, and
         every outcome has probability 1/d (`quantum.measure_rows`)."""
-        return self.counterexample is None
+        return self.tmap.counterexample is None
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -382,9 +380,10 @@ def finish_run(plan: SchemePlan, input_state: SupportState, steps) -> RunResult:
     return RunResult(corrected, pre_correction, log, phase_table, plan)
 
 
-def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> None:
-    """The input lives on `src:1..k`, then on any spectator registers, which
-    must not be named like an edge, so that no node touches them."""
+def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> SupportState:
+    """The input's rows, checked as `quantum.state_from_rows` checks them. The
+    input lives on `src:1..k`, then on any spectator registers, which must not
+    be named like an edge, so that no node touches them."""
     if state.ring != scheme.ring or state.q != scheme.q:
         raise InstanceError("input state ring or width does not match the scheme")
     expected_regs = tuple(source_edge(i + 1) for i in range(net.k))
@@ -394,6 +393,7 @@ def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> Non
     for reg in state.reg_ids[net.k :]:
         if reg in edges or reg.startswith(("src:", "tgt:")):
             raise InstanceError(f"spectator register {reg!r} is named like an edge")
+    return state_from_rows(state.ring, state.q, state.labels, state.amps, state.reg_ids)
 
 
 def run_protocol(
@@ -411,11 +411,12 @@ def run_protocol(
 
     Outcomes are either sampled (`seed`) or forced (`branch`, one label per
     measurement in node-then-input order). On a verified scheme the returned
-    state equals the input state on the target registers.
+    state equals the input state on the target registers. The input's rows
+    are checked first (`_check_input`).
     """
-    _check_input(net, scheme, input_state)
+    input_state = _check_input(net, scheme, input_state)
     plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
-    if check_classical and plan.counterexample is not None:
+    if check_classical and not plan.certified:
         raise InvalidSchemeError(
             "the classical scheme does not solve the instance; "
             "fix it or skip the check to inspect the imperfect run"
@@ -447,8 +448,8 @@ def compute_corrections(log: MessageLog, plan: SchemePlan) -> PhaseTable:
 class CostReport:
     k: int
     max_fan_in: int
-    node_count: int
-    edge_count: int
+    nodes: int
+    edges: int
     q: int
     bound_elements: int
     bound_bits: int
@@ -503,7 +504,7 @@ def enumerate_branches(
             f"{int_text(total)} branches exceed the cap of {max_branches}; "
             f"raise max_branches to force full enumeration"
         )
-    _check_input(net, scheme, input_state)
+    input_state = _check_input(net, scheme, input_state)
     for labels in itertools.product(range(scheme.register_dim), repeat=plan.measurement_count):
         try:
             steps = node_steps(plan, input_state, branch=labels, max_entries=max_entries)

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import CapExceededError
+from .network import CapExceededError, source_edge
 from .rings import RingSpec, int_text, linear_map, pairing, place_values
 
 MAX_STATE_ENTRIES = 2**24
@@ -110,7 +110,7 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
     if labels.ndim != 2 or len(labels) != len(amps):
         raise QuantumError(f"need one row of labels per amplitude, got shape {labels.shape}")
     n = labels.shape[1]
-    reg_ids = tuple(f"src:{i + 1}" for i in range(n)) if reg_ids is None else tuple(reg_ids)
+    reg_ids = tuple(source_edge(i + 1) for i in range(n)) if reg_ids is None else tuple(reg_ids)
     if len(reg_ids) != n:
         raise RegisterError(f"expected {n} register ids, got {len(reg_ids)}")
     if labels.size and not 0 <= labels.min() <= labels.max() < d:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import INSTANCES, butterfly_with_isolated_node
 from qnetcode.cli import build_parser, main
 from qnetcode.network import MEMO_SIZE, InstanceError, parse_network
+from qnetcode.protocol import CostReport
 from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix
 from qnetcode.rings import RingError, parse_ring_spec
 
@@ -116,6 +118,12 @@ class TestSimulate:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_cost_keys_are_the_cost_record_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "7", "--format", "json")
+        assert code == 0
+        fields = [f.name for f in dataclasses.fields(CostReport)]
+        assert list(json.loads(out)["cost"]) == [name for name in fields if name != "per_node"]
 
     def test_zero_branch_zero_phase_table(self, capsys):
         code, out, _ = run_cli(

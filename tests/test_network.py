@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from oracles import element, elements, evaluate, evaluate_classical, from_int, to_labels
 from qnetcode.network import (
     CodingScheme,
+    Edge,
     InstanceError,
     Network,
+    _topological_order,
     parse_entry,
     parse_network,
     source_edge,
@@ -275,7 +277,7 @@ class TestVerify:
     def test_broken_butterfly_rejected_with_counterexample(self):
         net, scheme = load("butterfly_f2_broken.json")
         assert not verify_solution(net, scheme)
-        bad = transfer_coefficients(net, scheme).counterexample(net.k)
+        bad = transfer_coefficients(net, scheme).counterexample
         assert bad is not None
         assert evaluate_classical(net, scheme, bad) != bad
         # the first failing tuple in order, found by one scalar run per tuple
@@ -378,8 +380,54 @@ def test_oracle_templates_solve_their_instances():
 def test_transfer_verdict_matches_exhaustive_scan(doc):
     net, scheme = parse_network(doc)
     expected = first_failing_tuple(net, scheme)
-    assert transfer_coefficients(net, scheme).counterexample(net.k) == expected
+    assert transfer_coefficients(net, scheme).counterexample == expected
     assert verify_solution(net, scheme) == (expected is None)
+
+
+@st.composite
+def declared_graphs(draw):
+    """Nodes declared in a drawn order and edges, parallel ones included,
+    running forward in another drawn order; if `cyclic`, also a forward path
+    and one edge back from its end to its start."""
+    n = draw(st.integers(1, 8))
+    nodes = tuple(draw(st.permutations([f"v{i}" for i in range(n)])))
+    hidden = draw(st.permutations(nodes))  # a topological order
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    links = [sorted(p) for p in draw(st.lists(ends, max_size=3 * n)) if p[0] != p[1]]
+    cyclic = n > 1 and draw(st.booleans())
+    if cyclic:
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        links += [(i, i + 1) for i in range(a, b)] + [(b, a)]
+    edges = [Edge(f"e{i}", hidden[t], hidden[h]) for i, (t, h) in enumerate(links)]
+    return nodes, tuple(draw(st.permutations(edges))), cyclic
+
+
+def declared_first_order(nodes, edges):
+    """Reference rule: place, each time, the ready node declared first; None
+    if no node is ready before all are placed."""
+    order = []
+    while len(order) < len(nodes):
+        ready = [
+            v for v in nodes
+            if v not in order and all(e.tail in order for e in edges if e.head == v)
+        ]
+        if not ready:
+            return None
+        order.append(ready[0])
+    return tuple(order)
+
+
+@given(declared_graphs())
+@settings(max_examples=300, deadline=None)
+def test_topological_order_takes_the_ready_node_declared_first(graph):
+    nodes, edges, cyclic = graph
+    expected = declared_first_order(nodes, edges)
+    assert (expected is None) == cyclic
+    if cyclic:
+        with pytest.raises(InstanceError, match="^graph has a cycle$"):
+            _topological_order(nodes, edges)
+    else:
+        assert _topological_order(nodes, edges) == expected
 
 
 def _single_edge(ring, q, coeff):

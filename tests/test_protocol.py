@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import json
 import tracemalloc
+import warnings
 import weakref
 from collections import OrderedDict
 from fractions import Fraction
@@ -27,6 +29,7 @@ from qnetcode.network import (
     CapExceededError,
     CodingScheme,
     InstanceError,
+    TransferMap,
     parse_network,
     scheme_with_alternate_phi,
     transfer_coefficients,
@@ -43,7 +46,14 @@ from qnetcode.protocol import (
     plan_scheme,
     run_protocol,
 )
-from qnetcode.quantum import DimensionCapError, basis_state, fidelity, init_state
+from qnetcode.quantum import (
+    DimensionCapError,
+    QuantumError,
+    SupportState,
+    basis_state,
+    fidelity,
+    init_state,
+)
 from qnetcode.rings import parse_ring_spec
 
 VALID_INSTANCES = [
@@ -313,7 +323,7 @@ class TestCost:
         assert report.bound_bits == 24
         assert report.elements_sent == 18  # k times total fan-in
         assert report.bits_sent == 18
-        assert report.quantum_registers_sent == 7 == report.edge_count
+        assert report.quantum_registers_sent == 7 == report.edges
 
     def test_prune_policy(self):
         net, scheme = load_instance("butterfly_f2.json")
@@ -618,7 +628,37 @@ def transfer_calls(fresh_memo, monkeypatch):
     return calls
 
 
+@pytest.fixture
+def verdict_calls(fresh_memo, monkeypatch):
+    """The transfer maps whose verdict is computed, from an empty memo."""
+    calls = []
+    compute = TransferMap.counterexample.func
+
+    def counted(tmap):
+        calls.append(tmap)
+        return compute(tmap)
+
+    verdict = functools.cached_property(counted)
+    verdict.__set_name__(TransferMap, "counterexample")
+    monkeypatch.setattr(TransferMap, "counterexample", verdict)
+    return calls
+
+
 class TestPlanMemo:
+    def test_the_verdict_is_computed_once_per_transfer_map(self, fresh_memo, verdict_calls, capsys):
+        path = str(INSTANCES / "butterfly_gf4.json")  # its alternate phi is another ring
+        assert main(["verify", path]) == 0
+        assert len(fresh_memo) == 2  # the text and its map: verify plans nothing
+        assert main(["cost", path]) == 0
+        for flags in ((), ("--prune",), ("--copy-skip",), ("--prune", "--copy-skip")):
+            assert main(["simulate", path, "--seed", "3", *flags]) == 0
+        assert verify_solution(*load_instance("butterfly_gf4.json"))
+        assert len(verdict_calls) == 1
+        assert main(["simulate", path, "--seed", "3", "--alt-phi"]) == 0
+        assert main(["simulate", path, "--seed", "3", "--alt-phi", "--prune"]) == 0
+        capsys.readouterr()
+        assert len(verdict_calls) == len({id(t) for t in verdict_calls}) == 2
+
     def test_one_plan_per_scheme_network_and_policy(self, fresh_memo):
         net, scheme = load_instance("butterfly_gf4.json")
         assert plan_scheme(net, scheme) is plan_scheme(net, scheme)
@@ -649,7 +689,7 @@ class TestPlanMemo:
         ]
         assert len({id(p) for p in [plan, *others]}) == 4
         assert len({id(p.tmap) for p in [plan, *others]}) == 4
-        assert plan.counterexample is None and others[1].counterexample is not None
+        assert plan.tmap.counterexample is None and others[1].tmap.counterexample is not None
         assert plan_scheme(net, scheme) is plan
 
     def test_object_coefficients_are_keyed_by_value(self, fresh_memo):
@@ -859,3 +899,41 @@ def test_product_ring_butterfly_delivers_random_and_choi_inputs(alt_phi):
         for state in (random_input_state(scheme, net.k, seed), choi):
             result = run_protocol(net, scheme, state, seed=seed)
             assert fidelity(state, result.state) == pytest.approx(1.0, abs=1e-9)
+
+
+# rows on src:1, src:2 of butterfly_f2 built past `state_from_rows`, and the
+# QuantumError each must raise (None: the run goes on, on the checked rows)
+HAND_BUILT = {
+    "negative label": ([[0, -1]], [1.0], "basis label out of range"),
+    "label 5": ([[0, 5]], [1.0], "basis label out of range"),
+    "float labels": ([[0.0, 1.0]], [1.0], None),
+    "duplicated row": ([[0, 1], [0, 1]], [0.6, 0.8], "lists a basis label twice"),
+    "amplitude 2": ([[0, 1]], [2.0], None),
+}
+
+
+@pytest.mark.parametrize("entry", ["run_protocol", "enumerate_branches"])
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_runs_check_their_input_rows(name, entry):
+    net, scheme = load_instance("butterfly_f2.json")
+    labels, amps, error = HAND_BUILT[name]
+    state = SupportState(
+        scheme.ring, scheme.q, ("src:1", "src:2"), np.array(labels), np.array(amps, dtype=complex)
+    )
+
+    def fidelities():
+        if entry == "run_protocol":
+            result = run_protocol(net, scheme, state, seed=3)
+            return [fidelity(basis_state(scheme.ring, scheme.q, [0, 1]), result.state)]
+        return [b.fidelity for b in enumerate_branches(net, scheme, state)]
+
+    if error is not None:
+        with pytest.raises(QuantumError, match=error):
+            fidelities()
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fids = fidelities()
+    rescaled = ["normalizing input state (norm was 2)"] if name == "amplitude 2" else []
+    assert [str(w.message) for w in caught] == rescaled
+    assert fids and all(f == pytest.approx(1.0) for f in fids)
