@@ -36,12 +36,13 @@ output, is its support rows (`quantum.SupportState`), which on a solution
 keep the input's size. The loop names registers only: where they sit among
 the rows' columns is the `quantum` kernels' concern. A plan of a solution is
 certified (`SchemePlan.certified`, which reads the transfer map's verdict):
-each of its measurements leaves only a phase, so the loop measures each
-node's registers in one step without checking rows, and `finish_run`
-cancels the phases row by row. The input's rows are checked as
-`quantum.state_from_rows` checks them before any node runs. The input may
-carry spectator registers after `src:1..k`, which no node touches; they
-come after `tgt:1..k` in the output.
+each of its measurements leaves only a phase, and each outcome has
+probability 1/d whatever the input. So a sampled run is the forced run of a
+branch drawn uniformly before the first node, the loop measures each node's
+registers in one step without checking rows, and `finish_run` cancels the
+phases row by row. The input's rows are checked once, before any node runs
+(`quantum.checked_state`). The input may carry spectator registers after
+`src:1..k`, which no node touches; they come after `tgt:1..k` in the output.
 """
 
 from __future__ import annotations
@@ -54,37 +55,14 @@ from functools import cached_property
 import numpy as np
 
 from .network import (
-    CapExceededError,
-    CodingScheme,
-    InstanceError,
-    Network,
-    TransferMap,
-    memoised,
-    source_edge,
-    target_edge,
+    CapExceededError, CodingScheme, InstanceError, Network, TransferMap, memoised, source_edge, target_edge,
     transfer_map,
 )
 from .quantum import (
-    MAX_STATE_ENTRIES,
-    MeasurementOutcome,
-    SupportState,
-    ZeroProbabilityError,
-    check_growth,
-    code_rows,
-    fidelity,
-    measure_rows,
-    output_columns,
-    state_from_rows,
+    MAX_STATE_ENTRIES, MeasurementOutcome, SupportState, ZeroProbabilityError, check_growth, checked_state,
+    code_rows, fidelity, measure_rows, output_columns, uniform_branch,
 )
-from .rings import (
-    RingSpec,
-    add_labels,
-    character_form,
-    int_text,
-    is_identity,
-    is_zero,
-    label_digits,
-)
+from .rings import RingSpec, add_labels, character_form, int_text, is_identity, is_zero, label_digits
 
 BRANCH_CAP_DEFAULT = 65536
 
@@ -132,9 +110,6 @@ class PhaseTable:
     def tables(self) -> tuple[tuple[Fraction, ...], ...]:
         """The corrections as exact fractions, tables[pair - 1][label]."""
         return tuple(tuple(Fraction(int(n), self.ring.exponent) for n in row) for row in self.numerators)
-
-    def turns(self, pair_index: int) -> np.ndarray:
-        return self.numerators[pair_index - 1] / self.ring.exponent
 
     def is_homomorphism(self) -> bool:
         """Exhaustive additivity check of every table."""
@@ -317,11 +292,13 @@ def node_steps(
     Before a node codes, `quantum.check_growth` refuses a coded state above
     `max_entries` amplitudes, so nothing of that node is built.
 
-    Outcomes are sampled from `rng`, or taken in turn from `branch`, one
-    label per measurement; a branch of the wrong length, with a label out of
-    range, or given with an `rng` raises InstanceError when the first step is
-    taken.
+    Outcomes are taken in turn from `branch`, one label per measurement, or
+    sampled from `rng`: on a certified plan, where each is uniform, as one
+    branch before the first node (`quantum.uniform_branch`). A branch of the
+    wrong length, with a label out of range, or given with an `rng` raises
+    InstanceError when the first step is taken.
     """
+    pos, d = 0, plan.register_dim
     if branch is not None:
         if rng is not None:
             raise InstanceError("give either a branch or an rng, not both")
@@ -330,9 +307,10 @@ def node_steps(
             raise InstanceError(
                 f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}"
             )
-        if any(not 0 <= b < plan.register_dim for b in branch):
+        if any(not 0 <= b < d for b in branch):
             raise InstanceError("branch labels out of range")
-    pos, d = 0, plan.register_dim
+    elif rng is not None and plan.certified:
+        branch, rng = uniform_branch(d, plan.measurement_count, rng), None
     state = input_state
     for p in plan.nodes:
         if p.kept is not None:
@@ -381,9 +359,9 @@ def finish_run(plan: SchemePlan, input_state: SupportState, steps) -> RunResult:
 
 
 def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> SupportState:
-    """The input's rows, checked as `quantum.state_from_rows` checks them. The
-    input lives on `src:1..k`, then on any spectator registers, which must not
-    be named like an edge, so that no node touches them."""
+    """The input's rows, checked once (`quantum.checked_state`). The input
+    lives on `src:1..k`, then on any spectator registers, which must not be
+    named like an edge, so that no node touches them."""
     if state.ring != scheme.ring or state.q != scheme.q:
         raise InstanceError("input state ring or width does not match the scheme")
     expected_regs = tuple(source_edge(i + 1) for i in range(net.k))
@@ -393,7 +371,7 @@ def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> Sup
     for reg in state.reg_ids[net.k :]:
         if reg in edges or reg.startswith(("src:", "tgt:")):
             raise InstanceError(f"spectator register {reg!r} is named like an edge")
-    return state_from_rows(state.ring, state.q, state.labels, state.amps, state.reg_ids)
+    return checked_state(state)
 
 
 def run_protocol(

@@ -8,12 +8,14 @@ the rows. On a solution every live cut still determines the input, so
 measuring a register in the Fourier basis leaves the phase chi(y, z) on each
 row, each outcome at probability exactly 1/d (`measure_rows`); where rows
 interfere, in a scheme that is not a solution, it sums them exactly. A
-caller that certifies that none do (on a solution) skips looking for them.
-On a solution the support never grows past the input's.
+caller that certifies that none do (on a solution) skips looking for them
+and gives the outcomes, uniform whatever the input, so drawn before the run
+(`uniform_branch`). On a solution the support never grows past the input's.
 
 Inputs are built as rows by one routine, `state_from_rows`, which
 `init_state` (a flat amplitude array) and `basis_state` (one label per
-register) call too; `fidelity` matches two states' rows by label. The
+register) call too, and which remembers the read-only states it makes
+(`checked_state`); `fidelity` matches two states' rows by label. The
 kernels take register names; coding puts the inputs first, then the other
 registers, then the outputs, and a measurement drops its register. Only this
 module knows where a register sits among the support's columns (`_layout`).
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +44,7 @@ from .rings import RingSpec, int_text, linear_map, pairing, place_values
 MAX_STATE_ENTRIES = 2**24
 _INDEXABLE_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 _NORM_TOL = 1e-9
+_MADE = weakref.WeakSet()  # the states `state_from_rows` made: checked, read-only
 
 
 class QuantumError(ValueError):
@@ -95,7 +99,8 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
     `reg_ids` names the n registers.
 
     Amplitudes must be finite and not all zero; a norm other than one is
-    rescaled with a warning. Labels must be in range and distinct.
+    rescaled with a warning. Labels must be integers (not booleans; floats
+    of integral value will do), in range and distinct. Arrays are read-only.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = math.sqrt(np.vdot(amps, amps).real)  # not finite if an amplitude is, or on overflow
@@ -106,20 +111,32 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
     if abs(norm - 1.0) > _NORM_TOL:
         warnings.warn(f"normalizing input state (norm was {norm:.6g})", stacklevel=2)
         amps = amps / norm
-    labels, d = np.asarray(labels, dtype=np.int64), ring.cardinality**q
+    labels, d = np.asarray(labels), ring.cardinality**q
     if labels.ndim != 2 or len(labels) != len(amps):
         raise QuantumError(f"need one row of labels per amplitude, got shape {labels.shape}")
     n = labels.shape[1]
     reg_ids = tuple(source_edge(i + 1) for i in range(n)) if reg_ids is None else tuple(reg_ids)
     if len(reg_ids) != n:
         raise RegisterError(f"expected {n} register ids, got {len(reg_ids)}")
+    if labels.dtype.kind not in "iuf" or labels.dtype.kind == "f" and not (np.floor(labels) == labels).all():
+        raise QuantumError("basis labels must be integers")
     if labels.size and not 0 <= labels.min() <= labels.max() < d:
         raise QuantumError(f"basis label out of range (dimension {int_text(d)})")
-    order, starts = _lexsorted(labels)
+    order, starts = _lexsorted(labels := labels.astype(np.int64, copy=False))
     if not starts.all():
         raise QuantumError("the state lists a basis label twice")
     keep = order[amps[order] != 0]
-    return SupportState(ring, q, reg_ids, labels[keep], amps[keep])
+    state = SupportState(ring, q, reg_ids, labels[keep], amps[keep])
+    state.labels.flags.writeable = state.amps.flags.writeable = False
+    _MADE.add(state)
+    return state
+
+
+def checked_state(state: SupportState) -> SupportState:
+    """`state` if `state_from_rows` made it, else what it makes of the rows."""
+    if state in _MADE:
+        return state
+    return state_from_rows(state.ring, state.q, state.labels, state.amps, state.reg_ids)
 
 
 def init_state(ring: RingSpec, q: int, k: int, amplitudes, reg_ids=None) -> SupportState:
@@ -140,7 +157,7 @@ def init_state(ring: RingSpec, q: int, k: int, amplitudes, reg_ids=None) -> Supp
 
 def basis_state(ring: RingSpec, q: int, labels, reg_ids=None) -> SupportState:
     """Computational basis state |labels[0], labels[1], ...>: one row."""
-    return state_from_rows(ring, q, [[int(v) for v in labels]], [1.0], reg_ids)
+    return state_from_rows(ring, q, [list(labels)], [1.0], reg_ids)
 
 
 def check_growth(entries: int, max_entries: int) -> None:
@@ -233,18 +250,23 @@ def _uniform(d: int) -> tuple[np.ndarray, np.ndarray]:
     return marginal, cdf
 
 
-def _draw(marginal: np.ndarray, reg: str, rng, forced, cdf=None) -> tuple[int, float]:
-    """An outcome label and its probability: sampled from `rng`, or `forced`.
+def uniform_branch(d: int, m: int, rng) -> tuple[int, ...]:
+    """m outcome labels, each uniform over d: one `rng.random(m)` searched in
+    the uniform `_cdf`, the doubles and labels of m sampling `_draw`s."""
+    return tuple(_uniform(d)[1].searchsorted(rng.random(m), side="right").tolist())
 
-    A sample takes one `rng.random()` and searches the marginal's `_cdf`
-    (`cdf`, if the caller has it), which is how `Generator.choice` draws,
-    so the labels are those of `rng.choice(len(marginal), p=...)`.
+
+def _draw(marginal: np.ndarray, reg: str, rng, forced) -> tuple[int, float]:
+    """One outcome label and its probability on an uncertified plan (a
+    certified plan's branch is `uniform_branch`): sampled from `rng`, or
+    `forced`. A sample takes one `rng.random()` and searches the marginal's
+    `_cdf`, which is how `Generator.choice` draws, so the labels are those
+    of `rng.choice(len(marginal), p=...)`.
     """
     if (rng is None) == (forced is None):
         raise QuantumError("provide exactly one of rng= and forced=")
     if forced is None:
-        cdf = _cdf(marginal) if cdf is None else cdf
-        label = int(cdf.searchsorted(rng.random(), side="right"))
+        label = int(_cdf(marginal).searchsorted(rng.random(), side="right"))
         return label, float(marginal[label])
     label = int(forced)
     if not 0 <= label < len(marginal):
@@ -279,28 +301,29 @@ def measure_rows(
     state: SupportState, regs, rng=None, forced=None, certified: bool = False
 ) -> tuple[tuple[MeasurementOutcome, ...], SupportState]:
     """Fourier-transform and measure live registers in turn on the support,
-    each outcome sampled from `rng` or taken from `forced`, one per register;
-    a measured register is dropped.
+    each outcome taken from `forced`, one per register, or else sampled from
+    `rng`; a measured register is dropped.
 
     Rows are grouped by their other columns, in lexicographic order. If no
     two share them, they fix the register's label y: outcome z has
     probability exactly 1/d and multiplies each row by F[z, y] sqrt(d).
     Otherwise each group's rows are summed with F[z, .], and z is drawn from
-    the exact marginal. A `certified` call (`protocol.SchemePlan.certified`)
+    the exact marginal (`_draw`). A `certified` call
+    (`protocol.SchemePlan.certified`) takes `forced` labels and no `rng`, and
     skips grouping, dropping the measured columns at once (a view if they lead).
     """
     regs, m = tuple(regs), len(regs)
-    forced = (None,) * m if forced is None else tuple(forced)
     scaled = _scaled_fourier(state.ring, state.q)
     d = len(scaled)
     if not certified:
         outcomes = ()
-        for reg, label in zip(regs, forced, strict=True):
+        for reg, label in zip(regs, (None,) * m if forced is None else forced, strict=True):
             gather, _, roster = _layout(state.reg_ids, (reg,), (), d)
             rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
             first, group = _group_rows(rest)
             if len(first) == len(rest):
-                outcome, state = measure_rows(state, (reg,), rng, (label,), certified=True)
+                label, _ = _draw(_uniform(d)[0], reg, rng, label)
+                outcome, state = measure_rows(state, (reg,), forced=(label,), certified=True)
             else:
                 rows = np.zeros((len(first), d), dtype=complex)
                 rows[group, state.labels[:, gather[0]]] = state.amps
@@ -310,13 +333,15 @@ def measure_rows(
                 state = SupportState(state.ring, state.q, roster[1:], rest[first], coeffs[:, label] / math.sqrt(p))
             outcomes += outcome
         return outcomes, state
-    marginal, cdf = _uniform(d)
+    if rng is not None or forced is None:
+        raise QuantumError("a certified measurement takes forced labels, not an rng")
     gather, _, roster = _layout(state.reg_ids, regs, (), d)
     amps, outcomes = state.amps, ()
-    for col, reg, label in zip(gather[:m], regs, forced, strict=True):
-        label, p = _draw(marginal, reg, rng, label, cdf)
+    for col, reg, label in zip(gather[:m], regs, map(int, forced), strict=True):
+        if not 0 <= label < d:
+            raise QuantumError(f"outcome label {label} out of range")
         amps = amps * scaled[label][state.labels[:, col]]
-        outcomes += (MeasurementOutcome(reg, label, p),)
+        outcomes += (MeasurementOutcome(reg, label, 1 / d),)
     rest = state.labels[:, m:] if state.reg_ids[:m] == regs else state.labels[:, gather[m:]]
     return outcomes, SupportState(state.ring, state.q, roster[m:], rest, amps)
 

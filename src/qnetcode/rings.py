@@ -253,10 +253,7 @@ class RingSpec:
 
     @cached_property
     def cardinality(self) -> int:
-        n = 1
-        for m in self.moduli:
-            n *= m
-        return n
+        return math.prod(self.moduli)
 
     @cached_property
     def exponent(self) -> int:

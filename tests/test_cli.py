@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnetcode.cli
+import qnetcode.protocol
+import qnetcode.quantum
 from conftest import INSTANCES, butterfly_with_isolated_node
 from qnetcode.cli import build_parser, main
 from qnetcode.network import MEMO_SIZE, InstanceError, parse_network
 from qnetcode.protocol import CostReport
-from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix
+from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix, state_from_rows
 from qnetcode.rings import RingError, parse_ring_spec
 
 BUTTERFLY = str(INSTANCES / "butterfly_f2.json")
@@ -823,6 +826,31 @@ def test_in_process_runs_keep_the_ring_caches_bounded(capsys, fresh_memo):
         info = cache.cache_info()
         assert info.misses == len(rings) and info.currsize <= info.maxsize == 16
     assert 2 * len(rings) > MEMO_SIZE == len(fresh_memo)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", BUTTERFLY, "--seed", "1"],
+        ["simulate", BUTTERFLY, "--seed", "1", "--input", "1,0"],
+        ["enumerate", BUTTERFLY],
+        ["enumerate", BUTTERFLY, "--input", SUPERPOS],
+    ],
+    ids=["simulate", "simulate-literal", "enumerate", "enumerate-file"],
+)
+def test_a_run_checks_its_input_rows_once(capsys, monkeypatch, argv):
+    # the CLI builds the input with `state_from_rows`, and the run takes it as it is
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return state_from_rows(*args, **kwargs)
+
+    for module in (qnetcode.quantum, qnetcode.cli, qnetcode.protocol):  # each name it could be called by
+        monkeypatch.setattr(module, "state_from_rows", counted, raising=False)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_an_instance_rewritten_in_place_is_parsed_anew(capsys, tmp_path):

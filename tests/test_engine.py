@@ -20,7 +20,7 @@ from conftest import (
 )
 from oracles import StateVector, apply_coding_unitary, apply_fourier, apply_phase, dense, measure, support
 from qnetcode.network import parse_network, scheme_with_alternate_phi, target_edge
-from qnetcode.protocol import finish_run, node_steps, plan_scheme
+from qnetcode.protocol import finish_run, node_steps, plan_scheme, run_protocol
 from qnetcode.quantum import (
     ZeroProbabilityError,
     basis_state,
@@ -99,8 +99,9 @@ def dense_corrections(result) -> StateVector:
     """The run's pre-correction state made dense and corrected pair by pair
     with the dense `apply_phase`."""
     final = dense(result.pre_correction)
+    turns = result.phase_table.numerators / result.plan.tmap.ring.exponent
     for i in range(1, result.plan.net.k + 1):
-        final = apply_phase(final, target_edge(i), -result.phase_table.turns(i))
+        final = apply_phase(final, target_edge(i), -turns[i - 1])
     return final
 
 
@@ -288,6 +289,35 @@ class TestCertifiedPath:
         assert {certified for _, certified in seen} == {plan.certified}
 
 
+class _CountingRng:
+    """A generator that records the size of every `random` call."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("name", ["butterfly_f2.json", "butterfly_f2_broken.json"])
+def test_only_an_uncertified_plan_reads_the_rng_after_the_first_node(name):
+    # a certified plan takes its m doubles in one call before the first node;
+    # an uncertified one takes one double per measurement, as it measures
+    net, scheme = load_instance(name)
+    plan = plan_scheme(net, scheme)
+    state = random_input_state(scheme, net.k, 1)
+    rng = _CountingRng(0)
+    steps = node_steps(plan, state, rng)
+    next(steps)
+    before = list(rng.sizes)
+    assert len(list(steps)) == len(plan.nodes) - 1
+    if plan.certified:
+        assert before == rng.sizes == [plan.measurement_count]
+    else:
+        assert before == [None] and rng.sizes == [None] * plan.measurement_count
+
+
 @pytest.mark.parametrize("spectators", [False, True], ids=["plain-input", "choi"])
 @pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
 @pytest.mark.parametrize("name", BUNDLED)
@@ -314,3 +344,29 @@ def test_row_corrections_equal_dense_apply_phase(name, alt_phi, spectators):
         assert result.state.reg_ids == want.reg_ids == result.pre_correction.reg_ids
         assert np.array_equal(result.state.labels, result.pre_correction.labels)
         assert np.allclose(dense(result.state).amps, want.amps, rtol=0, atol=1e-12)
+
+
+def _same_state(a, b) -> bool:
+    arrays = (a.labels, b.labels), (a.amps, b.amps)
+    return a.reg_ids == b.reg_ids and all(x.tobytes() == y.tobytes() for x, y in arrays)
+
+
+@pytest.mark.parametrize("spectators", [False, True], ids=["random-input", "choi"])
+@pytest.mark.parametrize("alt_phi", [False, True], ids=["plain", "alt-phi"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_seeded_run_is_the_forced_run_of_its_own_labels(name, alt_phi, spectators):
+    # bitwise: on a certified plan the branch is drawn before the first node,
+    # elsewhere each outcome as it is measured; either way forcing the drawn
+    # labels gives the same run
+    net, scheme = load_instance(name)
+    if alt_phi:
+        scheme = scheme_with_alternate_phi(scheme)
+    state = choi_state(scheme, net.k) if spectators else random_input_state(scheme, net.k, 5)
+    for (prune, copy_skip), seed in itertools.product(POLICY_GRID, (0, 1, 7)):
+        flags = {"prune": prune, "copy_skip": copy_skip, "check_classical": False}
+        sampled = run_protocol(net, scheme, state, seed=seed, **flags)
+        forced = run_protocol(net, scheme, state, branch=sampled.log.branch_labels(), **flags)
+        assert _same_state(sampled.state, forced.state)
+        assert _same_state(sampled.pre_correction, forced.pre_correction)
+        assert sampled.phase_table.numerators.tobytes() == forced.phase_table.numerators.tobytes()
+        assert sampled.log == forced.log

@@ -912,6 +912,16 @@ HAND_BUILT = {
 }
 
 
+@pytest.mark.parametrize("labels", [[[0.5, 1.7]], [[True, False]]], ids=["fractional", "boolean"])
+def test_runs_refuse_labels_that_are_not_integers(labels):
+    net, scheme = load_instance("butterfly_f2.json")
+    state = SupportState(scheme.ring, scheme.q, ("src:1", "src:2"), np.array(labels), np.array([1.0 + 0j]))
+    with pytest.raises(QuantumError, match="basis labels must be integers"):
+        run_protocol(net, scheme, state, seed=3)
+    with pytest.raises(QuantumError, match="basis labels must be integers"):
+        next(enumerate_branches(net, scheme, state))
+
+
 @pytest.mark.parametrize("entry", ["run_protocol", "enumerate_branches"])
 @pytest.mark.parametrize("name", list(HAND_BUILT))
 def test_runs_check_their_input_rows(name, entry):

@@ -40,6 +40,7 @@ from qnetcode.quantum import (
     measure_rows,
     output_columns,
     state_from_rows,
+    uniform_branch,
 )
 from qnetcode.rings import coefficient_matrix, parse_ring_spec
 
@@ -292,14 +293,18 @@ class TestMeasure:
 class TestDraw:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 16, 27, 64])
     def test_labels_are_those_of_generator_choice(self, d):
-        # the seeded labels pinned in tests/cli_golden.json rest on this
-        uniform, cdf = _uniform(d)
+        # the seeded labels pinned in tests/cli_golden.json rest on this: a
+        # certified plan's branch drawn up front, then an uncertified one's draws
+        uniform, _ = _uniform(d)
         for seed in range(150):
             weights = np.random.default_rng([d, seed]).random(d)
             weights[::3] = 0.0
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            branch = uniform_branch(d, 5, ours)
+            assert branch == tuple(theirs.choice(d, p=uniform / uniform.sum()) for _ in range(5))
+            assert all(type(label) is int for label in branch)
             for _ in range(5):
-                assert _draw(uniform, "r", ours, None, cdf)[0] == theirs.choice(d, p=uniform / uniform.sum())
+                assert _draw(uniform, "r", ours, None)[0] == theirs.choice(d, p=uniform / uniform.sum())
                 assert _draw(weights, "r", ours, None)[0] == theirs.choice(d, p=weights / weights.sum())
             assert ours.random() == theirs.random()
 
@@ -364,6 +369,8 @@ class TestStateFromRows:
             ([[0, 1]], [np.nan], "must be finite"),
             ([[0, 1], [1, 1]], [1.0], "one row of labels per amplitude"),
             ([0, 1], [0.6, 0.8], "one row of labels per amplitude"),
+            ([[0.5, 1.7]], [1.0], "basis labels must be integers"),
+            ([[True, False]], [1.0], "basis labels must be integers"),
         ],
     )
     def test_bad_rows_are_refused(self, labels, amps, message):
@@ -505,16 +512,29 @@ class TestSupportState:
         rows = init_state(Z3, 1, 3, amps, reg_ids=("a", "b", "c"))
         (left,) = [r for r in "abc" if r not in regs]
         for forced in [(2, 1), None]:
-            (checked, want), (got, state) = [
-                measure_rows(rows, regs, None if forced else np.random.default_rng(9), forced, certified)
-                for certified in (False, True)
-            ]
+            rng = None if forced else np.random.default_rng(9)
+            checked, want = measure_rows(rows, regs, rng, forced)
+            # a certified call draws nothing: it takes the labels the checked call drew
+            got, state = measure_rows(rows, regs, forced=[o.label for o in checked], certified=True)
             assert got == checked and all(o.probability == 1 / 3 for o in got)
             turns = sum(cols[o.register] * o.label for o in got) / 3
             assert state.reg_ids == want.reg_ids == (left,)
             assert state.labels.tolist() == want.labels.tolist() == [[v] for v in cols[left]]
             assert np.allclose(state.amps, amps[amps != 0] * np.exp(2j * np.pi * turns), atol=1e-15)
             assert state.amps.tobytes() == want.amps.tobytes()
+
+    def test_a_certified_call_takes_labels_not_an_rng(self):
+        rows = init_state(Z2, 1, 2, [0.6, 0, 0, 0.8])
+        for rng, forced in [(np.random.default_rng(0), None), (np.random.default_rng(0), (1,)), (None, None)]:
+            with pytest.raises(QuantumError, match="a certified measurement takes forced labels, not an rng"):
+                measure_rows(rows, ("src:1",), rng, forced, certified=True)
+
+    def test_made_states_are_read_only(self):
+        state = state_from_rows(Z3, 1, [[0.0, 1.0], [2, 0]], [0.6, 0.8])
+        assert state.labels.dtype == np.int64 and state.labels.tolist() == [[0, 1], [2, 0]]
+        for array in (state.labels, state.amps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     # a certified call is never made on interfering rows
     @pytest.mark.parametrize(
