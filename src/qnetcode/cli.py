@@ -9,6 +9,11 @@ when standard output is closed before the report is written, e.g. by
 `verify` reads its verdict from the transfer map it prints, so it enumerates
 no inputs and needs no cap.
 
+A call is parsed by its subcommand's parser alone, the one `build_parser`
+made under the name in `argv[0]`. The whole parser parses only a call it must
+report on: an empty argv, an unknown command, an option before the command,
+or arguments left over; so its usage and error text are argparse's.
+
 Forced branches list one outcome label per measurement, nodes in topological
 order and input edges in declared order; a plain digit string works for
 register dimensions up to 10, comma-separated labels always. Input states are
@@ -38,6 +43,7 @@ from .network import (
     CapExceededError,
     InstanceError,
     load_json,
+    memoised,
     parse_entry,
     parse_network,
     scheme_with_alternate_phi,
@@ -113,13 +119,14 @@ def _input_triples(arg, k) -> list:
 
 
 def _load_input_state(arg, ring, q, k, max_entries):
-    """The input state's rows: the uniform superposition's d^k when `arg` is
-    None, else one per `_input_triples` triple. The cap counts d^k before any
-    of them is allocated. A normalisation warning is one line on stderr."""
+    """The input state's rows: the uniform superposition's d^k, memoised,
+    when `arg` is None, else one per `_input_triples` triple, checked before
+    the cap counts d^k. A normalisation warning is one line on stderr."""
     d = ring.cardinality**q
-    check_growth(d**k, max_entries)
     if arg is None:
-        return init_state(ring, q, k, np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex))
+        check_growth(d**k, max_entries)
+        uniform = lambda: init_state(ring, q, k, np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex))
+        return memoised(("uniform input", ring, q, k), uniform)
     labels, amps, seen = [], [], set()
     for label, re_part, im_part in _input_triples(arg, k):
         if not isinstance(label, list) or len(label) != k:
@@ -132,6 +139,7 @@ def _load_input_state(arg, ring, q, k, max_entries):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         state = state_from_rows(ring, q, labels, amps)
+    check_growth(d**k, max_entries)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return state
@@ -168,7 +176,11 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
 
 
 def _phase_table_strings(table) -> list[list[str]]:
-    return [[str(v) for v in t] for t in table.tables]
+    """Each correction as `str(Fraction(n, L))`, n its numerator and L the
+    ring's exponent, without building the fractions."""
+    turns = table.ring.exponent
+    text = lambda n, g: f"{n // g}" if g == turns else f"{n // g}/{turns // g}"
+    return [[text(n, math.gcd(n, turns)) for n in row] for row in table.numerators.tolist()]
 
 
 def _cost_payload(report) -> dict:
@@ -232,6 +244,7 @@ def cmd_simulate(args) -> int:
     )
     fid = fidelity(state, result.state)
     report = classical_cost(result.plan)
+    phases = _phase_table_strings(result.phase_table)
     payload = {
         "command": "simulate",
         "instance": str(args.instance),
@@ -244,7 +257,7 @@ def cmd_simulate(args) -> int:
             for e in result.log.entries
             for o in e.outcomes
         ],
-        "phase_table": _phase_table_strings(result.phase_table),
+        "phase_table": phases,
         "fidelity": fid,
         "cost": _cost_payload(report),
     }
@@ -258,7 +271,7 @@ def cmd_simulate(args) -> int:
         outs = " ".join(f"{o.register}={o.label}" for o in entry.outcomes)
         lines.append(f"  {entry.node}: {outs} -> pairs {list(entry.recipients)}")
     lines.append("phase table:")
-    for i, row in enumerate(_phase_table_strings(result.phase_table), start=1):
+    for i, row in enumerate(phases, start=1):
         lines.append(f"  h_{i}: [{', '.join(row)}]")
     lines.append(f"fidelity: {fid:.12f}")
     lines.append("cost:")
@@ -338,10 +351,15 @@ def cmd_cost(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: built on the first call, then reused
     (`parse_args` returns a fresh namespace, and no default is mutable)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommands' parsers by name, built once."""
     parser = argparse.ArgumentParser(
         prog="qnetcode",
         description="Quantum simulation of classical linear network coding schemes",
@@ -399,7 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cost)
     p_cost.set_defaults(fn=cmd_cost)
 
-    return parser
+    return parser, {"verify": p_verify, "simulate": p_sim, "enumerate": p_enum, "cost": p_cost}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of a call, from its subcommand's parser; the whole parser
+    parses (and reports on) any call that parser does not take whole."""
+    parser, commands = _parsers()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _check_caps(args) -> None:
@@ -410,7 +440,7 @@ def _check_caps(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         _check_caps(args)
         code = args.fn(args)

@@ -62,7 +62,7 @@ from .quantum import (
     MAX_STATE_ENTRIES, MeasurementOutcome, SupportState, ZeroProbabilityError, check_growth, checked_state,
     code_rows, fidelity, measure_rows, output_columns, uniform_branch,
 )
-from .rings import RingSpec, add_labels, character_form, int_text, is_identity, is_zero, label_digits
+from .rings import RingSpec, character_form, int_text, is_identity, is_zero, label_digits
 
 BRANCH_CAP_DEFAULT = 65536
 
@@ -110,14 +110,6 @@ class PhaseTable:
     def tables(self) -> tuple[tuple[Fraction, ...], ...]:
         """The corrections as exact fractions, tables[pair - 1][label]."""
         return tuple(tuple(Fraction(int(n), self.ring.exponent) for n in row) for row in self.numerators)
-
-    def is_homomorphism(self) -> bool:
-        """Exhaustive additivity check of every table."""
-        labels = np.arange(self.numerators.shape[1])
-        sums = add_labels(self.ring, self.q, labels[:, None], labels)
-        table = self.numerators
-        expected = (table[:, :, None] + table[:, None, :]) % self.ring.exponent
-        return bool(np.all(table[:, 0] == 0) and np.array_equal(table[:, sums], expected))
 
 
 @dataclass(frozen=True)
@@ -209,6 +201,23 @@ class SchemePlan:
         matrix = np.concatenate(blocks)
         matrix.flags.writeable = False
         return matrix
+
+    @cached_property
+    def cost(self) -> CostReport:
+        """The classical traffic the plan announces (`classical_cost`)."""
+        net, q = self.net, self.tmap.q
+        bits = max(1, (self.tmap.ring.cardinality - 1).bit_length())
+        bound = net.k * net.max_fan_in * len(net.nodes) * q
+        per_node = []
+        for p in self.nodes:
+            if p.measured is not None:
+                told = len(p.recipients)
+                per_node.append((p.node, len(p.measured), told, len(p.measured) * told * q))
+        sent = sum(row[3] for row in per_node)
+        return CostReport(
+            net.k, net.max_fan_in, len(net.nodes), len(net.edges), q, bound, bound * bits,
+            sent, sent * bits, len(net.edges), self.policy, tuple(per_node)
+        )
 
     @property
     def measurement_count(self) -> int:
@@ -439,24 +448,13 @@ class CostReport:
 
 
 def classical_cost(plan: SchemePlan) -> CostReport:
-    """The classical traffic the plan announces, next to the bound k * M * |V|.
+    """The classical traffic the plan announces, next to the bound k * M * |V|,
+    built once per plan and kept on it (`SchemePlan.cost`).
 
     Broadcast traffic is k * q times the total fan-in of the measuring nodes,
     and M is the largest fan-in, so it never exceeds the bound.
     """
-    net, q = plan.net, plan.tmap.q
-    bits = max(1, (plan.tmap.ring.cardinality - 1).bit_length())
-    bound = net.k * net.max_fan_in * len(net.nodes) * q
-    per_node = []
-    for p in plan.nodes:
-        if p.measured is not None:
-            told = len(p.recipients)
-            per_node.append((p.node, len(p.measured), told, len(p.measured) * told * q))
-    sent = sum(row[3] for row in per_node)
-    return CostReport(
-        net.k, net.max_fan_in, len(net.nodes), len(net.edges), q, bound, bound * bits,
-        sent, sent * bits, len(net.edges), plan.policy, tuple(per_node)
-    )
+    return plan.cost
 
 
 def enumerate_branches(

@@ -100,7 +100,8 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
 
     Amplitudes must be finite and not all zero; a norm other than one is
     rescaled with a warning. Labels must be integers (not booleans; floats
-    of integral value will do), in range and distinct. Arrays are read-only.
+    of integral value will do), in range, within int64 and distinct. Arrays
+    are read-only.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
     norm = math.sqrt(np.vdot(amps, amps).real)  # not finite if an amplitude is, or on overflow
@@ -118,10 +119,15 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
     reg_ids = tuple(source_edge(i + 1) for i in range(n)) if reg_ids is None else tuple(reg_ids)
     if len(reg_ids) != n:
         raise RegisterError(f"expected {n} register ids, got {len(reg_ids)}")
-    if labels.dtype.kind not in "iuf" or labels.dtype.kind == "f" and not (np.floor(labels) == labels).all():
+    kind = labels.dtype.kind
+    if kind == "O" and all(type(x) is int for x in labels.flat):
+        kind = "i"  # Python ints past int64, refused below once in range
+    if kind not in "iuf" or kind == "f" and not (np.floor(labels) == labels).all():
         raise QuantumError("basis labels must be integers")
     if labels.size and not 0 <= labels.min() <= labels.max() < d:
         raise QuantumError(f"basis label out of range (dimension {int_text(d)})")
+    if labels.size and labels.max() > np.iinfo(np.int64).max:
+        raise QuantumError(f"basis label {int_text(int(labels.max()))} is too large for the int64 support rows")
     order, starts = _lexsorted(labels := labels.astype(np.int64, copy=False))
     if not starts.all():
         raise QuantumError("the state lists a basis label twice")

@@ -16,6 +16,8 @@ of them and imports nothing from here.
   is checked against them.
 - The simulated verdict: `evaluate_classical` pushes input labels through
   the nodes, and `evaluate` reads an edge's label off the transfer map.
+- The additivity of a run's corrections: `is_homomorphism` checks every
+  table of a `PhaseTable` exhaustively.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from qnetcode.quantum import (
     _layout,
     fourier_matrix,
 )
-from qnetcode.rings import RingError, linear_map, place_values
+from qnetcode.rings import RingError, add_labels, linear_map, place_values
 
 # ---------------------------------------------------------------------------
 # the object ring
@@ -309,3 +311,12 @@ def evaluate(tmap, edge: str, inputs) -> np.ndarray:
     """The edge's label read off the transfer map, for the pair input labels
     (broadcast together)."""
     return linear_map(tmap.ring, tmap.q, [tmap.gammas[edge]], inputs)[..., 0]
+
+
+def is_homomorphism(table) -> bool:
+    """Exhaustive additivity check of every table of a `PhaseTable`."""
+    labels = np.arange(table.numerators.shape[1])
+    sums = add_labels(table.ring, table.q, labels[:, None], labels)
+    rows = table.numerators
+    expected = (rows[:, :, None] + rows[:, None, :]) % table.ring.exponent
+    return bool(np.all(rows[:, 0] == 0) and np.array_equal(rows[:, sums], expected))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ import qnetcode.cli
 import qnetcode.protocol
 import qnetcode.quantum
 from conftest import INSTANCES, butterfly_with_isolated_node
-from qnetcode.cli import build_parser, main
+from qnetcode.cli import _phase_table_strings, build_parser, main
 from qnetcode.network import MEMO_SIZE, InstanceError, parse_network
-from qnetcode.protocol import CostReport
+from qnetcode.protocol import CostReport, PhaseTable
 from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix, state_from_rows
 from qnetcode.rings import RingError, parse_ring_spec
 
@@ -28,6 +29,17 @@ BUTTERFLY = str(INSTANCES / "butterfly_f2.json")
 BROKEN = str(INSTANCES / "butterfly_f2_broken.json")
 SINGLE = str(INSTANCES / "single_edge_f2.json")
 SUPERPOS = str(INSTANCES / "superpos_f2_k2.json")
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process call, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -583,7 +595,8 @@ class TestErrorContract:
         code, out, err = run_cli(capsys, "simulate", BUTTERFLY, "--seed", "1", "--branch", "000000000")
         assert (code, out, err) == (2, "", "error: give either a branch or a seed, not both\n")
 
-    def test_memory_error_exit_2(self, capsys, monkeypatch):
+    def test_memory_error_exit_2(self, capsys, monkeypatch, fresh_memo):
+        # an empty memo: the uniform input is built, not taken from an earlier call
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate the array")
 
@@ -838,8 +851,9 @@ def test_in_process_runs_keep_the_ring_caches_bounded(capsys, fresh_memo):
     ],
     ids=["simulate", "simulate-literal", "enumerate", "enumerate-file"],
 )
-def test_a_run_checks_its_input_rows_once(capsys, monkeypatch, argv):
-    # the CLI builds the input with `state_from_rows`, and the run takes it as it is
+def test_a_run_checks_its_input_rows_once(capsys, monkeypatch, fresh_memo, argv):
+    # the CLI builds the input with `state_from_rows`, and the run takes it as it is;
+    # an empty memo, so that a uniform input is built rather than taken from it
     calls = []
 
     def counted(*args, **kwargs):
@@ -859,6 +873,15 @@ def test_an_instance_rewritten_in_place_is_parsed_anew(capsys, tmp_path):
         path.write_bytes(Path(source).read_bytes())
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == want and ("INVALID" in out) == bool(want)
+
+
+def test_a_basis_label_past_int64_exits_2(capsys):
+    # the input's rows are checked before its d^k is counted against the cap
+    doc = json.loads(Path(SINGLE).read_text())
+    doc["ring"] = f"Z({2**70})"
+    code, out, err = run_cli(capsys, "simulate", json.dumps(doc), "--seed", "1", "--input", str(2**65))
+    assert (code, out) == (2, "")
+    assert err == "error: basis label 36893488147419103232 is too large for the int64 support rows\n"
 
 
 def test_files_that_are_not_utf8_name_the_byte(capsys, tmp_path):
@@ -913,15 +936,106 @@ def test_reused_parser_leaks_nothing_between_calls():
     ]
     parser = build_parser()
     for argv, proc in zip(sequence, fresh):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        code, out, err = _call(argv)
         want_out, want_err = proc.communicate(timeout=300)
-        assert (code, out.getvalue()) == (proc.returncode, want_out), argv
+        assert (code, out) == (proc.returncode, want_out), argv
         # a usage message is wrapped to the terminal width; its last line is not
-        assert err.getvalue().splitlines()[-1:] == want_err.splitlines()[-1:], argv
+        assert err.splitlines()[-1:] == want_err.splitlines()[-1:], argv
     assert [proc.returncode for proc in fresh] == [0, 0, 2, 0, 2, 0]
     assert build_parser() is parser
+
+
+COMMANDS = "'verify', 'simulate', 'enumerate', 'cost'"
+
+
+@pytest.mark.parametrize(
+    "argv, whole, last_err",
+    [
+        (["verify", BUTTERFLY], False, None),
+        (["verify", BROKEN, "--format", "json"], False, None),
+        (["simulate", BUTTERFLY, "--seed", "1", "--prune", "--alt-phi"], False, None),
+        (["simulate", BUTTERFLY, "--branch", "0" * 9, "--input", "1,0"], False, None),
+        (["enumerate", SINGLE, "--copy-skip"], False, None),
+        (["cost", BUTTERFLY, "--format", "json"], False, None),
+        (["simulate", BUTTERFLY, "--seed", "1", "--form", "json"], False, None),
+        (["simulate", "-h"], False, None),
+        (["simulate"], False, "qnetcode simulate: error: the following arguments are required: instance"),
+        (
+            ["verify", BUTTERFLY, "--format", "xml"],
+            False,
+            "qnetcode verify: error: argument --format: invalid choice: 'xml' (choose from 'text', 'json')",
+        ),
+        (
+            ["simulate", BUTTERFLY, "--seed", "1", "--bogus"],
+            True,
+            "qnetcode: error: unrecognized arguments: --bogus",
+        ),
+        (
+            ["simulat", BUTTERFLY],
+            True,
+            f"qnetcode: error: argument command: invalid choice: 'simulat' (choose from {COMMANDS})",
+        ),
+        ([], True, "qnetcode: error: the following arguments are required: command"),
+        (
+            ["--format", "json", "verify", BUTTERFLY],
+            True,
+            f"qnetcode: error: argument command: invalid choice: 'json' (choose from {COMMANDS})",
+        ),
+        (
+            ["--form", "text", "verify", BUTTERFLY],
+            True,
+            f"qnetcode: error: argument command: invalid choice: 'text' (choose from {COMMANDS})",
+        ),
+    ],
+)
+def test_a_subcommand_parser_answers_as_the_whole_parser(monkeypatch, argv, whole, last_err):
+    # the whole parser parses only what it must report on, and says what it always said
+    parser = build_parser()
+    wholes = []
+    monkeypatch.setattr(parser, "parse_args", lambda *a: wholes.append(a) or type(parser).parse_args(parser, *a))
+    got = _call(argv)
+    assert len(wholes) == whole
+    with monkeypatch.context() as m:
+        m.setattr(qnetcode.cli, "_parsers", lambda: (parser, {}))  # every call through the whole parser
+        want = _call(argv)
+    assert got == want
+    code, out, err = got
+    if last_err is None:
+        assert code in (0, 1) and err == ""
+        assert out.startswith("usage: qnetcode simulate") if "-h" in argv else out
+    else:
+        assert (code, out, err.splitlines()[-1]) == (2, "", last_err)
+        assert err.startswith("usage: qnetcode")
+
+
+def test_the_console_script_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["qnetcode", "simulate", BUTTERFLY, "--seed", "1", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "qnetcode: error: unrecognized arguments: --bogus"
+    monkeypatch.setattr(sys, "argv", ["qnetcode", "cost", BUTTERFLY])
+    assert main() == 0 and capsys.readouterr().out.startswith(f"instance: {BUTTERFLY}")
+
+
+def test_the_cap_holds_before_the_memoised_uniform_input(capsys, fresh_memo):
+    # the uniform input is kept per ring, twisted phi included, and a smaller
+    # cap still refuses it
+    z3 = str(INSTANCES / "butterfly_z3.json")
+    assert run_cli(capsys, "simulate", z3, "--seed", "1")[0] == 0
+    assert run_cli(capsys, "simulate", z3, "--seed", "2", "--alt-phi")[0] == 0
+    assert run_cli(capsys, "simulate", z3, "--seed", "3")[0] == 0
+    uniform = [key for key in fresh_memo if key[0] == "uniform input"]
+    assert len(uniform) == 2 and uniform[0][1] != uniform[1][1]
+    code, out, err = run_cli(capsys, "simulate", z3, "--seed", "1", "--max-dim", "8")
+    assert (code, out, err) == (2, "", "error: the state would hold 9 amplitudes, above the cap 8 (use --max-dim N)\n")
+
+
+@pytest.mark.parametrize("ring", ["Z(12)", "GF(4)", f"Z({2**70})"])
+def test_phase_table_strings_are_the_fractions(ring):
+    spec = parse_ring_spec(ring)
+    big = spec.exponent
+    row = [0, 1, big // 2, big // 3, big - 1, 2 % big, (big * 5) // 6]
+    table = PhaseTable(spec, 1, np.array([row], dtype=object if big > 2**62 else np.int64))
+    assert _phase_table_strings(table) == [[str(Fraction(n, big)) for n in row]]
+

@@ -21,7 +21,7 @@ from conftest import (
     load_instance,
     random_input_state,
 )
-from oracles import frac_mod1
+from oracles import frac_mod1, is_homomorphism
 import qnetcode.network
 from qnetcode.cli import main
 from qnetcode.network import (
@@ -260,7 +260,7 @@ class TestCorrections:
             net, scheme = load_instance(name)
             state = random_input_state(scheme, net.k, 1)
             result = run_protocol(net, scheme, state, seed=17)
-            assert result.phase_table.is_homomorphism()
+            assert is_homomorphism(result.phase_table)
             assert all(t[0] == 0 for t in result.phase_table.tables)
 
     def test_zero_outcomes_zero_tables(self):
@@ -291,9 +291,9 @@ class TestCorrections:
 
     def test_homomorphism_check_rejects_non_additive_tables(self):
         ring = parse_ring_spec("Z(4)")
-        assert PhaseTable(ring, 1, np.array([[0, 1, 2, 3]])).is_homomorphism()
-        assert not PhaseTable(ring, 1, np.array([[0, 1, 3, 3]])).is_homomorphism()
-        assert not PhaseTable(ring, 1, np.array([[1, 1, 1, 1]])).is_homomorphism()
+        assert is_homomorphism(PhaseTable(ring, 1, np.array([[0, 1, 2, 3]])))
+        assert not is_homomorphism(PhaseTable(ring, 1, np.array([[0, 1, 3, 3]])))
+        assert not is_homomorphism(PhaseTable(ring, 1, np.array([[1, 1, 1, 1]])))
 
     def test_pre_correction_matches_table_phase(self):
         # on basis input the only surviving amplitude carries exactly the
@@ -714,6 +714,19 @@ class TestPlanMemo:
         assert coeffs["s"][0][0][0, 0] is not scheme.coeffs["s"][0][0][0, 0]
         assert plan_scheme(net, CodingScheme(scheme.ring, scheme.q, coeffs)) is plan
 
+    def test_the_cost_report_is_built_once_per_plan(self, fresh_memo):
+        net, scheme = load_instance("butterfly_z2_q2.json")
+        for prune, copy_skip in itertools.product((False, True), repeat=2):
+            plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
+            report = classical_cost(plan)
+            assert classical_cost(plan) is report
+            fresh_memo.clear()
+            fresh = classical_cost(plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip))
+            assert fresh is not report
+            assert [getattr(fresh, f.name) for f in dataclasses.fields(fresh)] == [
+                getattr(report, f.name) for f in dataclasses.fields(report)
+            ]
+
     def test_reparsed_documents_share_one_plan_across_commands(
         self, fresh_memo, transfer_calls, capsys, tmp_path
     ):
@@ -728,8 +741,8 @@ class TestPlanMemo:
         capsys.readouterr()
         assert len(transfer_calls) == 1
         # three texts (the file, its re-indented copy, the compact string), the
-        # map, then the broadcast and prune plans
-        assert len(fresh_memo) == 6
+        # map, the broadcast and prune plans, then the uniform input both runs share
+        assert len(fresh_memo) == 7
         assert plan_scheme(*parse_network(spaced)) is plan_scheme(*load_instance("butterfly_f2.json"))
 
     def test_runs_reuse_the_transfer_map(self, transfer_calls):

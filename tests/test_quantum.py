@@ -377,6 +377,17 @@ class TestStateFromRows:
         with pytest.raises(QuantumError, match=message):
             state_from_rows(Z2, 1, labels, amps)
 
+    @pytest.mark.parametrize("label", [2**63, 2**64, 2**65, float(2**65)])
+    def test_labels_past_int64_are_too_large(self, label):
+        # labels of Z(2^70) run past the support rows' int64
+        ring = parse_ring_spec(f"Z({2**70})")
+        message = f"^basis label {int(label)} is too large for the int64 support rows$"
+        with pytest.raises(QuantumError, match=message):
+            state_from_rows(ring, 1, [[label]], [1.0])
+        with pytest.raises(QuantumError, match="out of range"):
+            state_from_rows(ring, 1, [[-label]], [1.0])
+        assert state_from_rows(ring, 1, [[2**63 - 1]], [1.0]).labels.tolist() == [[2**63 - 1]]
+
     def test_register_count_must_match(self):
         with pytest.raises(RegisterError, match="expected 2 register ids, got 3"):
             state_from_rows(Z2, 1, [[0, 1]], [1.0], reg_ids=("a", "b", "c"))
