@@ -64,9 +64,8 @@ def main():
         show_state(step.state, f"after {step.node} (outcomes {got})")
 
     result = finish_run(plan, state, steps)
-    for i, table in enumerate(result.phase_table.tables, start=1):
-        values = [str(table[x]) for x in range(scheme.register_dim)]
-        print(f"  correction h_{i}: {values}")
+    for i, row in enumerate(result.phase_table.fractions, start=1):
+        print(f"  correction h_{i}: {list(row)}")
     show_state(result.state, "after corrections")
 
     print(f"fidelity with the input: {fidelity(state, result.state):.12f}")

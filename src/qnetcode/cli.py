@@ -7,7 +7,10 @@ when standard output is closed before the report is written, e.g. by
 `qnetcode cost X | head -1`; then nothing is printed on stderr.
 
 `verify` reads its verdict from the transfer map it prints, so it enumerates
-no inputs and needs no cap.
+no inputs and needs no cap. The default input, the uniform superposition, is
+built only after the refusals that need no state: the d^k cap, `--branch`
+and the seed, then the verdict or the branch count (`protocol.check_solved`,
+`check_branch_count`). Corrections print as `PhaseTable.fractions`.
 
 A call is parsed by its subcommand's parser alone, the one `build_parser`
 made under the name in `argv[0]`. The whole parser parses only a call it must
@@ -53,6 +56,8 @@ from .network import (
 from .protocol import (
     BRANCH_CAP_DEFAULT,
     InvalidSchemeError,
+    check_branch_count,
+    check_solved,
     classical_cost,
     enumerate_branches,
     plan_scheme,
@@ -119,14 +124,13 @@ def _input_triples(arg, k) -> list:
 
 
 def _load_input_state(arg, ring, q, k, max_entries):
-    """The input state's rows: the uniform superposition's d^k, memoised,
-    when `arg` is None, else one per `_input_triples` triple, checked before
-    the cap counts d^k. A normalisation warning is one line on stderr."""
+    """The input state's rows, one per `_input_triples` triple, checked before
+    the cap counts d^k, or None (`_uniform_input`) when `arg` is. A
+    normalisation warning is one line on stderr."""
     d = ring.cardinality**q
     if arg is None:
         check_growth(d**k, max_entries)
-        uniform = lambda: init_state(ring, q, k, np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex))
-        return memoised(("uniform input", ring, q, k), uniform)
+        return None
     labels, amps, seen = [], [], set()
     for label, re_part, im_part in _input_triples(arg, k):
         if not isinstance(label, list) or len(label) != k:
@@ -143,6 +147,13 @@ def _load_input_state(arg, ring, q, k, max_entries):
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     return state
+
+
+def _uniform_input(ring, q, k):
+    """The uniform superposition's d^k rows, memoised."""
+    d = ring.cardinality**q
+    uniform = lambda: init_state(ring, q, k, np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex))
+    return memoised(("uniform input", ring, q, k), uniform)
 
 
 def _parse_branch(text, dim) -> tuple[int, ...]:
@@ -173,14 +184,6 @@ def _emit(payload: dict, lines: list[str], fmt: str) -> None:
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))
-
-
-def _phase_table_strings(table) -> list[list[str]]:
-    """Each correction as `str(Fraction(n, L))`, n its numerator and L the
-    ring's exponent, without building the fractions."""
-    turns = table.ring.exponent
-    text = lambda n, g: f"{n // g}" if g == turns else f"{n // g}/{turns // g}"
-    return [[text(n, math.gcd(n, turns)) for n in row] for row in table.numerators.tolist()]
 
 
 def _cost_payload(report) -> dict:
@@ -231,6 +234,10 @@ def cmd_simulate(args) -> int:
         branch = _parse_branch(args.branch, scheme.register_dim)
     elif args.seed is None:
         raise InstanceError("simulate needs --seed N or --branch LABELS")
+    if state is None:
+        if not args.skip_classical_check:
+            check_solved(transfer_map(net, scheme))
+        state = _uniform_input(scheme.ring, scheme.q, net.k)
     result = run_protocol(
         net,
         scheme,
@@ -244,7 +251,7 @@ def cmd_simulate(args) -> int:
     )
     fid = fidelity(state, result.state)
     report = classical_cost(result.plan)
-    phases = _phase_table_strings(result.phase_table)
+    phases = result.phase_table.fractions
     payload = {
         "command": "simulate",
         "instance": str(args.instance),
@@ -288,6 +295,10 @@ def cmd_simulate(args) -> int:
 def cmd_enumerate(args) -> int:
     net, scheme = _prepare_scheme(args)
     state = _load_input_state(args.input, scheme.ring, scheme.q, net.k, args.max_dim)
+    if state is None:
+        plan = plan_scheme(net, scheme, prune=args.prune, copy_skip=args.copy_skip)
+        check_branch_count(plan, args.max_branches)
+        state = _uniform_input(scheme.ring, scheme.q, net.k)
     fids = []
     skipped = 0
     for branch_result in enumerate_branches(

@@ -43,13 +43,19 @@ registers in one step without checking rows, and `finish_run` cancels the
 phases row by row. The input's rows are checked once, before any node runs
 (`quantum.checked_state`). The input may carry spectator registers after
 `src:1..k`, which no node touches; they come after `tgt:1..k` in the output.
+
+Corrections are integers mod the ring's exponent, shown only as
+`PhaseTable.fractions`. The refusals that read no state stand alone, so a
+caller can ask them before it builds an input: `run_protocol` checks the
+input's rows, then the verdict (`check_solved`); `enumerate_branches` the
+branch count (`check_branch_count`), then the rows.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -100,16 +106,20 @@ class MessageLog:
 @dataclass(frozen=True, eq=False)
 class PhaseTable:
     """Per-pair additive phase corrections over basis labels, exact in turns:
-    pair j's correction at label x is numerators[j, x] / ring.exponent."""
+    pair j's correction at label x is numerators[j, x] / ring.exponent, shown
+    only as `fractions`."""
 
     ring: RingSpec
     q: int
     numerators: np.ndarray  # shape (k, register dim), values in [0, ring.exponent)
 
     @cached_property
-    def tables(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The corrections as exact fractions, tables[pair - 1][label]."""
-        return tuple(tuple(Fraction(int(n), self.ring.exponent) for n in row) for row in self.numerators)
+    def fractions(self) -> tuple[tuple[str, ...], ...]:
+        """The corrections as exact fractions in lowest terms, fractions[pair - 1][label]:
+        numerator n reads as `str(Fraction(n, L))`, L the ring's exponent."""
+        turns = self.ring.exponent
+        text = lambda n, g: f"{n // g}" if g == turns else f"{n // g}/{turns // g}"
+        return tuple(tuple(text(n, math.gcd(n, turns)) for n in row) for row in self.numerators.tolist())
 
 
 @dataclass(frozen=True)
@@ -383,6 +393,15 @@ def _check_input(net: Network, scheme: CodingScheme, state: SupportState) -> Sup
     return checked_state(state)
 
 
+def check_solved(tmap: TransferMap) -> None:
+    """InvalidSchemeError unless the transfer map's verdict is a solution."""
+    if tmap.counterexample is not None:
+        raise InvalidSchemeError(
+            "the classical scheme does not solve the instance; "
+            "fix it or skip the check to inspect the imperfect run"
+        )
+
+
 def run_protocol(
     net: Network,
     scheme: CodingScheme,
@@ -403,11 +422,8 @@ def run_protocol(
     """
     input_state = _check_input(net, scheme, input_state)
     plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
-    if check_classical and not plan.certified:
-        raise InvalidSchemeError(
-            "the classical scheme does not solve the instance; "
-            "fix it or skip the check to inspect the imperfect run"
-        )
+    if check_classical:
+        check_solved(plan.tmap)
     if branch is not None and seed is not None:
         raise InstanceError("give either a branch or a seed, not both")
     if branch is None and seed is None:
@@ -457,6 +473,15 @@ def classical_cost(plan: SchemePlan) -> CostReport:
     return plan.cost
 
 
+def check_branch_count(plan: SchemePlan, max_branches: int) -> None:
+    """CapExceededError if the plan has more than `max_branches` branches."""
+    if plan.branch_count > max_branches:
+        raise CapExceededError(
+            f"{int_text(plan.branch_count)} branches exceed the cap of {max_branches}; "
+            f"raise max_branches to force full enumeration"
+        )
+
+
 def enumerate_branches(
     net: Network,
     scheme: CodingScheme,
@@ -474,12 +499,7 @@ def enumerate_branches(
     `verify_solution` when a verdict is needed.
     """
     plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
-    total = plan.branch_count
-    if total > max_branches:
-        raise CapExceededError(
-            f"{int_text(total)} branches exceed the cap of {max_branches}; "
-            f"raise max_branches to force full enumeration"
-        )
+    check_branch_count(plan, max_branches)
     input_state = _check_input(net, scheme, input_state)
     for labels in itertools.product(range(scheme.register_dim), repeat=plan.measurement_count):
         try:

@@ -378,12 +378,6 @@ def register_entries(spec: RingSpec, q: int, label: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def add_labels(spec: RingSpec, q: int, a, b) -> np.ndarray:
-    """Label of the register sum a + b, for broadcastable label arrays."""
-    digits = label_digits(spec, q, a) + label_digits(spec, q, b)
-    return digits % _radix(spec, q) @ place_values(spec.moduli * q)
-
-
 @lru_cache(maxsize=1024)
 def _entry_block(spec: RingSpec, label: int) -> np.ndarray:
     """Read-only width x width block of one entry: row t holds the

@@ -16,8 +16,9 @@ of them and imports nothing from here.
   is checked against them.
 - The simulated verdict: `evaluate_classical` pushes input labels through
   the nodes, and `evaluate` reads an edge's label off the transfer map.
-- The additivity of a run's corrections: `is_homomorphism` checks every
-  table of a `PhaseTable` exhaustively.
+- The corrections: `phase_fractions` reads a `PhaseTable` as exact
+  fractions, and `is_homomorphism` checks every table of it exhaustively for
+  additivity against `add_labels`, the label of a register sum.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from qnetcode.quantum import (
     _layout,
     fourier_matrix,
 )
-from qnetcode.rings import RingError, add_labels, linear_map, place_values
+from qnetcode.rings import RingError, _radix, label_digits, linear_map, place_values
 
 # ---------------------------------------------------------------------------
 # the object ring
@@ -311,6 +312,17 @@ def evaluate(tmap, edge: str, inputs) -> np.ndarray:
     """The edge's label read off the transfer map, for the pair input labels
     (broadcast together)."""
     return linear_map(tmap.ring, tmap.q, [tmap.gammas[edge]], inputs)[..., 0]
+
+
+def add_labels(spec, q: int, a, b) -> np.ndarray:
+    """Label of the register sum a + b, for broadcastable label arrays."""
+    digits = label_digits(spec, q, a) + label_digits(spec, q, b)
+    return digits % _radix(spec, q) @ place_values(spec.moduli * q)
+
+
+def phase_fractions(table) -> tuple[tuple[Fraction, ...], ...]:
+    """A `PhaseTable`'s corrections as exact fractions, [pair - 1][label]."""
+    return tuple(tuple(Fraction(int(n), table.ring.exponent) for n in row) for row in table.numerators)
 
 
 def is_homomorphism(table) -> bool:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import INSTANCES, load_instance, random_input_state
-from oracles import evaluate, evaluate_classical, frac_mod1, is_homomorphism
+from oracles import evaluate, evaluate_classical, frac_mod1, is_homomorphism, phase_fractions
 from qnetcode.cli import main as cli_main
 from qnetcode.network import (
     scheme_with_alternate_phi,
@@ -66,7 +66,7 @@ def test_criterion_02_phase_table_closed_forms():
         branch = tuple(int(v) for v in rng.integers(0, 2, size=9))
         a, b, c1, c2, d, e1, e2, f1, f2 = branch
         result = run_protocol(net, scheme, state, branch=branch)
-        h1, h2 = result.phase_table.tables
+        h1, h2 = phase_fractions(result.phase_table)
         for z in (0, 1):
             assert h1[z] == frac_mod1(Fraction((a + c1 + d + e2 + f1 + f2) * z, 2))
             assert h2[z] == frac_mod1(Fraction((b + c2 + d + e1 + e2 + f2) * z, 2))

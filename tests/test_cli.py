@@ -19,7 +19,7 @@ import qnetcode.cli
 import qnetcode.protocol
 import qnetcode.quantum
 from conftest import INSTANCES, butterfly_with_isolated_node
-from qnetcode.cli import _phase_table_strings, build_parser, main
+from qnetcode.cli import build_parser, main
 from qnetcode.network import MEMO_SIZE, InstanceError, parse_network
 from qnetcode.protocol import CostReport, PhaseTable
 from qnetcode.quantum import _scaled_fourier, _uniform, fourier_matrix, state_from_rows
@@ -1037,5 +1037,43 @@ def test_phase_table_strings_are_the_fractions(ring):
     big = spec.exponent
     row = [0, 1, big // 2, big // 3, big - 1, 2 % big, (big * 5) // 6]
     table = PhaseTable(spec, 1, np.array([row], dtype=object if big > 2**62 else np.int64))
-    assert _phase_table_strings(table) == [[str(Fraction(n, big)) for n in row]]
+    assert table.fractions == (tuple(str(Fraction(n, big)) for n in row),)
+
+
+def _count_init_state(monkeypatch) -> list:
+    """The argument lists of every `init_state` call the CLI makes."""
+    calls = []
+    build = qnetcode.cli.init_state
+    monkeypatch.setattr(qnetcode.cli, "init_state", lambda *a: calls.append(a) or build(*a))
+    return calls
+
+
+def test_a_refused_simulate_builds_no_input(capsys, tmp_path, monkeypatch, fresh_memo):
+    # butterfly_f2's coefficients do not solve the butterfly over Z(1024), and
+    # its default input would be 2^20 rows
+    doc = json.loads(Path(BUTTERFLY).read_text())
+    doc["ring"] = "Z(1024)"
+    path = tmp_path / "butterfly_z1024.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_init_state(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate", str(path), "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the classical scheme does not solve the instance; "
+        "fix it or skip the check to inspect the imperfect run\n"
+    )
+    assert calls == []
+    assert not [key for key in fresh_memo if key[0] == "uniform input"]
+
+
+def test_a_refused_enumerate_builds_no_input(capsys, monkeypatch, fresh_memo):
+    calls = _count_init_state(monkeypatch)
+    z4 = str(INSTANCES / "butterfly_z4.json")
+    code, out, err = run_cli(capsys, "enumerate", z4, "--copy-skip", "--max-branches", "729")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 4096 branches exceed the cap of 729; raise max_branches to force full enumeration "
+        "(use --max-branches N)\n"
+    )
+    assert calls == []
 

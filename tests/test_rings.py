@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from oracles import character, element, elements, frac_mod1, from_int, one, phi, to_labels, zero
+from oracles import add_labels, character, element, elements, frac_mod1, from_int, one, phi, to_labels, zero
 from qnetcode.rings import (
     _entry_block,
     RingError,
-    add_labels,
     coefficient_matrix,
     combine,
     linear_map,
