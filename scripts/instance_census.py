@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from qnetcode.network import parse_network
-from qnetcode.protocol import classical_cost, enumerate_branches, plan_scheme, run_protocol
+from qnetcode.protocol import classical_cost, enumerate_batches, plan_scheme, run_protocol
 from qnetcode.quantum import fidelity, init_state
 
 INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
@@ -35,8 +35,8 @@ def census(path, full_enum, samples):
     branches = plan.branch_count
     if valid and branches <= full_enum:
         mode = f"all {branches}"
-        branch_results = enumerate_branches(net, scheme, state, max_branches=full_enum)
-        fids = [br.fidelity for br in branch_results]
+        batches = enumerate_batches(net, scheme, state, max_branches=full_enum)
+        fids = [fid for batch in batches for fid in batch.fidelities.tolist()]
     else:
         mode = f"{samples} sampled"
         fids = [

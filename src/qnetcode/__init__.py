@@ -21,6 +21,7 @@ from .network import (
     verify_solution,
 )
 from .protocol import (
+    BranchBatch,
     BranchResult,
     CostReport,
     InvalidSchemeError,
@@ -30,6 +31,7 @@ from .protocol import (
     SchemePlan,
     classical_cost,
     compute_corrections,
+    enumerate_batches,
     enumerate_branches,
     plan_scheme,
     run_protocol,

@@ -6,11 +6,14 @@ errors, and 141 (128 + SIGPIPE, as a shell reports a process killed by it)
 when standard output is closed before the report is written, e.g. by
 `qnetcode cost X | head -1`; then nothing is printed on stderr.
 
-`verify` reads its verdict from the transfer map it prints, so it enumerates
-no inputs and needs no cap. The default input, the uniform superposition, is
-built only after the refusals that need no state: the d^k cap, `--branch`
-and the seed, then the verdict or the branch count (`protocol.check_solved`,
+`verify` reads its verdict and the names it prints from the transfer map
+(`TransferMap.counterexample`, `target_names`), so it enumerates no inputs
+and needs no cap. The default input, the uniform superposition, is built
+only after the refusals that need no state: the d^k cap, `--branch` and the
+seed, then the verdict or the branch count (`protocol.check_solved`,
 `check_branch_count`). Corrections print as `PhaseTable.fractions`.
+`enumerate` takes its branches in batches (`protocol.enumerate_batches`).
+Each command builds only the report it prints, text or JSON.
 
 A call is parsed by its subcommand's parser alone, the one `build_parser`
 made under the name in `argv[0]`. The whole parser parses only a call it must
@@ -50,7 +53,6 @@ from .network import (
     parse_entry,
     parse_network,
     scheme_with_alternate_phi,
-    target_edge,
     transfer_map,
 )
 from .protocol import (
@@ -59,7 +61,7 @@ from .protocol import (
     check_branch_count,
     check_solved,
     classical_cost,
-    enumerate_branches,
+    enumerate_batches,
     plan_scheme,
     run_protocol,
 )
@@ -76,9 +78,6 @@ from .quantum import (
 from .rings import (
     RingError,
     decimal,
-    is_identity,
-    is_zero,
-    matrix_entries,
     register_entries,
     register_label,
 )
@@ -150,10 +149,10 @@ def _load_input_state(arg, ring, q, k, max_entries):
 
 
 def _uniform_input(ring, q, k):
-    """The uniform superposition's d^k rows, memoised."""
+    """The uniform superposition's d^k rows, memoised as d^k entries."""
     d = ring.cardinality**q
     uniform = lambda: init_state(ring, q, k, np.full(d**k, 1.0 / math.sqrt(d**k), dtype=complex))
-    return memoised(("uniform input", ring, q, k), uniform)
+    return memoised(("uniform input", ring, q, k), uniform, entries=d**k)
 
 
 def _parse_branch(text, dim) -> tuple[int, ...]:
@@ -171,19 +170,8 @@ def _parse_branch(text, dim) -> tuple[int, ...]:
         raise InstanceError(f"branch labels must be integers, got {text!r}") from None
 
 
-def _gamma_name(ring, mat) -> str:
-    if is_identity(mat):
-        return "I"
-    if is_zero(mat):
-        return "0"
-    return str(matrix_entries(ring, mat))
-
-
-def _emit(payload: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _cost_payload(report) -> dict:
@@ -195,27 +183,24 @@ def cmd_verify(args) -> int:
     net, scheme = parse_network(args.instance)
     tmap = transfer_map(net, scheme)
     counterexample = tmap.counterexample
-    rows = {
-        target_edge(i + 1): [_gamma_name(scheme.ring, g) for g in tmap.gammas[target_edge(i + 1)]]
-        for i in range(net.k)
-    }
     valid = counterexample is None
-    payload = {
-        "command": "verify",
-        "instance": str(args.instance),
-        "valid": valid,
-        "target_transfer_rows": rows,
-    }
-    lines = [f"instance: {args.instance}", f"ring: {scheme.ring}  q: {scheme.q}"]
-    if valid:
-        lines.append("solution: VALID")
-    else:
+    if not valid:
         bad = tuple(register_entries(scheme.ring, scheme.q, x) for x in counterexample)
-        payload["counterexample"] = [list(v) for v in bad]
-        lines.append(f"solution: INVALID (counterexample input {bad})")
-    for edge, row in rows.items():
-        lines.append(f"  {edge}: [{', '.join(row)}]")
-    _emit(payload, lines, args.format)
+    if args.format == "json":
+        payload = {
+            "command": "verify",
+            "instance": str(args.instance),
+            "valid": valid,
+            "target_transfer_rows": dict(tmap.target_names),
+        }
+        if not valid:
+            payload["counterexample"] = [list(v) for v in bad]
+        _print_json(payload)
+    else:
+        lines = [f"instance: {args.instance}", f"ring: {scheme.ring}  q: {scheme.q}"]
+        lines.append("solution: VALID" if valid else f"solution: INVALID (counterexample input {bad})")
+        lines += [f"  {edge}: [{', '.join(row)}]" for edge, row in tmap.target_names.items()]
+        print("\n".join(lines))
     return 0 if valid else 1
 
 
@@ -252,43 +237,45 @@ def cmd_simulate(args) -> int:
     fid = fidelity(state, result.state)
     report = classical_cost(result.plan)
     phases = result.phase_table.fractions
-    payload = {
-        "command": "simulate",
-        "instance": str(args.instance),
-        "ring": str(scheme.ring),
-        "q": scheme.q,
-        "node_order": list(net.topo_order),
-        "branch": list(result.log.branch_labels()),
-        "outcomes": [
-            {"node": e.node, "register": o.register, "label": o.label}
-            for e in result.log.entries
-            for o in e.outcomes
-        ],
-        "phase_table": phases,
-        "fidelity": fid,
-        "cost": _cost_payload(report),
-    }
-    lines = [
-        f"instance: {args.instance}",
-        f"ring: {scheme.ring}  q: {scheme.q}  register dim: {scheme.register_dim}",
-        f"node order: {' '.join(net.topo_order)}",
-        "outcomes:",
-    ]
-    for entry in result.log.entries:
-        outs = " ".join(f"{o.register}={o.label}" for o in entry.outcomes)
-        lines.append(f"  {entry.node}: {outs} -> pairs {list(entry.recipients)}")
-    lines.append("phase table:")
-    for i, row in enumerate(phases, start=1):
-        lines.append(f"  h_{i}: [{', '.join(row)}]")
-    lines.append(f"fidelity: {fid:.12f}")
-    lines.append("cost:")
-    lines.append(f"  quantum registers sent: {report.quantum_registers_sent}")
-    lines.append(
-        f"  classical elements sent ({report.policy}): {report.elements_sent} "
-        f"({report.bits_sent} bits)"
-    )
-    lines.append(f"  bound k*M*|V|: {report.bound_elements} elements ({report.bound_bits} bits)")
-    _emit(payload, lines, args.format)
+    if args.format == "json":
+        _print_json({
+            "command": "simulate",
+            "instance": str(args.instance),
+            "ring": str(scheme.ring),
+            "q": scheme.q,
+            "node_order": list(net.topo_order),
+            "branch": list(result.log.branch_labels()),
+            "outcomes": [
+                {"node": e.node, "register": o.register, "label": o.label}
+                for e in result.log.entries
+                for o in e.outcomes
+            ],
+            "phase_table": phases,
+            "fidelity": fid,
+            "cost": _cost_payload(report),
+        })
+    else:
+        lines = [
+            f"instance: {args.instance}",
+            f"ring: {scheme.ring}  q: {scheme.q}  register dim: {scheme.register_dim}",
+            f"node order: {' '.join(net.topo_order)}",
+            "outcomes:",
+        ]
+        for entry in result.log.entries:
+            outs = " ".join(f"{o.register}={o.label}" for o in entry.outcomes)
+            lines.append(f"  {entry.node}: {outs} -> pairs {list(entry.recipients)}")
+        lines.append("phase table:")
+        for i, row in enumerate(phases, start=1):
+            lines.append(f"  h_{i}: [{', '.join(row)}]")
+        lines.append(f"fidelity: {fid:.12f}")
+        lines.append("cost:")
+        lines.append(f"  quantum registers sent: {report.quantum_registers_sent}")
+        lines.append(
+            f"  classical elements sent ({report.policy}): {report.elements_sent} "
+            f"({report.bits_sent} bits)"
+        )
+        lines.append(f"  bound k*M*|V|: {report.bound_elements} elements ({report.bound_bits} bits)")
+        print("\n".join(lines))
     return 0 if fid >= 1 - FIDELITY_TOL else 1
 
 
@@ -299,9 +286,9 @@ def cmd_enumerate(args) -> int:
         plan = plan_scheme(net, scheme, prune=args.prune, copy_skip=args.copy_skip)
         check_branch_count(plan, args.max_branches)
         state = _uniform_input(scheme.ring, scheme.q, net.k)
-    fids = []
-    skipped = 0
-    for branch_result in enumerate_branches(
+    total = skipped = 0
+    lo, hi = math.inf, -math.inf
+    for batch in enumerate_batches(
         net,
         scheme,
         state,
@@ -310,28 +297,28 @@ def cmd_enumerate(args) -> int:
         copy_skip=args.copy_skip,
         max_entries=args.max_dim,
     ):
-        if branch_result.fidelity is None:
-            skipped += 1
-        else:
-            fids.append(branch_result.fidelity)
-    total = len(fids) + skipped
-    lo, hi = (min(fids), max(fids)) if fids else (0.0, 0.0)
-    payload = {
-        "command": "enumerate",
-        "instance": str(args.instance),
-        "branches": total,
-        "realizable": len(fids),
-        "unrealizable": skipped,
-        "min_fidelity": lo,
-        "max_fidelity": hi,
-    }
-    lines = [
-        f"instance: {args.instance}",
-        f"{total} branches, min fidelity {lo:.12f}, max fidelity {hi:.12f}",
-    ]
-    if skipped:
-        lines.append(f"unrealizable branches skipped: {skipped}")
-    _emit(payload, lines, args.format)
+        fids = batch.fidelities[~np.isnan(batch.fidelities)]
+        total += len(batch.fidelities)
+        skipped += len(batch.fidelities) - len(fids)
+        if len(fids):
+            lo, hi = min(lo, float(fids.min())), max(hi, float(fids.max()))
+    if skipped == total:
+        lo = hi = 0.0
+    if args.format == "json":
+        _print_json({
+            "command": "enumerate",
+            "instance": str(args.instance),
+            "branches": total,
+            "realizable": total - skipped,
+            "unrealizable": skipped,
+            "min_fidelity": lo,
+            "max_fidelity": hi,
+        })
+    else:
+        print(f"instance: {args.instance}")
+        print(f"{total} branches, min fidelity {lo:.12f}, max fidelity {hi:.12f}")
+        if skipped:
+            print(f"unrealizable branches skipped: {skipped}")
     return 0 if lo >= 1 - FIDELITY_TOL else 1
 
 
@@ -339,26 +326,29 @@ def cmd_cost(args) -> int:
     net, scheme = parse_network(args.instance)
     base = classical_cost(plan_scheme(net, scheme))
     pruned = classical_cost(plan_scheme(net, scheme, prune=True))
-    payload = {"command": "cost", "instance": str(args.instance), **_cost_payload(base)}
-    del payload["elements_sent"], payload["bits_sent"], payload["policy"]
-    for report in (base, pruned):
-        payload[f"{report.policy}_elements"] = report.elements_sent
-        payload[f"{report.policy}_bits"] = report.bits_sent
-    payload["per_node_broadcast"] = [
-        {"node": n, "measured": m, "recipients": r, "elements": el} for n, m, r, el in base.per_node
-    ]
-    lines = [
-        f"instance: {args.instance}",
-        f"k: {base.k}  max fan-in M: {base.max_fan_in}  nodes |V|: {base.nodes}",
-        f"bound k*M*|V|: {base.bound_elements} elements ({base.bound_bits} bits)",
-        f"broadcast: {base.elements_sent} elements ({base.bits_sent} bits)",
-        f"prune: {pruned.elements_sent} elements ({pruned.bits_sent} bits)",
-        f"quantum registers sent over edges: {base.quantum_registers_sent}",
-        "per node (broadcast):",
-    ]
-    for n, m, r, el in base.per_node:
-        lines.append(f"  {n}: {m} measured x {r} recipients = {el} elements")
-    _emit(payload, lines, args.format)
+    if args.format == "json":
+        payload = {"command": "cost", "instance": str(args.instance), **_cost_payload(base)}
+        del payload["elements_sent"], payload["bits_sent"], payload["policy"]
+        for report in (base, pruned):
+            payload[f"{report.policy}_elements"] = report.elements_sent
+            payload[f"{report.policy}_bits"] = report.bits_sent
+        payload["per_node_broadcast"] = [
+            {"node": n, "measured": m, "recipients": r, "elements": el} for n, m, r, el in base.per_node
+        ]
+        _print_json(payload)
+    else:
+        lines = [
+            f"instance: {args.instance}",
+            f"k: {base.k}  max fan-in M: {base.max_fan_in}  nodes |V|: {base.nodes}",
+            f"bound k*M*|V|: {base.bound_elements} elements ({base.bound_bits} bits)",
+            f"broadcast: {base.elements_sent} elements ({base.bits_sent} bits)",
+            f"prune: {pruned.elements_sent} elements ({pruned.bits_sent} bits)",
+            f"quantum registers sent over edges: {base.quantum_registers_sent}",
+            "per node (broadcast):",
+        ]
+        for n, m, r, el in base.per_node:
+            lines.append(f"  {n}: {m} measured x {r} recipients = {el} elements")
+        print("\n".join(lines))
     return 0
 
 

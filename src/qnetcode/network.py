@@ -38,7 +38,8 @@ solution iff target i's row is the identity at pair i and zero elsewhere.
 The verdict is the map's, computed once per map (`TransferMap.counterexample`).
 
 What depends only on an instance is memoised by its content, not by object,
-in one memo that keeps the MEMO_SIZE most recently used values (`memoised`).
+in one memo that keeps the MEMO_SIZE most recently used values, and states
+of at most MAX_STATE_ENTRIES rows in all (`memoised`).
 The parse of a document is keyed by its text: `parse_network` reads a
 file's text on every call, so an edited file is parsed anew, while a text
 seen before returns the objects parsed from it, whatever the path. A dict is
@@ -63,7 +64,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .rings import RingSpec, coefficient_matrix, combine, coords_label, decimal, parse_ring_spec
+from .rings import (
+    RingSpec, coefficient_matrix, combine, coords_label, decimal, is_identity, is_zero, matrix_entries,
+    parse_ring_spec,
+)
+
+MAX_STATE_ENTRIES = 2**24  # the default amplitude cap (`quantum.check_growth`)
 
 
 class InstanceError(ValueError):
@@ -202,6 +208,15 @@ class TransferMap:
         pair, t = divmod(int(failing[-1]), len(radix))
         place = math.prod(radix[t + 1 :])
         return tuple(place if j == pair else 0 for j in range(self.k))
+
+    @cached_property
+    def target_names(self) -> Mapping[str, tuple[str, ...]]:
+        """Each target's transfer row as text, computed once per map: per
+        pair "I" for the identity, "0" for zero, else the matrix's entries
+        (`rings.matrix_entries`)."""
+        name = lambda g: "I" if is_identity(g) else "0" if is_zero(g) else str(matrix_entries(self.ring, g))
+        edges = (target_edge(i + 1) for i in range(self.k))
+        return MappingProxyType({e: tuple(name(g) for g in self.gammas[e]) for e in edges})
 
 
 # ---------------------------------------------------------------------------
@@ -440,20 +455,30 @@ def _parse_document(doc) -> tuple[Network, CodingScheme]:
 # the memo of what depends only on an instance
 
 MEMO_SIZE = 64
-_memo: OrderedDict = OrderedDict()
+_memo: OrderedDict = OrderedDict()  # key -> (value, amplitude entries it holds)
 
 
-def memoised(key, build):
+def memoised(key, build, entries: int = 0):
     """The value kept under `key`, from `build()` on a miss. The MEMO_SIZE
     most recently used values are kept, so a value is freed once MEMO_SIZE
-    others have been used since."""
-    value = _memo.get(key)
-    if value is None:
-        value = _memo[key] = build()
-        if len(_memo) > MEMO_SIZE:
-            _memo.popitem(last=False)
-    else:
+    others have been used since. A value that holds amplitudes (a state of
+    `entries` rows) also counts them: the least recently used of those
+    values are freed while they hold more than MAX_STATE_ENTRIES in all, so
+    one above it is returned but not kept."""
+    hit = _memo.get(key)
+    if hit is not None:
         _memo.move_to_end(key)
+        return hit[0]
+    value = build()
+    _memo[key] = (value, entries)
+    if len(_memo) > MEMO_SIZE:
+        _memo.popitem(last=False)
+    if entries:
+        held = sum(n for _, n in _memo.values())
+        for old in [k for k, (_, n) in _memo.items() if n]:  # least recently used first
+            if held <= MAX_STATE_ENTRIES:
+                break
+            held -= _memo.pop(old)[1]
     return value
 
 

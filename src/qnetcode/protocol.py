@@ -44,6 +44,13 @@ phases row by row. The input's rows are checked once, before any node runs
 (`quantum.checked_state`). The input may carry spectator registers after
 `src:1..k`, which no node touches; they come after `tgt:1..k` in the output.
 
+Enumeration has two paths. `enumerate_branches` runs every branch through
+the node loop and is the oracle. `enumerate_batches` gives the same
+branches, fidelities and corrections bit for bit; on a certified plan it
+codes the input's rows once and takes the branches in batches of phase
+products (`quantum.branch_amplitudes`), and on any other plan it runs the
+oracle.
+
 Corrections are integers mod the ring's exponent, shown only as
 `PhaseTable.fractions`. The refusals that read no state stand alone, so a
 caller can ask them before it builds an input: `run_protocol` checks the
@@ -65,12 +72,14 @@ from .network import (
     transfer_map,
 )
 from .quantum import (
-    MAX_STATE_ENTRIES, MeasurementOutcome, SupportState, ZeroProbabilityError, check_growth, checked_state,
-    code_rows, fidelity, measure_rows, output_columns, uniform_branch,
+    MAX_STATE_ENTRIES, MeasurementOutcome, SupportState, ZeroProbabilityError, branch_amplitudes,
+    check_growth, checked_state, code_rows, fidelities, fidelity, measure_rows, output_columns,
+    take_columns, uniform_branch,
 )
 from .rings import RingSpec, character_form, int_text, is_identity, is_zero, label_digits
 
 BRANCH_CAP_DEFAULT = 65536
+_BATCH_ENTRIES = 2**16  # amplitudes in one batch of `enumerate_batches`
 
 
 class InvalidSchemeError(ValueError):
@@ -167,7 +176,7 @@ class SchemePlan:
             table.flags.writeable = False
         return self._coding[p.node]
 
-    @property
+    @cached_property
     def register_dim(self) -> int:
         return self.tmap.ring.cardinality**self.tmap.q
 
@@ -332,14 +341,7 @@ def node_steps(
         branch, rng = uniform_branch(d, plan.measurement_count, rng), None
     state = input_state
     for p in plan.nodes:
-        if p.kept is not None:
-            state = state.renamed({p.kept[0]: p.kept[1]})
-        if p.adjoined:
-            # d^(live + adjoined), the dense coded state, not the support's rows: at
-            # least d^2 and d^m * n, it bounds the d x d Fourier matrix (cached,
-            # uncapped) and the coding table built next
-            check_growth(d ** (len(state.reg_ids) + len(p.adjoined)), max_entries)
-            state = code_rows(state, p.coded_from, p.adjoined, plan.coding(p))
+        state = _coded(plan, p, state, max_entries)
         outcomes = ()
         if p.measured:
             forced = None if branch is None else branch[pos : pos + len(p.measured)]
@@ -349,30 +351,60 @@ def node_steps(
         yield NodeStep(p.node, state, entry)
 
 
+def _coded(plan: SchemePlan, p: NodePlan, state: SupportState, max_entries: int) -> SupportState:
+    """The state once node `p` has coded: its kept register renamed, then its
+    outputs adjoined (`quantum.code_rows`) if `quantum.check_growth` lets the
+    coded state be built."""
+    if p.kept is not None:
+        state = state.renamed({p.kept[0]: p.kept[1]})
+    if p.adjoined:
+        # d^(live + adjoined), the dense coded state, not the support's rows: at
+        # least d^2 and d^m * n, it bounds the d x d Fourier matrix (cached,
+        # uncapped) and the coding table built next
+        check_growth(plan.register_dim ** (len(state.reg_ids) + len(p.adjoined)), max_entries)
+        state = code_rows(state, p.coded_from, p.adjoined, plan.coding(p))
+    return state
+
+
+def _output_rows(plan: SchemePlan, input_state: SupportState, state: SupportState):
+    """The output roster, the targets then the input's spectators, and the
+    labels of the run's last state in its order."""
+    k = plan.net.k
+    roster = tuple(target_edge(i + 1) for i in range(k)) + input_state.reg_ids[k:]
+    if sorted(state.reg_ids) != sorted(roster):
+        raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {roster}")
+    return roster, state.labels[:, [state.reg_ids.index(r) for r in roster]]
+
+
+def _cancel(amps: np.ndarray, numerators: np.ndarray, targets: np.ndarray, exponent: int) -> np.ndarray:
+    """The amplitudes with the targets' phases cancelled: numerators[..., j, x]
+    is pair j's correction at label x (`PhaseTable.numerators`, one table or
+    one per branch), targets[s] row s's labels on the targets. Each row's
+    correction is one integer, the sum mod L of every pair's numerator at the
+    row's label on its target, and one `exp` applies it."""
+    k = targets.shape[1]
+    row = numerators[..., np.arange(k), targets].sum(axis=-1) % exponent
+    return amps * np.exp(-2j * np.pi * (row / exponent))
+
+
 def finish_run(plan: SchemePlan, input_state: SupportState, steps) -> RunResult:
     """Take a run's node steps in turn, log the announcements, and let the
     targets cancel their phases. The rows' columns are put in order: the
     targets, then the input's spectator registers (those after `src:1..k`,
-    which no node touches) in input order. Each row's correction is one
-    integer, the sum mod L of every pair's numerator at the row's label on
-    its target, and one `exp` applies it."""
+    which no node touches) in input order (`_output_rows`); each row's phase
+    is cancelled by one integer (`_cancel`)."""
     state, entries = input_state, []
     for step in steps:
         state = step.state
         if step.entry is not None:
             entries.append(step.entry)
     log = MessageLog(plan.tmap.q, entries)
-    k = plan.net.k
-    roster = tuple(target_edge(i + 1) for i in range(k)) + input_state.reg_ids[k:]
-    if sorted(state.reg_ids) != sorted(roster):
-        raise InstanceError(f"run left registers {state.reg_ids}, expected exactly {roster}")
-    labels = state.labels[:, [state.reg_ids.index(r) for r in roster]]
+    roster, labels = _output_rows(plan, input_state, state)
     pre_correction = SupportState(state.ring, state.q, roster, labels, state.amps)
 
     phase_table = compute_corrections(log, plan)
     exponent = plan.tmap.ring.exponent
-    numerators = phase_table.numerators[np.arange(k), labels[:, :k]].sum(axis=1) % exponent
-    amps = state.amps * np.exp(-2j * np.pi * (numerators / exponent))
+    amps = _cancel(state.amps, phase_table.numerators, labels[:, : plan.net.k], exponent)
     corrected = SupportState(state.ring, state.q, roster, labels, amps)
     return RunResult(corrected, pre_correction, log, phase_table, plan)
 
@@ -435,6 +467,15 @@ def run_protocol(
     return finish_run(plan, input_state, steps)
 
 
+def _branch_numerators(plan: SchemePlan, branches: np.ndarray) -> np.ndarray:
+    """The corrections of branches given as rows of outcome labels: one
+    (k, register dim) table of numerators each (`PhaseTable.numerators`),
+    the outcome digits times `plan.corrections`, mod the ring's exponent L."""
+    digits = plan.digits[branches].reshape(len(branches), -1)
+    numerators = digits @ plan.corrections % plan.tmap.ring.exponent
+    return numerators.reshape(len(branches), plan.net.k, plan.register_dim)
+
+
 def compute_corrections(log: MessageLog, plan: SchemePlan) -> PhaseTable:
     """The per-pair phase corrections of a logged branch: its outcome digits
     times `plan.corrections`, mod the ring's exponent L. The log must measure
@@ -442,9 +483,8 @@ def compute_corrections(log: MessageLog, plan: SchemePlan) -> PhaseTable:
     outcomes = log.all_outcomes()
     if tuple(o.register for o in outcomes) != plan.measured:
         raise InstanceError(f"the log does not measure the plan's registers {plan.measured}")
-    ring, digits = plan.tmap.ring, plan.digits[[o.label for o in outcomes]].ravel()
-    numerators = digits @ plan.corrections % ring.exponent
-    return PhaseTable(ring, plan.tmap.q, numerators.reshape(plan.net.k, plan.register_dim))
+    branch = np.array([[o.label for o in outcomes]], dtype=np.int64)
+    return PhaseTable(plan.tmap.ring, plan.tmap.q, _branch_numerators(plan, branch)[0])
 
 
 @dataclass(frozen=True)
@@ -513,3 +553,78 @@ def enumerate_branches(
             result=result,
             fidelity=fidelity(input_state, result.state),
         )
+
+
+@dataclass(frozen=True)
+class BranchBatch:
+    """Consecutive branches of an enumeration, in branch order: row b of
+    each array is one branch."""
+
+    branches: np.ndarray  # (B, measurements) outcome labels
+    fidelities: np.ndarray  # (B,) against the input; NaN where the branch has probability zero
+    numerators: np.ndarray  # (B, k, register dim): each branch's `PhaseTable.numerators`
+
+
+def _coded_columns(
+    plan: SchemePlan, input_state: SupportState, max_entries: int
+) -> tuple[np.ndarray, SupportState]:
+    """One pass of the plan's nodes over the input's rows that codes and
+    measures nothing: each measured register's labels move, where the node
+    loop would drop the register, into row n of an (m, S) table, n its
+    measurement (`quantum.take_columns`). Returns the table and the state
+    the nodes leave. The coding steps, and so the `check_growth` refusals,
+    are the node loop's (`node_steps`)."""
+    state = input_state
+    columns = [np.empty((0, len(state.amps)), dtype=np.int64)]
+    for p in plan.nodes:
+        state = _coded(plan, p, state, max_entries)
+        if p.measured:
+            taken, state = take_columns(state, p.measured)
+            columns.append(taken)
+    return np.concatenate(columns), state
+
+
+def enumerate_batches(
+    net: Network,
+    scheme: CodingScheme,
+    input_state: SupportState,
+    max_branches: int = BRANCH_CAP_DEFAULT,
+    prune: bool = False,
+    copy_skip: bool = False,
+    max_entries: int = MAX_STATE_ENTRIES,
+):
+    """Yield every branch of `enumerate_branches`, in its order and with its
+    fidelity and corrections bit for bit, as BranchBatch rows.
+
+    On a certified plan no measurement moves a row, so the input's rows are
+    coded once (`_coded_columns`) and every branch only multiplies phases
+    onto them (`quantum.branch_amplitudes`). Branches are taken in batches
+    that share their leading outcomes, of at most `_BATCH_ENTRIES` (and
+    `max_entries`) amplitudes; each batch's corrections are one product
+    (`_branch_numerators`), and its fidelities one `np.vdot` per branch,
+    row against row (`quantum.fidelities`). Any other plan runs
+    `enumerate_branches`, the oracle, one batch at a time.
+    """
+    plan = plan_scheme(net, scheme, prune=prune, copy_skip=copy_skip)
+    check_branch_count(plan, max_branches)
+    input_state = _check_input(net, scheme, input_state)
+    m, d, rows = plan.measurement_count, plan.register_dim, len(input_state.amps)
+    if not plan.certified:
+        oracle = enumerate_branches(net, scheme, input_state, max_branches, prune, copy_skip, max_entries)
+        while batch := list(itertools.islice(oracle, max(1, _BATCH_ENTRIES // rows))):
+            branches = np.array([r.branch for r in batch], dtype=np.int64).reshape(len(batch), m)
+            fids = np.array([np.nan if r.fidelity is None else r.fidelity for r in batch])
+            yield BranchBatch(branches, fids, _branch_numerators(plan, branches))
+        return
+    columns, state = _coded_columns(plan, input_state, max_entries)
+    targets = _output_rows(plan, input_state, state)[1]
+    inner = 0  # the last outcomes, which each batch enumerates; the others lead
+    while inner < m and d ** (inner + 1) * rows <= min(max_entries, _BATCH_ENTRIES):
+        inner += 1
+    tails = np.array(list(itertools.product(range(d), repeat=inner)), dtype=np.int64).reshape(d**inner, inner)
+    for head in itertools.product(range(d), repeat=m - inner):
+        branches = np.concatenate((np.full((len(tails), len(head)), head, dtype=np.int64), tails), axis=1)
+        numerators = _branch_numerators(plan, branches)
+        amps = branch_amplitudes(input_state, columns, head)
+        amps = _cancel(amps, numerators, targets[:, : net.k], plan.tmap.ring.exponent)
+        yield BranchBatch(branches, fidelities(input_state, targets, amps), numerators)

@@ -12,14 +12,22 @@ caller that certifies that none do (on a solution) skips looking for them
 and gives the outcomes, uniform whatever the input, so drawn before the run
 (`uniform_branch`). On a solution the support never grows past the input's.
 
+Since a certified measurement moves no row, every branch of a certified
+plan leaves its phases on the same rows: `take_columns` keeps a measured
+register's labels where a measurement would drop it, and
+`branch_amplitudes` multiplies many branches' phases onto the rows at once,
+bit for bit as `measure_rows` would.
+
 Inputs are built as rows by one routine, `state_from_rows`, which
 `init_state` (a flat amplitude array) and `basis_state` (one label per
 register) call too, and which remembers the read-only states it makes
-(`checked_state`); `fidelity` matches two states' rows by label. The
-kernels take register names; coding puts the inputs first, then the other
-registers, then the outputs, and a measurement drops its register. Only this
-module knows where a register sits among the support's columns (`_layout`).
-Global phase is kept, never quotiented out.
+(`checked_state`); `fidelity` matches two states' rows by label, by
+position where the rows already agree (`_paired`), and `fidelities` one
+state against many on the same rows. The kernels take register names;
+coding puts the inputs first, then the other registers, then the outputs,
+and a measurement drops its register. Only this module knows where a
+register sits among the support's columns (`_layout`). Global phase is
+kept, never quotiented out.
 
 A configurable cap bounds the amplitude count so a malformed instance fails
 fast instead of exhausting memory. `check_growth` is the one check against
@@ -38,10 +46,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import CapExceededError, source_edge
+# MAX_STATE_ENTRIES, the default amplitude cap, lives in `network`: its memo counts states against it
+from .network import MAX_STATE_ENTRIES, CapExceededError, source_edge  # noqa: F401
 from .rings import RingSpec, int_text, linear_map, pairing, place_values
 
-MAX_STATE_ENTRIES = 2**24
 _INDEXABLE_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize
 _NORM_TOL = 1e-9
 _MADE = weakref.WeakSet()  # the states `state_from_rows` made: checked, read-only
@@ -341,15 +349,66 @@ def measure_rows(
         return outcomes, state
     if rng is not None or forced is None:
         raise QuantumError("a certified measurement takes forced labels, not an rng")
-    gather, _, roster = _layout(state.reg_ids, regs, (), d)
+    cols, rest, roster = _split(state, regs, d)
     amps, outcomes = state.amps, ()
-    for col, reg, label in zip(gather[:m], regs, map(int, forced), strict=True):
+    for col, reg, label in zip(cols, regs, map(int, forced), strict=True):
         if not 0 <= label < d:
             raise QuantumError(f"outcome label {label} out of range")
         amps = amps * scaled[label][state.labels[:, col]]
         outcomes += (MeasurementOutcome(reg, label, 1 / d),)
+    return outcomes, SupportState(state.ring, state.q, roster, rest, amps)
+
+
+def _split(state: SupportState, regs: tuple[str, ...], d: int):
+    """Where live registers sit among the columns, the other columns (a view
+    if the registers lead, as they do after coding) and their roster."""
+    gather, _, roster = _layout(state.reg_ids, regs, (), d)
+    m = len(regs)
     rest = state.labels[:, m:] if state.reg_ids[:m] == regs else state.labels[:, gather[m:]]
-    return outcomes, SupportState(state.ring, state.q, roster[m:], rest, amps)
+    return gather[:m], rest, roster[m:]
+
+
+def take_columns(state: SupportState, regs) -> tuple[np.ndarray, SupportState]:
+    """The labels of live registers, one row per register and one column per
+    support row, and the state without them: what a certified measurement
+    (`measure_rows`) drops, without the phase it leaves."""
+    cols, rest, roster = _split(state, tuple(regs), state.ring.cardinality**state.q)
+    return state.labels[:, cols].T, SupportState(state.ring, state.q, roster, rest, state.amps)
+
+
+def branch_amplitudes(state: SupportState, columns: np.ndarray, prefix) -> np.ndarray:
+    """The amplitudes every certified branch that starts with the outcomes
+    `prefix` leaves on the rows of `state`, before correction: row b for the
+    b-th of the other outcomes in product order, the first most significant.
+
+    `columns[i]` holds measurement i's label on each row (`take_columns`).
+    Outcome a_i multiplies the rows by the phase F[a_i, y] sqrt(d) at their
+    labels y, one measurement after another, as the certified `measure_rows`
+    does: so row b is bit for bit what the node loop leaves on branch b.
+    """
+    scaled = _scaled_fourier(state.ring, state.q)
+    amps = state.amps
+    for label, labels in zip(prefix, columns):
+        amps = amps * scaled[label][labels]
+    rows = amps[None]
+    for labels in columns[len(prefix) :]:
+        rows = (rows[:, None] * scaled[:, labels]).reshape(-1, len(amps))
+    return rows
+
+
+def _paired(a: SupportState, labels: np.ndarray):
+    """Indices that pair a's rows with the rows of `labels` that share their
+    labels, in label order. When `a` is checked (`checked_state`, so its rows
+    are in label order) and `labels` equals its labels element for element,
+    as on every delivered run, each row pairs with the row in its place;
+    otherwise one sort of both sets of rows (`_lexsorted`) finds the pairs,
+    and a label only one set lists pairs with nothing. Both give the same
+    pairs in the same order."""
+    if a in _MADE and a.labels.shape == labels.shape and (a.labels == labels).all():
+        return slice(None), slice(None)
+    order, starts = _lexsorted(np.concatenate((a.labels, labels)))
+    pair = ~starts[1:]  # rows are distinct within a state, and a's come first
+    return order[:-1][pair], order[1:][pair] - len(a.amps)
 
 
 def fidelity(a: SupportState, b: SupportState) -> float:
@@ -357,14 +416,22 @@ def fidelity(a: SupportState, b: SupportState) -> float:
 
     Registers are matched by position, not id: a state transported onto new
     registers compares against the original input directly. Rows are matched
-    by label, in one sort of both states' rows (`_lexsorted`), and summed in
-    label order whatever the order of either state's rows; a label only one
-    state lists adds nothing.
+    by label (`_paired`) and summed in label order whatever the order of
+    either state's rows; a label only one state lists adds nothing.
     """
     shapes = [(s.ring.cardinality**s.q,) * len(s.reg_ids) for s in (a, b)]
     if shapes[0] != shapes[1]:
         raise RegisterError(f"register rosters differ: {shapes[0]} vs {shapes[1]}")
-    order, starts = _lexsorted(np.concatenate((a.labels, b.labels)))
-    pair = ~starts[1:]  # rows are distinct within a state, and a's come first
-    overlap = np.vdot(a.amps[order[:-1][pair]], b.amps[order[1:][pair] - len(a.amps)])
-    return float(abs(overlap) ** 2)
+    ia, ib = _paired(a, b.labels)
+    return float(abs(np.vdot(a.amps[ia], np.ascontiguousarray(b.amps[ib]))) ** 2)
+
+
+def fidelities(a: SupportState, labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`fidelity(a, b)` for every state b on a's registers whose support
+    rows have these labels and, in turn, each row of `rows` as amplitudes:
+    the rows paired once (`_paired`), then one `np.vdot` per state, so each
+    value is bit for bit `fidelity`'s. `np.vdot` sums contiguous rows in
+    another order than strided ones, so both take theirs contiguous."""
+    ia, ib = _paired(a, labels)
+    ref, rows = a.amps[ia], np.ascontiguousarray(rows[:, ib])
+    return np.array([abs(np.vdot(ref, row)) ** 2 for row in rows], dtype=float)

@@ -17,7 +17,7 @@ from qnetcode.network import (
     transfer_coefficients,
     verify_solution,
 )
-from qnetcode.protocol import enumerate_branches, run_protocol
+from qnetcode.protocol import PhaseTable, enumerate_batches, enumerate_branches, run_protocol
 from qnetcode.quantum import basis_state, fidelity
 
 TOL = 1e-9
@@ -33,12 +33,12 @@ def _superpositions(scheme, k, count, seed0):
 def _enumerate_all_perfect(net, scheme, state, collect=True):
     worst = 1.0
     count = 0
-    for br in enumerate_branches(net, scheme, state):
-        assert br.fidelity is not None
-        worst = min(worst, br.fidelity)
-        count += 1
+    for batch in enumerate_batches(net, scheme, state):
+        assert not np.isnan(batch.fidelities).any()
+        worst = min(worst, batch.fidelities.min())
+        count += len(batch.branches)
         if collect:
-            COLLECTED_TABLES.append(br.result.phase_table)
+            COLLECTED_TABLES.extend(PhaseTable(scheme.ring, scheme.q, n) for n in batch.numerators)
     return count, worst
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnetcode.cli
+import qnetcode.network
 import qnetcode.protocol
 import qnetcode.quantum
 from conftest import INSTANCES, butterfly_with_isolated_node
@@ -1077,3 +1078,40 @@ def test_a_refused_enumerate_builds_no_input(capsys, monkeypatch, fresh_memo):
     )
     assert calls == []
 
+
+
+def test_a_second_verify_names_no_matrix(capsys, tmp_path, monkeypatch, fresh_memo):
+    # butterfly_z3 with t1's coefficients doubled: tgt:1 receives 2 x1, a
+    # matrix that is neither the identity nor zero
+    doc = json.loads((INSTANCES / "butterfly_z3.json").read_text())
+    for output in doc["coding"]["t1"]["outputs"]:
+        output["coeffs"] = [2 * c % 3 for c in output["coeffs"]]
+    path = tmp_path / "butterfly_z3_doubled.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    entries = qnetcode.network.matrix_entries
+    monkeypatch.setattr(qnetcode.network, "matrix_entries", lambda *a: calls.append(a) or entries(*a))
+    first = run_cli(capsys, "verify", str(path))
+    assert first[0] == 1 and "  tgt:1: [[[2]], 0]" in first[1] and len(calls) == 1
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, "verify", str(path), "--format", fmt)[0] == 1
+    assert len(calls) == 1
+
+
+def test_the_memo_keeps_uniform_inputs_up_to_the_default_cap(capsys, monkeypatch, fresh_memo):
+    # uniform inputs of 9, 16 and 16 rows against a budget of 40: the least
+    # recently used one goes, and the parsed documents and plans stay
+    monkeypatch.setattr(qnetcode.network, "MAX_STATE_ENTRIES", 40)
+    names = {n: str(INSTANCES / f"butterfly_{n}.json") for n in ("z3", "z4", "gf4")}
+    ring = {str(parse_network(path)[1].ring): name for name, path in names.items()}
+    held = lambda: [ring.get(str(key[1])) for key in fresh_memo if key[0] == "uniform input"]
+    for name in ("z3", "z4", "gf4"):
+        assert run_cli(capsys, "simulate", names[name], "--seed", "1")[0] == 0
+    assert held() == ["z4", "gf4"]
+    assert run_cli(capsys, "enumerate", names["z4"], "--copy-skip", "--max-branches", "4096")[0] == 0
+    assert run_cli(capsys, "simulate", names["z3"], "--seed", "1")[0] == 0
+    assert held() == ["z4", "z3"]
+    assert sum(key[0] == "document" for key in fresh_memo) == 3
+    monkeypatch.setattr(qnetcode.network, "MAX_STATE_ENTRIES", 8)
+    assert run_cli(capsys, "simulate", names["z3"], "--seed", "2", "--alt-phi")[0] == 0
+    assert held() == []  # nine rows are above the budget: built, used, not kept

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnetcode.quantum
 from oracles import (
     StateVector,
     apply_coding_unitary,
@@ -34,6 +35,7 @@ from qnetcode.quantum import (
     basis_state,
     check_growth,
     code_rows,
+    fidelities,
     fidelity,
     fourier_matrix,
     init_state,
@@ -426,6 +428,74 @@ class TestFidelity:
         b = basis_state(Z2, 1, (0, 0))
         with pytest.raises(RegisterError):
             fidelity(a, b)
+
+
+def _sorts(monkeypatch) -> list:
+    """The row sets `fidelity` sorts, one entry per sort."""
+    calls = []
+    sort = qnetcode.quantum._lexsorted
+    monkeypatch.setattr(qnetcode.quantum, "_lexsorted", lambda rows: calls.append(rows) or sort(rows))
+    return calls
+
+
+def _unchecked(state: SupportState) -> SupportState:
+    """The same rows in a state `state_from_rows` did not make."""
+    return SupportState(state.ring, state.q, state.reg_ids, state.labels, state.amps)
+
+
+class TestPositionalFidelity:
+    """A checked state against a state on the same labels pairs rows by
+    position, with no sort, and gets the sorted path's bits."""
+
+    @pytest.mark.parametrize("text, q, n", [("Z(2)", 1, 2), ("Z(3)", 1, 3), ("GF(4)", 1, 2), ("Z(2)", 2, 3)])
+    def test_same_bits_as_the_sorted_path(self, monkeypatch, text, q, n):
+        for seed in range(20):
+            a = random_state(text, q, n, seed=seed)
+            rng = np.random.default_rng(seed)
+            amps = rng.normal(size=len(a.amps)) + 1j * rng.normal(size=len(a.amps))
+            b = SupportState(a.ring, a.q, a.reg_ids, a.labels.copy(), amps / np.linalg.norm(amps))
+            sorts = _sorts(monkeypatch)
+            positional = fidelity(a, b)
+            assert sorts == []
+            sorted_path = fidelity(_unchecked(a), b)
+            assert len(sorts) == 1
+            assert np.float64(positional).tobytes() == np.float64(sorted_path).tobytes()
+            monkeypatch.undo()
+
+    def test_strided_amplitudes_get_the_contiguous_bits(self):
+        a = random_state("Z(3)", 1, 3, seed=4)
+        wide = np.repeat(a.amps[::-1], 2)[::2]  # a strided view
+        b = SupportState(a.ring, a.q, a.reg_ids, a.labels, wide)
+        assert not wide.flags.c_contiguous
+        want = fidelity(_unchecked(a), b)
+        assert np.float64(fidelity(a, b)).tobytes() == np.float64(want).tobytes()
+
+    def test_unsorted_rows_are_sorted(self, monkeypatch):
+        a = random_state("Z(3)", 1, 2, seed=2)
+        order = np.random.default_rng(2).permutation(len(a.amps))
+        b = SupportState(a.ring, a.q, a.reg_ids, a.labels[order], a.amps[order])
+        sorts = _sorts(monkeypatch)
+        assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(_unchecked(b), a) == pytest.approx(1.0, abs=1e-12)
+        assert len(sorts) == 2
+
+    def test_mismatched_rows_are_sorted(self, monkeypatch):
+        a = init_state(Z2, 1, 2, [0.5, 0.5, 0.5, 0.5])
+        other = SupportState(Z2, 1, a.reg_ids, np.array([[0, 0], [0, 1], [1, 1]]), np.full(3, 3**-0.5))
+        fewer = SupportState(Z2, 1, a.reg_ids, a.labels[:3], a.amps[:3])
+        sorts = _sorts(monkeypatch)
+        assert fidelity(a, other) == pytest.approx(0.75, abs=1e-12)
+        assert fidelity(a, fewer) == pytest.approx(0.75**2, abs=1e-12)
+        assert len(sorts) == 2
+
+    def test_fidelities_are_fidelity_row_by_row(self):
+        a = random_state("GF(4)", 1, 2, seed=6)
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(5, len(a.amps))) + 1j * rng.normal(size=(5, len(a.amps)))
+        for labels in (a.labels, a.labels[::-1]):
+            got = fidelities(a, labels, rows)
+            want = [fidelity(a, SupportState(a.ring, a.q, a.reg_ids, labels, row)) for row in rows]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 @st.composite
