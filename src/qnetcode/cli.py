@@ -46,6 +46,7 @@ import warnings
 import numpy as np
 
 from .network import (
+    MAX_STATE_ENTRIES,
     CapExceededError,
     InstanceError,
     load_json,
@@ -66,7 +67,6 @@ from .protocol import (
     run_protocol,
 )
 from .quantum import (
-    MAX_STATE_ENTRIES,
     DimensionCapError,
     QuantumError,
     ZeroProbabilityError,
@@ -156,8 +156,8 @@ def _uniform_input(ring, q, k):
 
 
 def _parse_branch(text, dim) -> tuple[int, ...]:
-    text = text.strip()
-    if "," not in text and not (dim <= 10 and text.isdigit()):
+    text = text.strip()  # a blank text is the empty branch, of a plan that measures nothing
+    if text and "," not in text and not (dim <= 10 and text.isdigit()):
         raise InstanceError(
             "branch must be comma-separated labels (or a digit string for dimensions up to 10)"
         )

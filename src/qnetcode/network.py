@@ -33,9 +33,9 @@ reads the field. Entries are read straight to element labels (`parse_entry`,
 which the CLI's input-state reader shares), and each matrix to its integer
 form (`rings.coefficient_matrix`).
 
-Verification reads the transfer map (`transfer_coefficients`): a scheme is a
-solution iff target i's row is the identity at pair i and zero elsewhere.
-The verdict is the map's, computed once per map (`TransferMap.counterexample`).
+Verification reads the transfer map (`transfer_coefficients`, one
+`rings.combine` per node): a scheme is a solution iff target i's row is
+δ_ij·I, one comparison per map (`TransferMap.counterexample`).
 
 What depends only on an instance is memoised by its content, not by object,
 in one memo that keeps the MEMO_SIZE most recently used values, and states
@@ -197,17 +197,18 @@ class TransferMap:
         significant digit whose row of gamma - I is nonzero at some target,
         use only digits with zero rows, so u_t is the first failure."""
         radix = self.ring.moduli * self.q
-        eye = np.eye(len(radix), dtype=np.int64)
-        bad = np.zeros((self.k, len(radix)), dtype=bool)
-        for i in range(self.k):
-            for j, g in enumerate(self.gammas[target_edge(i + 1)]):
-                bad[j] |= (g != eye * (i == j)).any(axis=1)
-        failing = np.flatnonzero(bad)
+        rows = self.stacked([target_edge(i + 1) for i in range(self.k)])  # (target, pair, digit, digit)
+        solved = np.eye(self.k, dtype=np.int64)[:, :, None, None] * np.eye(len(radix), dtype=np.int64)
+        failing = np.flatnonzero((rows != solved).any(axis=(0, 3)))  # (pair, digit), flattened
         if not failing.size:
             return None
         pair, t = divmod(int(failing[-1]), len(radix))
-        place = math.prod(radix[t + 1 :])
-        return tuple(place if j == pair else 0 for j in range(self.k))
+        return tuple(np.eye(self.k, dtype=object)[pair] * math.prod(radix[t + 1 :]))
+
+    def stacked(self, edges) -> np.ndarray:
+        """The edges' transfer rows in one array, shape (len(edges), k, width, width)."""
+        width = self.q * len(self.ring.moduli)
+        return np.array([self.gammas[e] for e in edges]).reshape(len(edges), self.k, width, width)
 
     @cached_property
     def target_names(self) -> Mapping[str, tuple[str, ...]]:
@@ -507,13 +508,12 @@ def transfer_coefficients(net: Network, scheme: CodingScheme) -> TransferMap:
     """Express every edge value as a left-linear combination of the pair
     inputs, in read-only arrays."""
     ring, q, k = scheme.ring, scheme.q, net.k
-    width = q * len(ring.moduli)
-    eye = np.eye(width, dtype=np.int64)
-    gammas = {source_edge(j + 1): np.eye(k, dtype=np.int64)[j, :, None, None] * eye for j in range(k)}
+    sources = np.eye(k, dtype=np.int64)[:, :, None, None] * np.eye(q * len(ring.moduli), dtype=np.int64)
+    sources.flags.writeable = False
+    gammas = dict(zip(map(source_edge, range(1, k + 1)), sources))
     for v in net.topo_order:
-        in_rows = [gammas[e] for e in net.node_inputs[v]]
-        for eid, row in zip(net.node_outputs[v], scheme.coeffs[v]):
-            gammas[eid] = combine(ring, q, row, in_rows)
-    for g in gammas.values():
-        g.flags.writeable = False
+        if net.node_outputs[v]:  # every output of the node from its stacked inputs at once
+            outs = combine(ring, q, scheme.coeffs[v], [gammas[e] for e in net.node_inputs[v]])
+            outs.flags.writeable = False
+            gammas.update(zip(net.node_outputs[v], outs))
     return TransferMap(ring=ring, q=q, k=k, gammas=gammas)

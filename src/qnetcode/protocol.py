@@ -68,15 +68,15 @@ from functools import cached_property
 import numpy as np
 
 from .network import (
-    CapExceededError, CodingScheme, InstanceError, Network, TransferMap, memoised, source_edge, target_edge,
-    transfer_map,
+    MAX_STATE_ENTRIES, CapExceededError, CodingScheme, InstanceError, Network, TransferMap, memoised,
+    source_edge, target_edge, transfer_map,
 )
 from .quantum import (
-    MAX_STATE_ENTRIES, MeasurementOutcome, SupportState, ZeroProbabilityError, branch_amplitudes,
+    MeasurementOutcome, SupportState, ZeroProbabilityError, branch_amplitudes,
     check_growth, checked_state, code_rows, fidelities, fidelity, measure_rows, output_columns,
     take_columns, uniform_branch,
 )
-from .rings import RingSpec, character_form, int_text, is_identity, is_zero, label_digits
+from .rings import RingSpec, character_form, int_text, is_identity, label_digits
 
 BRANCH_CAP_DEFAULT = 65536
 _BATCH_ENTRIES = 2**16  # amplitudes in one batch of `enumerate_batches`
@@ -259,6 +259,7 @@ def plan_scheme(
 def _plan(net: Network, scheme: CodingScheme, prune: bool, copy_skip: bool) -> SchemePlan:
     tmap = transfer_map(net, scheme)  # one per instance: the policies share it
     everyone = tuple(range(1, net.k + 1))
+    targets = np.array([t for _, t in net.pairs], dtype=object)
     nodes = []
     for v in net.topo_order:
         ins, outs, coeffs = net.node_inputs[v], net.node_outputs[v], scheme.coeffs[v]
@@ -268,13 +269,9 @@ def _plan(net: Network, scheme: CodingScheme, prune: bool, copy_skip: bool) -> S
             nodes.append(NodePlan(v, (ins[0], outs[0]), outs[:1], outs[1:], rows, None, ()))
             continue
         told = everyone
-        if prune:
-            told = tuple(
-                j + 1
-                for j in range(net.k)
-                # a target already holds its own outcomes
-                if net.pairs[j][1] != v and any(not is_zero(tmap.gammas[e][j]) for e in ins)
-            )
+        if prune:  # the pairs its inputs carry, but those it is the target of
+            carried = tmap.stacked(ins).any(axis=(0, 2, 3)) & (targets != v)
+            told = tuple((np.flatnonzero(carried) + 1).tolist())
         nodes.append(NodePlan(v, None, ins, outs, coeffs, ins, told))
     return SchemePlan(net, tmap, tuple(nodes), "prune" if prune else "broadcast")
 

@@ -46,8 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# MAX_STATE_ENTRIES, the default amplitude cap, lives in `network`: its memo counts states against it
-from .network import MAX_STATE_ENTRIES, CapExceededError, source_edge  # noqa: F401
+from .network import CapExceededError, source_edge
 from .rings import RingSpec, int_text, linear_map, pairing, place_values
 
 _INDEXABLE_ENTRIES = np.iinfo(np.intp).max // np.dtype(complex).itemsize

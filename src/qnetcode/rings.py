@@ -422,13 +422,13 @@ def is_identity(g: np.ndarray) -> bool:
 
 
 def combine(spec: RingSpec, q: int, coeffs, gammas) -> np.ndarray:
-    """Matrix of x -> sum_j coeffs[j] @ (gammas[j] @ x).
-
-    B after C has the matrix G_C @ G_B and sums add, reduced mod the radix;
-    each gammas[j] may be a stack of matrices.
-    """
+    """Matrices of x -> sum_j coeffs[i][j] @ (gammas[j][p] @ x), shape (i, p, ...):
+    every output i at once, from one stack p of matrices per input j. B after
+    C has the matrix G_C @ G_B; each product is reduced mod the radix, so
+    int64 stays exact."""
     radix = _radix(spec, q)
-    return sum((c @ b) % radix for b, c in zip(coeffs, gammas)) % radix
+    products = np.asarray(gammas)[None] @ np.asarray(coeffs)[:, :, None] % radix
+    return products.sum(axis=1) % radix
 
 
 def linear_map(spec: RingSpec, q: int, coeffs, inputs) -> np.ndarray:

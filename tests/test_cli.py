@@ -172,6 +172,14 @@ class TestSimulate:
         assert len(doc["branch"]) == 9
         assert json.loads(json.dumps(doc)) == doc
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_forced_empty_branch_replays_a_run_that_measures_nothing(self, capsys, fmt):
+        sampled = run_cli(capsys, "simulate", SINGLE, "--copy-skip", "--seed", "1", "--format", fmt)
+        forced = run_cli(capsys, "simulate", SINGLE, "--copy-skip", "--branch", "", "--format", fmt)
+        assert sampled[0] == 0 and forced == sampled
+        if fmt == "json":
+            assert json.loads(forced[1])["branch"] == []
+
     def test_branch_wrong_length(self, capsys):
         code, _, err = run_cli(capsys, "simulate", BUTTERFLY, "--branch", "01")
         assert code == 2
@@ -503,6 +511,12 @@ class TestErrorContract:
                 None,
                 "branch has an empty label: '1,1,1,1,1,1,1,1,1,'",
                 id="branch-trailing-comma",
+            ),
+            pytest.param(
+                ["simulate", BUTTERFLY, "--branch", ""],
+                None,
+                "branch must list 9 outcome labels, got 0",
+                id="branch-blank",
             ),
             pytest.param(
                 ["simulate", BUTTERFLY, "--seed", "1", "--input", " 1 , , 0 "],

@@ -20,13 +20,13 @@ from oracles import (
     one,
     support,
 )
+from qnetcode.network import MAX_STATE_ENTRIES
 from qnetcode.quantum import (
     _draw,
     _group_rows,
     _layout,
     _scaled_fourier,
     _uniform,
-    MAX_STATE_ENTRIES,
     DimensionCapError,
     QuantumError,
     RegisterError,

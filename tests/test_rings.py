@@ -419,7 +419,7 @@ class TestIntegerForm:
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(mul(B, C), mul(B2, C2))
         ]
         G = lambda M: coefficient_matrix(spec, to_labels(M))
-        got = combine(spec, q, [g, G(B2)], [G(C), G(C2)])
+        got = combine(spec, q, [[g, G(B2)]], [[G(C)], [G(C2)]])[0, 0]
         assert np.array_equal(got, G(sum_of_products))
         expected = frac_mod1(sum((character(a, b) for a, b in zip(y, v)), Fraction(0)))
         assert pair(spec, q, register_label(spec, to_labels(y)), register_label(spec, to_labels(v))) == expected

@@ -90,6 +90,7 @@ def test_walkthrough_reads_a_comma_branch():
     "arg, message",
     [
         ("1011001101", "branch must list 9 outcome labels, got 10"),
+        ("", "branch must list 9 outcome labels, got 0"),
         ("101100112", "branch labels out of range"),
         ("1x", "branch must be comma-separated labels"),
         ("1,0,1,1,0,0,1,1,x", "branch labels must be integers"),
