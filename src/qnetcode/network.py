@@ -64,10 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .rings import (
-    RingSpec, coefficient_matrix, combine, coords_label, decimal, is_identity, is_zero, matrix_entries,
-    parse_ring_spec,
-)
+from .rings import RingSpec, coefficient_matrix, combine, coords_label, decimal, matrix_entries, parse_ring_spec
 
 MAX_STATE_ENTRIES = 2**24  # the default amplitude cap (`quantum.check_growth`)
 
@@ -213,11 +210,14 @@ class TransferMap:
     @cached_property
     def target_names(self) -> Mapping[str, tuple[str, ...]]:
         """Each target's transfer row as text, computed once per map: per
-        pair "I" for the identity, "0" for zero, else the matrix's entries
-        (`rings.matrix_entries`)."""
-        name = lambda g: "I" if is_identity(g) else "0" if is_zero(g) else str(matrix_entries(self.ring, g))
-        edges = (target_edge(i + 1) for i in range(self.k))
-        return MappingProxyType({e: tuple(name(g) for g in self.gammas[e]) for e in edges})
+        pair "I" for the identity, "0" for zero (both found in one pass over
+        the stacked rows), else the matrix's entries (`rings.matrix_entries`)."""
+        edges = tuple(target_edge(i + 1) for i in range(self.k))
+        rows = self.stacked(edges)
+        eye = (rows == np.eye(rows.shape[-1], dtype=np.int64)).all(axis=(2, 3)).tolist()
+        zero = (~rows.any(axis=(2, 3))).tolist()
+        name = lambda t, j: "I" if eye[t][j] else "0" if zero[t][j] else str(matrix_entries(self.ring, rows[t, j]))
+        return MappingProxyType({e: tuple(name(t, j) for j in range(self.k)) for t, e in enumerate(edges)})
 
 
 # ---------------------------------------------------------------------------

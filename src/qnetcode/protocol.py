@@ -39,9 +39,9 @@ certified (`SchemePlan.certified`, which reads the transfer map's verdict):
 each of its measurements leaves only a phase, and each outcome has
 probability 1/d whatever the input. So a sampled run is the forced run of a
 branch drawn uniformly before the first node, the loop measures each node's
-registers in one step without checking rows, and `finish_run` cancels the
-phases row by row. The input's rows are checked once, before any node runs
-(`quantum.checked_state`). The input may carry spectator registers after
+registers in one step without checking rows (`quantum.take_columns`), and
+`finish_run` cancels the phases row by row. The input's rows are checked
+once, before any node runs (`quantum.checked_state`). The input may carry spectator registers after
 `src:1..k`, which no node touches; they come after `tgt:1..k` in the output.
 
 Enumeration has two paths. `enumerate_branches` runs every branch through
@@ -72,7 +72,7 @@ from .network import (
     source_edge, target_edge, transfer_map,
 )
 from .quantum import (
-    MeasurementOutcome, SupportState, ZeroProbabilityError, branch_amplitudes,
+    MeasurementOutcome, SupportState, ZeroProbabilityError, are_integers, branch_amplitudes,
     check_growth, checked_state, code_rows, fidelities, fidelity, measure_rows, output_columns,
     take_columns, uniform_branch,
 )
@@ -188,7 +188,7 @@ class SchemePlan:
         after adjoining its outputs, so the targets are computed from the
         other live registers. On a solution they hold x, which fixes each
         measured label gamma x: the rows' other columns are distinct, and
-        every outcome has probability 1/d (`quantum.measure_rows`)."""
+        every outcome has probability 1/d (`quantum.take_columns`)."""
         return self.tmap.counterexample is None
 
     @cached_property
@@ -312,28 +312,34 @@ def node_steps(
 
     The loop runs on the input's rows as given and does what each node's
     `NodePlan` says: a node that adjoins registers codes them from its inputs
-    (`quantum.code_rows`), then measures its registers in the Fourier basis
-    (`quantum.measure_rows`), unchecked if `plan.certified`.
+    (`quantum.code_rows`), then measures its registers in the Fourier basis:
+    in one `quantum.take_columns` call on a certified plan, where no
+    measurement moves a row, else checked (`quantum.measure_rows`).
     Before a node codes, `quantum.check_growth` refuses a coded state above
     `max_entries` amplitudes, so nothing of that node is built.
 
     Outcomes are taken in turn from `branch`, one label per measurement, or
     sampled from `rng`: on a certified plan, where each is uniform, as one
     branch before the first node (`quantum.uniform_branch`). A branch of the
-    wrong length, with a label out of range, or given with an `rng` raises
-    InstanceError when the first step is taken.
+    wrong length, with labels that are not integers (`quantum.are_integers`)
+    or out of range, or given with an `rng` raises InstanceError when the
+    first step is taken.
     """
     pos, d = 0, plan.register_dim
     if branch is not None:
         if rng is not None:
             raise InstanceError("give either a branch or an rng, not both")
-        branch = tuple(int(b) for b in branch)
-        if len(branch) != plan.measurement_count:
-            raise InstanceError(
-                f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}"
-            )
+        try:
+            given = np.asarray(branch)
+        except ValueError:  # a ragged sequence
+            raise InstanceError("branch labels must be integers") from None
+        if given.ndim != 1 or not are_integers(given):
+            raise InstanceError("branch labels must be integers")
+        if len(branch := given.tolist()) != plan.measurement_count:
+            raise InstanceError(f"branch must list {plan.measurement_count} outcome labels, got {len(branch)}")
         if any(not 0 <= b < d for b in branch):
             raise InstanceError("branch labels out of range")
+        branch = tuple(map(int, branch))
     elif rng is not None and plan.certified:
         branch, rng = uniform_branch(d, plan.measurement_count, rng), None
     state = input_state
@@ -341,9 +347,13 @@ def node_steps(
         state = _coded(plan, p, state, max_entries)
         outcomes = ()
         if p.measured:
-            forced = None if branch is None else branch[pos : pos + len(p.measured)]
+            labels = None if branch is None else branch[pos : pos + len(p.measured)]
             pos += len(p.measured)
-            outcomes, state = measure_rows(state, p.measured, rng, forced, plan.certified)
+            if plan.certified:
+                state = take_columns(state, p.measured, labels)[1]
+                outcomes = tuple(MeasurementOutcome(r, a, 1 / d) for r, a in zip(p.measured, labels))
+            else:
+                outcomes, state = measure_rows(state, p.measured, rng, labels)
         entry = None if p.measured is None else LogEntry(p.node, outcomes, p.recipients)
         yield NodeStep(p.node, state, entry)
 
@@ -457,7 +467,7 @@ def run_protocol(
         raise InstanceError("give either a branch or a seed, not both")
     if branch is None and seed is None:
         raise InstanceError("sampled mode needs a seed")
-    if seed is not None and seed < 0:
+    if seed is not None and (type(seed) is bool or not isinstance(seed, (int, np.integer)) or seed < 0):
         raise InstanceError(f"seed must be a non-negative integer, got {seed}")
     rng = None if seed is None else np.random.default_rng(seed)
     steps = node_steps(plan, input_state, rng, branch, max_entries)
@@ -565,18 +575,18 @@ class BranchBatch:
 def _coded_columns(
     plan: SchemePlan, input_state: SupportState, max_entries: int
 ) -> tuple[np.ndarray, SupportState]:
-    """One pass of the plan's nodes over the input's rows that codes and
-    measures nothing: each measured register's labels move, where the node
-    loop would drop the register, into row n of an (m, S) table, n its
-    measurement (`quantum.take_columns`). Returns the table and the state
-    the nodes leave. The coding steps, and so the `check_growth` refusals,
-    are the node loop's (`node_steps`)."""
+    """One pass of the plan's nodes over the input's rows that codes, and
+    measures with no outcome: each measured register's labels move, where
+    the node loop would drop the register, into row n of an (m, S) table, n
+    its measurement (`quantum.take_columns` with no labels, so no phase).
+    Returns the table and the state the nodes leave. The coding steps, and
+    so the `check_growth` refusals, are the node loop's (`node_steps`)."""
     state = input_state
     columns = [np.empty((0, len(state.amps)), dtype=np.int64)]
     for p in plan.nodes:
         state = _coded(plan, p, state, max_entries)
         if p.measured:
-            taken, state = take_columns(state, p.measured)
+            taken, state = take_columns(state, p.measured, ())
             columns.append(taken)
     return np.concatenate(columns), state
 

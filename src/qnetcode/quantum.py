@@ -5,18 +5,16 @@ integer array of basis labels with one row per nonzero amplitude, and the S
 amplitudes. The paper's protocol does two things to a state, and both act on
 rows. Coding relabels basis states, so `code_rows` appends output columns to
 the rows. On a solution every live cut still determines the input, so
-measuring a register in the Fourier basis leaves the phase chi(y, z) on each
-row, each outcome at probability exactly 1/d (`measure_rows`); where rows
-interfere, in a scheme that is not a solution, it sums them exactly. A
-caller that certifies that none do (on a solution) skips looking for them
-and gives the outcomes, uniform whatever the input, so drawn before the run
-(`uniform_branch`). On a solution the support never grows past the input's.
-
-Since a certified measurement moves no row, every branch of a certified
-plan leaves its phases on the same rows: `take_columns` keeps a measured
-register's labels where a measurement would drop it, and
-`branch_amplitudes` multiplies many branches' phases onto the rows at once,
-bit for bit as `measure_rows` would.
+measuring a register in the Fourier basis moves no row: it drops the
+register's column and leaves the phase chi(y, z) on each row, each outcome
+at probability exactly 1/d. One kernel does that, `take_columns`, called by
+`measure_rows` where no two rows share their other columns (where rows
+interfere, in a scheme that is not a solution, it sums them exactly) and by
+a caller that certifies that none do (on a solution), with outcomes uniform
+whatever the input, so drawn before the run (`uniform_branch`). On a
+solution the support never grows past the input's. Given no outcomes, it
+returns the labels every branch's phases sit on, which `branch_amplitudes`
+multiplies onto the rows many branches at once, bit for bit as it would.
 
 Inputs are built as rows by one routine, `state_from_rows`, which
 `init_state` (a flat amplitude array) and `basis_state` (one label per
@@ -126,10 +124,7 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
     reg_ids = tuple(source_edge(i + 1) for i in range(n)) if reg_ids is None else tuple(reg_ids)
     if len(reg_ids) != n:
         raise RegisterError(f"expected {n} register ids, got {len(reg_ids)}")
-    kind = labels.dtype.kind
-    if kind == "O" and all(type(x) is int for x in labels.flat):
-        kind = "i"  # Python ints past int64, refused below once in range
-    if kind not in "iuf" or kind == "f" and not (np.floor(labels) == labels).all():
+    if not are_integers(labels):
         raise QuantumError("basis labels must be integers")
     if labels.size and not 0 <= labels.min() <= labels.max() < d:
         raise QuantumError(f"basis label out of range (dimension {int_text(d)})")
@@ -143,6 +138,15 @@ def state_from_rows(ring: RingSpec, q: int, labels, amplitudes, reg_ids=None) ->
     state.labels.flags.writeable = state.amps.flags.writeable = False
     _MADE.add(state)
     return state
+
+
+def are_integers(labels: np.ndarray) -> bool:
+    """The rule for basis and outcome labels: integers, Python ints past int64
+    (refused later once in range) or floats of integral value; not booleans."""
+    kind = labels.dtype.kind
+    if kind == "O":
+        return all(type(x) is int for x in labels.flat)
+    return kind in "iu" or kind == "f" and bool((np.floor(labels) == labels).all())
 
 
 def checked_state(state: SupportState) -> SupportState:
@@ -311,7 +315,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def measure_rows(
-    state: SupportState, regs, rng=None, forced=None, certified: bool = False
+    state: SupportState, regs, rng=None, forced=None
 ) -> tuple[tuple[MeasurementOutcome, ...], SupportState]:
     """Fourier-transform and measure live registers in turn on the support,
     each outcome taken from `forced`, one per register, or else sampled from
@@ -319,60 +323,45 @@ def measure_rows(
 
     Rows are grouped by their other columns, in lexicographic order. If no
     two share them, they fix the register's label y: outcome z has
-    probability exactly 1/d and multiplies each row by F[z, y] sqrt(d).
+    probability exactly 1/d and only leaves a phase (`take_columns`).
     Otherwise each group's rows are summed with F[z, .], and z is drawn from
-    the exact marginal (`_draw`). A `certified` call
-    (`protocol.SchemePlan.certified`) takes `forced` labels and no `rng`, and
-    skips grouping, dropping the measured columns at once (a view if they lead).
+    the exact marginal (`_draw`).
     """
-    regs, m = tuple(regs), len(regs)
-    scaled = _scaled_fourier(state.ring, state.q)
-    d = len(scaled)
-    if not certified:
-        outcomes = ()
-        for reg, label in zip(regs, (None,) * m if forced is None else forced, strict=True):
-            gather, _, roster = _layout(state.reg_ids, (reg,), (), d)
-            rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
-            first, group = _group_rows(rest)
-            if len(first) == len(rest):
-                label, _ = _draw(_uniform(d)[0], reg, rng, label)
-                outcome, state = measure_rows(state, (reg,), forced=(label,), certified=True)
-            else:
-                rows = np.zeros((len(first), d), dtype=complex)
-                rows[group, state.labels[:, gather[0]]] = state.amps
-                coeffs = rows @ fourier_matrix(state.ring, state.q)  # F is symmetric
-                label, p = _draw((np.abs(coeffs) ** 2).sum(axis=0), reg, rng, label)
-                outcome = (MeasurementOutcome(reg, label, p),)
-                state = SupportState(state.ring, state.q, roster[1:], rest[first], coeffs[:, label] / math.sqrt(p))
-            outcomes += outcome
-        return outcomes, state
-    if rng is not None or forced is None:
-        raise QuantumError("a certified measurement takes forced labels, not an rng")
-    cols, rest, roster = _split(state, regs, d)
-    amps, outcomes = state.amps, ()
-    for col, reg, label in zip(cols, regs, map(int, forced), strict=True):
-        if not 0 <= label < d:
-            raise QuantumError(f"outcome label {label} out of range")
-        amps = amps * scaled[label][state.labels[:, col]]
-        outcomes += (MeasurementOutcome(reg, label, 1 / d),)
-    return outcomes, SupportState(state.ring, state.q, roster, rest, amps)
+    regs, d, outcomes = tuple(regs), state.ring.cardinality**state.q, ()
+    for reg, label in zip(regs, (None,) * len(regs) if forced is None else forced, strict=True):
+        gather, _, roster = _layout(state.reg_ids, (reg,), (), d)
+        rest = state.labels[:, 1:] if gather[0] == 0 else state.labels[:, gather[1:]]
+        first, group = _group_rows(rest)
+        if len(first) == len(rest):
+            label, p = _draw(_uniform(d)[0], reg, rng, label)
+            state = take_columns(state, (reg,), (label,))[1]
+        else:
+            rows = np.zeros((len(first), d), dtype=complex)
+            rows[group, state.labels[:, gather[0]]] = state.amps
+            coeffs = rows @ fourier_matrix(state.ring, state.q)  # F is symmetric
+            label, p = _draw((np.abs(coeffs) ** 2).sum(axis=0), reg, rng, label)
+            state = SupportState(state.ring, state.q, roster[1:], rest[first], coeffs[:, label] / math.sqrt(p))
+        outcomes += (MeasurementOutcome(reg, label, p),)
+    return outcomes, state
 
 
-def _split(state: SupportState, regs: tuple[str, ...], d: int):
-    """Where live registers sit among the columns, the other columns (a view
-    if the registers lead, as they do after coding) and their roster."""
+def take_columns(state: SupportState, regs, labels) -> tuple[np.ndarray, SupportState]:
+    """A measurement that moves no row: the labels of live registers, one
+    row per register and one column per support row, and the state without
+    them, outcome labels[i] leaving the phase F[labels[i], y] sqrt(d) on
+    each row at its label y on register i (`labels=()` leaves none). The
+    columns are views if the registers lead, as they do after coding."""
+    regs, d = tuple(regs), state.ring.cardinality**state.q
     gather, _, roster = _layout(state.reg_ids, regs, (), d)
-    m = len(regs)
-    rest = state.labels[:, m:] if state.reg_ids[:m] == regs else state.labels[:, gather[m:]]
-    return gather[:m], rest, roster[m:]
-
-
-def take_columns(state: SupportState, regs) -> tuple[np.ndarray, SupportState]:
-    """The labels of live registers, one row per register and one column per
-    support row, and the state without them: what a certified measurement
-    (`measure_rows`) drops, without the phase it leaves."""
-    cols, rest, roster = _split(state, tuple(regs), state.ring.cardinality**state.q)
-    return state.labels[:, cols].T, SupportState(state.ring, state.q, roster, rest, state.amps)
+    rows = state.labels if state.reg_ids[: len(regs)] == regs else state.labels[:, gather]
+    columns, amps = rows[:, : len(regs)].T, state.amps
+    if labels:
+        scaled = _scaled_fourier(state.ring, state.q)
+        for label, column in zip(labels, columns, strict=True):
+            if not 0 <= label < d:
+                raise QuantumError(f"outcome label {label} out of range")
+            amps = amps * scaled[label][column]
+    return columns, SupportState(state.ring, state.q, roster[len(regs) :], rows[:, len(regs) :], amps)
 
 
 def branch_amplitudes(state: SupportState, columns: np.ndarray, prefix) -> np.ndarray:
@@ -382,8 +371,8 @@ def branch_amplitudes(state: SupportState, columns: np.ndarray, prefix) -> np.nd
 
     `columns[i]` holds measurement i's label on each row (`take_columns`).
     Outcome a_i multiplies the rows by the phase F[a_i, y] sqrt(d) at their
-    labels y, one measurement after another, as the certified `measure_rows`
-    does: so row b is bit for bit what the node loop leaves on branch b.
+    labels y, one measurement after another, as `take_columns` does: so row
+    b is bit for bit what the node loop leaves on branch b.
     """
     scaled = _scaled_fourier(state.ring, state.q)
     amps = state.amps

@@ -28,6 +28,7 @@ from qnetcode.quantum import (
     fidelity,
     init_state,
     measure_rows,
+    take_columns,
 )
 
 BUNDLED = [p.name for p in sorted(INSTANCES.glob("*.json")) if not p.name.startswith("superpos")]
@@ -213,7 +214,7 @@ def per_register_steps(plan, state, rng=None, branch=None):
         for reg in p.measured or ():
             label = next(labels)
             forced = None if label is None else (label,)
-            outcome, rows = measure_rows(rows, (reg,), rng, forced, certified=False)
+            outcome, rows = measure_rows(rows, (reg,), rng, forced)
             outcomes += outcome
         yield p.node, rows, outcomes
 
@@ -272,21 +273,28 @@ class TestCertifiedPath:
 
     @pytest.mark.parametrize("name", ["butterfly_f2.json", "butterfly_f2_broken.json"])
     def test_the_plan_picks_the_path(self, monkeypatch, name):
-        # one call per measuring node, certified exactly when the plan is
+        # one call per measuring node: `take_columns` with a label per register
+        # exactly when the plan is certified, else the checked `measure_rows`
         seen = []
 
-        def counted(state, regs, rng=None, forced=None, certified=False):
-            seen.append((len(regs), certified))
-            return measure_rows(state, regs, rng, forced, certified)
+        def counted(kernel):
+            def call(state, regs, *args):
+                labels = args[0] if kernel is take_columns else ()
+                seen.append((kernel.__name__, len(regs), len(labels)))
+                return kernel(state, regs, *args)
 
-        monkeypatch.setattr(qnetcode.protocol, "measure_rows", counted)
+            return call
+
+        for kernel in (measure_rows, take_columns):
+            monkeypatch.setattr(qnetcode.protocol, kernel.__name__, counted(kernel))
         net, scheme = load_instance(name)
         plan = plan_scheme(net, scheme)
         state = random_input_state(scheme, net.k, 1)
         finish_run(plan, state, node_steps(plan, state, np.random.default_rng(0)))
         assert len(seen) == 6
-        assert sum(m for m, _ in seen) == plan.measurement_count == 9
-        assert {certified for _, certified in seen} == {plan.certified}
+        assert sum(m for _, m, _ in seen) == plan.measurement_count == 9
+        assert {kernel for kernel, _, _ in seen} == {"take_columns" if plan.certified else "measure_rows"}
+        assert sum(n for _, _, n in seen) == (9 if plan.certified else 0)
 
 
 class _CountingRng:

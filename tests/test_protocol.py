@@ -140,6 +140,42 @@ class TestEncodeNode:
         with pytest.raises(InstanceError, match="branch labels out of range"):
             list(node_steps(plan, state, branch=(0,) * 8 + (2,)))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (0.7,) * 9, (True,) * 9, (False,) * 9, ("a",) * 9, (1,) * 8 + (0.5,), (1,) * 8 + (float("nan"),),
+            ((0,),) * 9, ((0, 1),) + (0,) * 8,
+        ],
+        ids=["fraction", "true", "false", "text", "one-fraction", "nan", "nested", "ragged"],
+    )
+    def test_branch_labels_must_be_integers(self, labels):
+        # int() would run a bool or a fractional float as another branch
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (1, 0))
+        with pytest.raises(InstanceError, match="branch labels must be integers"):
+            run_protocol(net, scheme, state, branch=labels)
+
+    def test_branch_labels_of_integral_value_will_do(self):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (1, 0))
+        want = run_protocol(net, scheme, state, branch=(1, 0, 1) * 3)
+        for labels in [(1.0, 0.0, 1.0) * 3, np.array((1, 0, 1) * 3, dtype=np.uint8), (np.int64(1), 0, 1) * 3]:
+            got = run_protocol(net, scheme, state, branch=labels)
+            assert got.log.branch_labels() == want.log.branch_labels()
+            assert all(type(a) is int for a in got.log.branch_labels())
+            assert got.state.amps.tobytes() == want.state.amps.tobytes()
+        with pytest.raises(InstanceError, match="branch labels out of range"):
+            run_protocol(net, scheme, state, branch=(1, 0, 1) * 2 + (1, 0, float("inf")))
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, False, 3.0, -1, np.int64(-2)], ids=repr)
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        net, scheme = load_instance("butterfly_f2.json")
+        state = basis_state(scheme.ring, 1, (1, 0))
+        with pytest.raises(InstanceError, match="seed must be a non-negative integer"):
+            run_protocol(net, scheme, state, seed=seed)
+        want = run_protocol(net, scheme, state, seed=3).log.branch_labels()
+        assert run_protocol(net, scheme, state, seed=np.int64(3)).log.branch_labels() == want
+
     def test_node_steps_refuses_a_branch_with_an_rng(self):
         net, scheme = load_instance("butterfly_f2.json")
         plan, state = plan_scheme(net, scheme), basis_state(scheme.ring, 1, (0, 0))

@@ -42,6 +42,7 @@ from qnetcode.quantum import (
     measure_rows,
     output_columns,
     state_from_rows,
+    take_columns,
     uniform_branch,
 )
 from qnetcode.rings import coefficient_matrix, parse_ring_spec
@@ -596,19 +597,24 @@ class TestSupportState:
             rng = None if forced else np.random.default_rng(9)
             checked, want = measure_rows(rows, regs, rng, forced)
             # a certified call draws nothing: it takes the labels the checked call drew
-            got, state = measure_rows(rows, regs, forced=[o.label for o in checked], certified=True)
-            assert got == checked and all(o.probability == 1 / 3 for o in got)
-            turns = sum(cols[o.register] * o.label for o in got) / 3
+            columns, state = take_columns(rows, regs, [o.label for o in checked])
+            assert [o.register for o in checked] == list(regs) and all(o.probability == 1 / 3 for o in checked)
+            assert columns.tolist() == [cols[r].tolist() for r in regs]
+            turns = sum(cols[o.register] * o.label for o in checked) / 3
             assert state.reg_ids == want.reg_ids == (left,)
             assert state.labels.tolist() == want.labels.tolist() == [[v] for v in cols[left]]
             assert np.allclose(state.amps, amps[amps != 0] * np.exp(2j * np.pi * turns), atol=1e-15)
             assert state.amps.tobytes() == want.amps.tobytes()
 
-    def test_a_certified_call_takes_labels_not_an_rng(self):
-        rows = init_state(Z2, 1, 2, [0.6, 0, 0, 0.8])
-        for rng, forced in [(np.random.default_rng(0), None), (np.random.default_rng(0), (1,)), (None, None)]:
-            with pytest.raises(QuantumError, match="a certified measurement takes forced labels, not an rng"):
-                measure_rows(rows, ("src:1",), rng, forced, certified=True)
+    @pytest.mark.parametrize("regs", [("src:1",), ("src:2", "src:1"), ("src:1", "src:2")])
+    def test_taking_columns_without_labels_leaves_no_phase(self, regs):
+        amps = np.arange(27) % 5
+        rows = init_state(Z3, 1, 3, amps / np.linalg.norm(amps), reg_ids=("src:1", "src:2", "src:3"))
+        columns, state = take_columns(rows, regs, ())
+        assert state.amps is rows.amps
+        assert state.reg_ids == tuple(r for r in rows.reg_ids if r not in regs)
+        assert columns.tolist() == [rows.labels[:, rows.reg_ids.index(r)].tolist() for r in regs]
+        assert state.labels.tolist() == take_columns(rows, regs, (0,) * len(regs))[1].labels.tolist()
 
     def test_made_states_are_read_only(self):
         state = state_from_rows(Z3, 1, [[0.0, 1.0], [2, 0]], [0.6, 0.8])
@@ -617,7 +623,7 @@ class TestSupportState:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
-    # a certified call is never made on interfering rows
+    # a certified step (`take_columns`) is never taken on interfering rows
     @pytest.mark.parametrize(
         "amps, certified",
         [([0.6, 0, 0, 0.8], False), ([0.6, 0, 0, 0.8], True), ([0.6, 0, 0.8, 0], False)],
@@ -626,7 +632,10 @@ class TestSupportState:
     def test_forced_label_out_of_range(self, amps, certified):
         rows = init_state(Z2, 1, 2, amps)
         with pytest.raises(QuantumError, match="outcome label 2 out of range"):
-            measure_rows(rows, ("src:1",), forced=(2,), certified=certified)
+            if certified:
+                take_columns(rows, ("src:1",), (2,))
+            else:
+                measure_rows(rows, ("src:1",), forced=(2,))
 
     def test_groups_keep_the_lexicographic_order_of_the_other_columns(self):
         # over Z(3), rows 0 and 1 share their other columns (1, 0) and interfere;
@@ -662,6 +671,52 @@ class TestSupportState:
         assert rest.labels.tolist() == [[0]] and rest.amps == pytest.approx([1.0], abs=1e-12)
         with pytest.raises(ZeroProbabilityError):
             measure_rows(rows, ("src:1",), forced=(1,))
+
+
+@st.composite
+def determined_cases(draw):
+    """A state whose rows are distinct on its spectators (the registers left
+    unmeasured), 1-4 measured registers at any columns (or leading, as after
+    coding), their outcome labels, and one label out of range: so no
+    measurement, alone or with the others, moves a row."""
+    text, q = draw(st.sampled_from([("Z(2)", 1), ("Z(3)", 1), ("Z(4)", 1), ("GF(4)", 1), ("Z(2)", 2)]))
+    spec, m, n = parse_ring_spec(text), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    d = spec.cardinality**q
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    size = draw(st.integers(1, min(12, d**n)))
+    spectators = rng.choice(d**n, size, replace=False)[:, None] // d ** np.arange(n)[::-1] % d
+    labels = np.concatenate((rng.integers(d, size=(size, m)), spectators), axis=1)
+    names = [f"m{i}" for i in range(m)] + [f"s{i}" for i in range(n)]
+    lead = draw(st.booleans())
+    order = draw(st.permutations(range(m))) + draw(st.permutations(range(m, m + n)))
+    if not lead:
+        order = draw(st.permutations(order))
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    state = state_from_rows(spec, q, labels[:, order], amps / np.linalg.norm(amps), [names[c] for c in order])
+    regs = state.reg_ids[:m] if lead else tuple(draw(st.permutations(names[:m])))
+    outcomes = tuple(int(a) for a in rng.integers(d, size=m))
+    bad = draw(st.one_of(st.integers(-(2**70), -1), st.integers(d, 2**70)))
+    return state, regs, outcomes, (draw(st.integers(0, m - 1)), bad)
+
+
+@given(determined_cases())
+@settings(max_examples=120, deadline=None)
+def test_take_columns_is_one_checked_measurement_per_register(case):
+    state, regs, outcomes, (at, bad) = case
+    d = state.ring.cardinality**state.q
+    columns, got = take_columns(state, regs, outcomes)
+    want, oracle = state, dense(state)
+    for reg, label in zip(regs, outcomes):
+        (outcome,), want = measure_rows(want, (reg,), forced=(label,))
+        assert (outcome.register, outcome.label, outcome.probability) == (reg, label, 1 / d)
+        oracle = measure(apply_fourier(oracle, reg), reg, forced=label)[1]
+    assert columns.tolist() == [state.labels[:, state.reg_ids.index(r)].tolist() for r in regs]
+    assert got.reg_ids == want.reg_ids == oracle.reg_ids
+    assert np.array_equal(got.labels, want.labels)
+    assert got.amps.tobytes() == want.amps.tobytes()
+    assert np.allclose(dense(got, oracle.reg_ids).amps, oracle.amps, atol=1e-12)
+    with pytest.raises(QuantumError, match=f"outcome label {bad} out of range"):
+        take_columns(state, regs, outcomes[:at] + (bad,) + outcomes[at + 1 :])
 
 
 @st.composite
